@@ -6,6 +6,18 @@ Witnesses are deterministic: the rainbow scan returns the lexicographically
 first triple, the embedding search fixes a pattern vertex order (hub first
 then rim for fans, otherwise descending degree) and tries host vertices in
 ascending order.
+
+The embedding search runs on a twin-class kernel of the color class.  False
+twins (vertices with the same open neighborhood in that color) are
+interchangeable: swapping two of them is an automorphism of the color class
+that fixes every other vertex.  A copy of an m-vertex pattern uses at most m
+members of any twin class, so the search keeps only the m lowest-indexed
+members of each class.  This is exact, and it returns the same witness as the
+search over every vertex: the ascending DFS reaches a dropped twin only after
+an unused, lower-indexed twin of it has failed in the same position, and by
+the swap the dropped twin must fail there too.  The blow-up towers the
+builders emit are a few huge twin classes in their top colors, so the kernel
+is what keeps certifying them cheap.
 """
 
 from __future__ import annotations
@@ -78,6 +90,11 @@ def color_neighbor_masks(c: EdgeColoring) -> list[list[int]]:
         nbr[col][i] |= 1 << j
         nbr[col][j] |= 1 << i
     return nbr
+
+
+def _class_masks(c: EdgeColoring, nbr: list[list[int]], color: int) -> list[int]:
+    """One row of color_neighbor_masks; a color above c.k is an empty class."""
+    return nbr[color] if color <= c.k else [0] * c.n
 
 
 def _rainbow_scan(c: EdgeColoring, nbr) -> tuple[Optional[tuple[int, int, int]], int]:
@@ -154,7 +171,17 @@ def _embed_search(
     prior = [
         [pos_of[u] for u in adj[v] if pos_of[u] < t] for t, v in enumerate(order)
     ]
-    full = (1 << n) - 1
+    # Twin-class kernel: keep the p.m lowest-indexed vertices of each class
+    # of equal neighbor masks.  Exact and witness-preserving (module
+    # docstring): a dropped twin is tried only after a lower, unused twin
+    # with the same candidacy failed in its place.
+    kept = 0
+    class_size: dict[int, int] = {}
+    for v, mask in enumerate(nbr_color):
+        size = class_size.get(mask, 0)
+        if size < p.m:
+            class_size[mask] = size + 1
+            kept |= 1 << v
     host = [0] * p.m
     nodes = 0
 
@@ -162,7 +189,7 @@ def _embed_search(
         nonlocal nodes
         if t == p.m:
             return True
-        cand = full
+        cand = kept
         for s in prior[t]:
             cand &= nbr_color[host[s]]
         cand &= ~used
@@ -189,13 +216,8 @@ def find_mono_embedding(
     """First monochromatic copy of pattern in the given color class, or None."""
     if color < 1:
         raise ValueError(f"color ids start at 1, got {color}")
-    nbr = [0] * c.n
-    if color <= c.k:
-        for (i, j), col in c.items():
-            if col == color:
-                nbr[i] |= 1 << j
-                nbr[j] |= 1 << i
-    image, _ = _embed_search(c.n, pattern, nbr)
+    masks = _class_masks(c, color_neighbor_masks(c), color)
+    image, _ = _embed_search(c.n, pattern, masks)
     if image is None:
         return None
     return Embedding(color, image)
@@ -226,8 +248,7 @@ def verify(c: EdgeColoring, spec: AvoidanceSpec) -> VerificationReport:
     for color, pid in spec.forbids:
         pat = resolve(pid)
         checked += 1
-        masks = nbr[color] if color <= c.k else [0] * c.n
-        image, nodes = _embed_search(c.n, pat, masks)
+        image, nodes = _embed_search(c.n, pat, _class_masks(c, nbr, color))
         nodes_total += nodes
         if image is not None:
             witnesses.append(Embedding(color, image))

@@ -35,6 +35,54 @@ def naive_mono(c: EdgeColoring, pattern, color: int) -> bool:
     return False
 
 
+def plain_embed(c: EdgeColoring, pattern, color: int) -> tuple[int, ...] | None:
+    """The embedding DFS without the twin-class kernel: every host vertex.
+
+    Same pattern vertex order as the library (imported, since the witness
+    depends on it) and the same ascending host order, but it searches all
+    of V and builds its masks with its own loop, so the library's kernel
+    must reproduce its first witness exactly.
+    """
+    from gallaikit.detect import _embedding_order
+
+    n, m = c.n, pattern.m
+    if m > n:
+        return None
+    nbr = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if c.color(u, v) == color:
+                nbr[u] |= 1 << v
+                nbr[v] |= 1 << u
+    order = _embedding_order(pattern)
+    adj = pattern.adjacency()
+    pos_of = {v: t for t, v in enumerate(order)}
+    prior = [[pos_of[u] for u in adj[v] if pos_of[u] < t] for t, v in enumerate(order)]
+    host = [0] * m
+
+    def go(t: int, used: int) -> bool:
+        if t == m:
+            return True
+        cand = (1 << n) - 1
+        for s in prior[t]:
+            cand &= nbr[host[s]]
+        cand &= ~used
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            host[t] = b.bit_length() - 1
+            if go(t + 1, used | b):
+                return True
+        return False
+
+    if not go(0, 0):
+        return None
+    image = [0] * m
+    for t, v in enumerate(order):
+        image[v] = host[t]
+    return tuple(image)
+
+
 def naive_rainbow(c: EdgeColoring) -> tuple[int, int, int] | None:
     """First triangle wearing three distinct colors, scanning lexicographically."""
     for u, v, w in combinations(range(c.n), 3):

@@ -62,6 +62,12 @@ def test_extremal_seed_actually_avoids_its_pattern():
         assert find_mono_embedding(c, p, color) is None
 
 
+def test_h1_tower_at_k8_certifies():
+    # 1000 vertices, five twin classes of 200 in each top color
+    c = build_lower("h1", 8)
+    assert c.n == g_value("h1", 8) == 1000
+
+
 def test_extremal_alias_h12_matches_kipas4():
     assert extremal_two_coloring("h12", certify=False).n == 9
 

@@ -4,9 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_mono, naive_rainbow, random_coloring
+from conftest import (
+    naive_mono,
+    naive_rainbow,
+    plain_embed,
+    random_coloring,
+    random_gallai_blowup,
+)
 from gallaikit.coloring import make_coloring
-from gallaikit.construct import base_pentagon, mono_complete
+from gallaikit.construct import base_pentagon, build_lower, mono_complete
 from gallaikit.detect import (
     AvoidanceSpec,
     Embedding,
@@ -147,3 +153,46 @@ def test_find_mono_matches_oracle_property(n, data):
     p = resolve(data.draw(st.sampled_from(["k3", "path(4)", "h10"])))
     color = data.draw(st.integers(min_value=1, max_value=k))
     assert (find_mono_embedding(c, p, color) is not None) == naive_mono(c, p, color)
+
+
+DIFF_PATTERNS = ("k3", "path(4)", "h1", "h10", "kipas(4)")
+
+
+def assert_kernel_matches_plain(c):
+    """find_mono_embedding and verify return the plain DFS's witness or None."""
+    for pid in DIFF_PATTERNS:
+        p = resolve(pid)
+        want = {color: plain_embed(c, p, color) for color in range(1, c.k + 1)}
+        for color, image in want.items():
+            emb = find_mono_embedding(c, p, color)
+            assert (None if emb is None else emb.map) == image, (pid, color)
+        rep = verify(c, AvoidanceSpec.forbid_all(pid, c.k, require_gallai=False))
+        got = [(e.color, e.map) for e in rep.mono_witnesses]
+        assert got == [(col, img) for col, img in want.items() if img is not None], pid
+
+
+def test_kernel_matches_plain_dfs_on_random_colorings():
+    rng = random.Random(2024)
+    for _ in range(25):
+        assert_kernel_matches_plain(
+            random_coloring(rng, rng.randint(3, 40), rng.randint(1, 4)))
+
+
+def test_kernel_matches_plain_dfs_on_gallai_blowups():
+    # substitution trees: the inputs with large twin classes
+    rng = random.Random(7)
+    for _ in range(40):
+        assert_kernel_matches_plain(
+            random_gallai_blowup(rng, rng.randint(3, 40), rng.randint(2, 5)))
+
+
+@pytest.mark.parametrize("cid,k", [("h1", 4), ("h10", 4), ("kipas(4)", 4), ("h1", 5)])
+def test_kernel_matches_plain_dfs_on_towers(cid, k):
+    assert_kernel_matches_plain(build_lower(cid, k, certify=False))
+
+
+def test_kernel_bounds_tower_search_work():
+    # a count, not a time: h1 at k=6 took 2669800 DFS nodes without the kernel
+    rep = verify(build_lower("h1", 6, certify=False), AvoidanceSpec.forbid_all("h1", 6))
+    assert rep.passed
+    assert rep.stats.embedding_nodes < 100_000
