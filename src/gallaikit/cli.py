@@ -2,12 +2,11 @@
 
 Subcommands: build, build-mixed, verify, partition, formula, search,
 encode, decode, catalog, fixtures.  Every subcommand accepts --json for
-machine-readable output and --threads (reserved; engines run
-single-threaded, 0 means auto).  GRC files are the only medium between
-commands.
+machine-readable output.  GRC files are the only medium between commands.
 
 Exit codes: 0 pass / witness / SAT-decoded, 1 fail / exhausted /
-UNSAT-claim / rainbow input, 2 usage or domain error.
+UNSAT-claim / rainbow input, 2 usage or domain error, which includes
+malformed or non-ASCII GRC, DIMACS and model files.
 """
 
 from __future__ import annotations
@@ -54,13 +53,6 @@ _DOMAIN_ERRORS = (
     DecompositionError,
     OSError,
 )
-
-
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
 
 
 def _forbid_pair(text: str) -> tuple[int, str]:
@@ -244,12 +236,18 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_ascii(path: str) -> str:
+    try:
+        with open(path, encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CnfError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+
+
 def _cmd_decode(args: argparse.Namespace) -> int:
-    with open(args.cnf, encoding="ascii") as fh:
-        num_vars, clauses = parse_dimacs(fh.read())
+    num_vars, clauses = parse_dimacs(_read_ascii(args.cnf))
     doc = CnfDocument(args.n, args.k, num_vars, tuple(clauses))
-    with open(args.model, encoding="ascii") as fh:
-        model = parse_model(fh.read())
+    model = parse_model(_read_ascii(args.model))
     if model is None:
         _emit(args, {"kind": "unsat"}, "UNSAT claim, nothing to decode")
         return 1
@@ -302,10 +300,6 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="machine-readable output")
-    sub.add_argument(
-        "--threads", type=_nonneg_int, default=0, metavar="N",
-        help="reserved; engines run single-threaded (0 = auto)",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:

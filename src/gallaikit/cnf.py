@@ -155,6 +155,13 @@ def assignment_satisfies(doc: CnfDocument, assignment: Iterable[int]) -> bool:
     return True
 
 
+def _dimacs_ints(tokens: list[str]) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError as exc:
+        raise CnfError(f"bad DIMACS integer: {exc}") from None
+
+
 def parse_dimacs(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(num_vars, clauses) from DIMACS text; comments are skipped."""
     num_vars: Optional[int] = None
@@ -168,10 +175,9 @@ def parse_dimacs(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise CnfError(f"bad problem line {line!r}")
-            num_vars = int(fields[2])
+            num_vars = _dimacs_ints(fields[2:3])[0]
             continue
-        for tok in line.split():
-            lit = int(tok)
+        for lit in _dimacs_ints(line.split()):
             if lit == 0:
                 if pending:
                     clauses.append(tuple(pending))

@@ -191,51 +191,27 @@ def blowup(base: EdgeColoring, parts: Sequence[EdgeColoring]) -> EdgeColoring:
     return EdgeColoring(n, k, tuple(out))
 
 
-@dataclass(frozen=True)
-class ColorRelabeling:
-    """Injective map on used colors, plus the new declared color count."""
-
-    mapping: tuple[tuple[int, int], ...]
-    new_k: int
-
-    @classmethod
-    def of(cls, mapping: Mapping[int, int], new_k: int) -> "ColorRelabeling":
-        return cls(tuple(sorted(mapping.items())), new_k)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.mapping)
-
-
 def relabel_colors(
-    c: EdgeColoring,
-    relabeling: Union[ColorRelabeling, Mapping[int, int]],
-    new_k: int | None = None,
+    c: EdgeColoring, mapping: Mapping[int, int], new_k: int
 ) -> EdgeColoring:
     """Apply a color relabeling.
 
     The map must cover every color the coloring actually uses, be injective
     on those, and land inside 1..new_k.  Unused colors may be left unmapped.
     """
-    if isinstance(relabeling, ColorRelabeling):
-        table = relabeling.as_dict()
-        new_k = relabeling.new_k
-    else:
-        table = dict(relabeling)
-        if new_k is None:
-            raise ColoringError("new_k is required with a plain mapping")
     if new_k < 1:
         raise ColorRangeError(f"need new_k >= 1, got {new_k}")
     used = sorted(set(c.colors))
     for old in used:
-        if old not in table:
+        if old not in mapping:
             raise UnmappedColorError(f"color {old} is used but not mapped")
-    targets = [table[old] for old in used]
+    targets = [mapping[old] for old in used]
     for t in targets:
         if not 1 <= t <= new_k:
             raise ColorRangeError(f"relabel target {t} outside 1..{new_k}")
     if len(set(targets)) != len(targets):
         raise NonInjectiveMapError("two used colors map to the same target")
-    lookup = {old: table[old] for old in used}
+    lookup = {old: mapping[old] for old in used}
     return EdgeColoring(c.n, new_k, tuple(lookup[x] for x in c.colors))
 
 
@@ -287,8 +263,12 @@ def parse(text: str) -> EdgeColoring:
 
 
 def read_grc(path) -> EdgeColoring:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse(fh.read())
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GrcSyntaxError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+    return parse(text)
 
 
 def write_grc(c: EdgeColoring, path) -> None:

@@ -76,27 +76,6 @@ class BaseParams:
             raise RangeViolationError(f"need r2 > h_order, got {self.r2}")
 
 
-@dataclass(frozen=True)
-class ConstructionRequest:
-    """One build order: a target tower, or the mixed family when s is set."""
-
-    target: str | None
-    k: int
-    s: int | None = None
-    r2: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise RangeViolationError(f"need k >= 1, got {self.k}")
-        if (self.s is None) == (self.target is None):
-            raise ConstructionError("give exactly one of target or s")
-
-    def build(self, certify: bool = True) -> EdgeColoring:
-        if self.s is not None:
-            return build_mixed(self.k, self.s, certify=certify)
-        return build_lower(self.target, self.k, r2=self.r2, certify=certify)
-
-
 def _certify(c: EdgeColoring, spec: AvoidanceSpec, label: str) -> None:
     report = verify(c, spec)
     if not report.passed:
@@ -211,10 +190,7 @@ def _searched_extremal(cid: str, n: int, max_nodes: int) -> EdgeColoring:
 
 
 def extremal_two_coloring(
-    target: str,
-    certify: bool = True,
-    r2: int | None = None,
-    use_fixture: bool = True,
+    target: str, certify: bool = True, r2: int | None = None
 ) -> EdgeColoring:
     """Two-coloring on R2(target)-1 vertices avoiding target in both colors.
 
@@ -228,7 +204,7 @@ def extremal_two_coloring(
     elif r2 < 3:
         raise RangeViolationError(f"need r2 >= 3, got {r2}")
     n = r2 - 1
-    c = load_fixture(cid) if use_fixture else None
+    c = load_fixture(cid)
     if c is not None and (c.n != n or c.k != 2):
         raise ConstructionError(
             f"fixture for {cid} has shape ({c.n}, {c.k}), expected ({n}, 2)"
@@ -251,33 +227,21 @@ def _aux(m: int, k: int, top: int) -> EdgeColoring:
 
 
 def _clique_cover_ok(c: EdgeColoring, color: int, order: int) -> bool:
-    """True iff the color class is a disjoint union of K_order covering V."""
+    """True iff the color class is a disjoint union of K_order covering V.
+
+    Closed neighborhoods: each N[v] has order vertices, and the ends of
+    every edge share theirs, so each N[v] is a clique and a component.
+    """
     nbr = color_neighbor_masks(c)[color]
-    seen = 0
-    for v in range(c.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        while True:
-            grown = comp
-            w = comp
-            while w:
-                low = w & -w
-                grown |= nbr[low.bit_length() - 1]
-                w ^= low
-            if grown == comp:
-                break
-            comp = grown
-        if comp.bit_count() != order:
+    closed = [row | 1 << v for v, row in enumerate(nbr)]
+    for v, row in enumerate(nbr):
+        if closed[v].bit_count() != order:
             return False
-        w = comp
-        while w:
-            low = w & -w
-            u = low.bit_length() - 1
-            if nbr[u] != comp ^ low:
+        while row:
+            low = row & -row
+            if closed[low.bit_length() - 1] != closed[v]:
                 return False
-            w ^= low
-        seen |= comp
+            row ^= low
     return True
 
 
@@ -384,28 +348,18 @@ def build_lower(
 def assemble_case3(
     m: int, k: int, r2: int | None = None, certify: bool = True
 ) -> EdgeColoring:
-    """Five-part assembly for an even fan at even k.
+    """Five-part assembly for an even fan at even k: parity-checked build_lower.
 
-    Pentagon with cycle color k and chord color k-1; parts in cycle order
-    are two top-color-k towers at cycle distance two, two top-color-(k-1)
-    towers adjacent on the cycle, and one k-2 tower in the last slot.
+    build_lower takes this branch for every even fan at even k >= 4
+    (pentagon with cycle color k and chord color k-1, two top-color-k
+    towers at cycle distance two, two top-color-(k-1) towers adjacent on
+    the cycle, one k-2 tower in the last slot).
     """
     if m < 2 or m % 2:
         raise ParityViolationError(f"need even m >= 2, got {m}")
     if k < 4 or k % 2:
         raise ParityViolationError(f"need even k >= 4, got {k}")
-    cid = f"kipas({m})"
-    seed_id, p = _base_params(cid, r2)
-    hi = _aux(m, k, k)
-    lo = _aux(m, k, k - 1)
-    sub = _tower(seed_id, p, k - 2, r2)
-    c = blowup(base_pentagon(k, k - 1), [hi, lo, lo, hi, sub])
-    expect = g_value(cid, k, r2)
-    if c.n != expect:
-        raise ConstructionError(f"assembled {c.n} vertices for {cid}; want {expect}")
-    if certify:
-        _certify(c, AvoidanceSpec.forbid_all(cid, k), f"assemble_case3({m}, {k})")
-    return c
+    return build_lower(f"kipas({m})", k, r2=r2, certify=certify)
 
 
 def _mixed(k: int, s: int) -> EdgeColoring:

@@ -133,18 +133,12 @@ def gallai_partition(c: EdgeColoring) -> GallaiPartition:
     if witness is not None:
         raise RainbowTriangleError(witness)
     nbr = color_neighbor_masks(c)
-    n = c.n
-    full = (1 << n) - 1
+    full = (1 << c.n) - 1
     best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for d in range(1, c.k + 1):
-        # adjacency of the graph on edges not colored d
-        other = [0] * n
-        for e in range(1, c.k + 1):
-            if e == d:
-                continue
-            row = nbr[e]
-            for v in range(n):
-                other[v] |= row[v]
+        # every pair has exactly one color, so the non-d graph is the
+        # complement of color d
+        other = [full & ~(1 << v) & ~row for v, row in enumerate(nbr[d])]
         comp = _component_of_zero(other)
         if comp != full:
             cand = (tuple(_bits(comp)), tuple(_bits(full & ~comp)))

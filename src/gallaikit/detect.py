@@ -263,18 +263,27 @@ def verify(c: EdgeColoring, spec: AvoidanceSpec) -> VerificationReport:
 def enumerate_pattern_images(pattern: Pattern, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Every distinct edge set an injective copy of pattern can occupy in K_n.
 
-    Exhaustive by construction (all vertex subsets, all bijections), so it
-    doubles as the reference counter for the CNF encoder.  Capped at n <= 16.
+    The pattern's non-isolated vertices, relabelled 0..m'-1, give one edge
+    set per coset of its automorphism group (all m'! permutations, once per
+    call); each is then placed on every m'-subset of range(n) in increasing
+    order.  Without isolated vertices an image spans exactly its subset, so
+    images on different subsets never collide and nothing is deduplicated
+    across subsets.  Isolated vertices only need room: pattern.m <= n.
+    Sorted, so the CNF clause order is fixed.  Capped at n <= 16.
     """
     if n > 16:
         raise TooLargeError(f"image enumeration capped at n=16, got {n}")
     if pattern.m > n:
         return ()
-    seen = set()
-    for sub in combinations(range(n), pattern.m):
-        for per in permutations(sub):
-            img = frozenset(
-                (min(per[a], per[b]), max(per[a], per[b])) for a, b in pattern.edges
-            )
-            seen.add(img)
-    return tuple(sorted(tuple(sorted(img)) for img in seen))
+    spine = sorted({v for e in pattern.edges for v in e})
+    pos = {v: t for t, v in enumerate(spine)}
+    edges = [(pos[a], pos[b]) for a, b in pattern.edges]
+    shapes = {
+        frozenset((min(per[a], per[b]), max(per[a], per[b])) for a, b in edges)
+        for per in permutations(range(len(spine)))
+    }
+    return tuple(sorted(
+        tuple(sorted((sub[a], sub[b]) for a, b in shape))
+        for sub in combinations(range(n), len(spine))
+        for shape in shapes
+    ))

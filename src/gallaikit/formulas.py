@@ -105,6 +105,17 @@ def _fan_r2(m: int, r2: int | None) -> int:
     raise MissingR2Error(f"R2({cid}) is unknown; pass r2 explicitly")
 
 
+def _fan_size(m: int, k: int, r2v: int) -> int:
+    """Lower-construction size for kipas(m), any m >= 2, given R2 = r2v."""
+    if k == 1:
+        return m
+    if k % 2 == 0:
+        if m % 2:
+            return (r2v - 1) * 5 ** ((k - 2) // 2)
+        return r2v + (m // 2) * (5 ** (k // 2) - 5) - 1
+    return max(2 * (r2v - 1), 5 * m) * 5 ** ((k - 3) // 2)
+
+
 def g_value(target: str, k: int, r2: int | None = None) -> int:
     """Vertex count of the largest known k-coloring avoiding the target."""
     _check_k(k)
@@ -119,14 +130,7 @@ def g_value(target: str, k: int, r2: int | None = None) -> int:
         return 2 * 5 ** ((k - 1) // 2)
     m = fan_param(cid)
     if m is not None:
-        r2v = _fan_r2(m, r2)
-        if k == 1:
-            return m
-        if k % 2 == 0:
-            if m % 2:
-                return (r2v - 1) * 5 ** ((k - 2) // 2)
-            return r2v + (m // 2) * (5 ** (k // 2) - 5) - 1
-        return max(2 * (r2v - 1), 5 * m) * 5 ** ((k - 3) // 2)
+        return _fan_size(m, k, _fan_r2(m, r2))
     if cid in R2_TABLE:
         r2v = R2_TABLE[cid]
         if k == 1:
@@ -201,20 +205,13 @@ def conjecture_kipas(m: int, k: int, r2: int | None = None) -> GrValue:
     if m < 2:
         raise RangeViolationError(f"fan needs m >= 2, got {m}")
     _check_k(k)
-    r2v = _fan_r2(m, r2)
     if k == 1:
-        return GrValue(m + 1, "conjecture:k=1")
-    if k % 2 == 0:
-        if m % 2:
-            return GrValue(
-                (r2v - 1) * 5 ** ((k - 2) // 2) + 1, "conjecture:even-k,odd-m"
-            )
-        return GrValue(
-            r2v + (m // 2) * (5 ** (k // 2) - 5), "conjecture:even-k,even-m"
-        )
-    return GrValue(
-        max(2 * (r2v - 1), 5 * m) * 5 ** ((k - 3) // 2) + 1, "conjecture:odd-k"
-    )
+        tag = "k=1"
+    elif k % 2:
+        tag = "odd-k"
+    else:
+        tag = "even-k,odd-m" if m % 2 else "even-k,even-m"
+    return GrValue(_fan_size(m, k, _fan_r2(m, r2)) + 1, f"conjecture:{tag}")
 
 
 _STAR_TARGETS = ("h1", "h2", "h3", "h4", "h5", "h6", "h10", "h11")

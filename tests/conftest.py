@@ -83,6 +83,22 @@ def plain_embed(c: EdgeColoring, pattern, color: int) -> tuple[int, ...] | None:
     return tuple(image)
 
 
+def naive_images(pattern, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Brute-force image enumeration: every bijection of every vertex subset.
+
+    The library's former enumerate_pattern_images, kept as its oracle: it
+    deduplicates edge sets with frozensets and applies the same final sort.
+    """
+    if pattern.m > n:
+        return ()
+    seen = set()
+    for sub in combinations(range(n), pattern.m):
+        for per in permutations(sub):
+            seen.add(frozenset(
+                (min(per[a], per[b]), max(per[a], per[b])) for a, b in pattern.edges))
+    return tuple(sorted(tuple(sorted(img)) for img in seen))
+
+
 def naive_rainbow(c: EdgeColoring) -> tuple[int, int, int] | None:
     """First triangle wearing three distinct colors, scanning lexicographically."""
     for u, v, w in combinations(range(c.n), 3):

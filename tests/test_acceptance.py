@@ -12,6 +12,7 @@ import time
 from itertools import combinations
 
 from conftest import (
+    naive_images,
     naive_mono,
     plant_rainbow,
     random_coloring,
@@ -174,16 +175,6 @@ def test_criterion_7_decomposition():
 
 def test_criterion_8_cnf_round_trip():
     t0 = time.perf_counter()
-    from itertools import permutations as perms
-
-    def naive_images(p, n):
-        seen = set()
-        for sub in combinations(range(n), p.m):
-            for per in perms(sub):
-                seen.add(frozenset(
-                    (min(per[a], per[b]), max(per[a], per[b])) for a, b in p.edges))
-        return len(seen)
-
     count_cases = [
         (3, ("k3", "k3"), True),
         (4, ("path(3)", "kipas(4)"), True),
@@ -200,7 +191,7 @@ def test_criterion_8_cnf_round_trip():
             expected += (n * (n - 1) * (n - 2) // 6) * (k * (k - 1) * (k - 2))
         for pid in per_color:
             if pid is not None and resolve(pid).m <= n:
-                expected += naive_images(resolve(pid), n)
+                expected += len(naive_images(resolve(pid), n))
         assert doc.num_vars == e * k
         assert len(doc.clauses) == expected, (n, per_color)
 

@@ -202,10 +202,34 @@ def test_unknown_pattern_is_domain_error(capsys):
     assert code == 2 and err.startswith("error:")
 
 
-def test_threads_must_be_nonnegative(capsys):
-    assert main(["catalog", "--threads", "-1"]) == 2
-    assert main(["catalog", "--threads", "4"]) == 0
+def test_decode_non_integer_dimacs_is_domain_error(capsys, tmp_path):
+    model = tmp_path / "model.out"
+    model.write_text("SAT\n1 -2 -3 0\n", encoding="ascii")
+    for text in ("p cnf x 3\n1 2 3 0\n", "p cnf 3 1\n1 two 0\n"):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(text, encoding="ascii")
+        code, _, err = run(capsys, "decode", "--cnf", str(cnf), "--model",
+                           str(model), "--n", "3", "--k", "1")
+        assert code == 2 and err.startswith("error:"), text
+
+
+def test_non_ascii_grc_is_domain_error(capsys, tmp_path):
+    path = tmp_path / "c.grc"
+    path.write_bytes("grc 1 3 2\n1 2\n1 \u00e9\n".encode("utf-8"))
+    for argv in (("verify", str(path), "--gallai"), ("partition", str(path))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:"), argv
+
+
+def test_decode_non_ascii_model_is_domain_error(capsys, tmp_path):
+    cnf = tmp_path / "f.cnf"
+    main(["encode", "--n", "3", "--per-color", "k3,k3", "--out", str(cnf)])
     capsys.readouterr()
+    model = tmp_path / "model.out"
+    model.write_bytes("SAT\n1 -2 \u00e9 0\n".encode("utf-8"))
+    code, _, err = run(capsys, "decode", "--cnf", str(cnf), "--model", str(model),
+                       "--n", "3", "--k", "2")
+    assert code == 2 and err.startswith("error:")
 
 
 def test_help_exits_zero(capsys):

@@ -177,6 +177,9 @@ def test_parse_dimacs_rejects_garbage():
         parse_dimacs("p cnf\n")
     with pytest.raises(CnfError):
         parse_dimacs("1 2 0\n")  # missing header
+    for text in ("p cnf x 3\n", "p cnf 3 1\n1 two 0\n"):
+        with pytest.raises(CnfError):
+            parse_dimacs(text)
 
 
 def test_parse_model_variants():

@@ -1,11 +1,12 @@
 import pytest
 
-from gallaikit.coloring import parse, serialize
+from gallaikit.coloring import join, parse, serialize
 from gallaikit.construct import (
     BaseParams,
     EqualColorsError,
     ParityViolationError,
     UnsupportedKipasError,
+    _clique_cover_ok,
     assemble_case3,
     base_pentagon,
     build_kipas_aux,
@@ -116,6 +117,35 @@ def test_assemble_case3_small():
     assert c.n == 25
     c = assemble_case3(4, 4, certify=True)
     assert c.n == 49
+
+
+def test_assemble_case3_is_build_lower_for_even_fans():
+    for m, k in ((2, 4), (4, 4), (2, 6)):
+        assert assemble_case3(m, k, certify=False) == build_lower(
+            f"kipas({m})", k, certify=False), (m, k)
+
+
+def test_assemble_case3_rejects_bad_parity():
+    with pytest.raises(ParityViolationError):
+        assemble_case3(3, 4)
+    with pytest.raises(ParityViolationError):
+        assemble_case3(2, 5)
+
+
+def test_clique_cover_check():
+    # color 1: two disjoint triangles; color 2: the cross edges
+    two_triangles = join(mono_complete(3, 1), mono_complete(3, 1), 2)
+    assert _clique_cover_ok(two_triangles, 1, 3)
+    assert not _clique_cover_ok(two_triangles, 1, 2)
+    # color 1: the path 0-1-2, components are not cliques
+    path = parse("grc 1 3 2\n1 2\n1\n")
+    assert not _clique_cover_ok(path, 1, 2)
+    assert not _clique_cover_ok(path, 1, 3)
+    # one cross edge merges the triangles into a non-clique component
+    cross = parse(serialize(two_triangles).replace("1 1 2 2 2", "1 1 1 2 2", 1))
+    assert cross.color(0, 3) == 1
+    assert not _clique_cover_ok(cross, 1, 3)
+    assert not _clique_cover_ok(cross, 1, 6)
 
 
 def test_assemble_case3_rejects_unlisted_fan_without_r2():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    naive_images,
     naive_mono,
     naive_rainbow,
     plain_embed,
@@ -22,7 +23,7 @@ from gallaikit.detect import (
     find_rainbow_triangle,
     verify,
 )
-from gallaikit.patterns import resolve
+from gallaikit.patterns import catalog, make_pattern, resolve
 
 
 def test_rainbow_found_on_rainbow_k3():
@@ -139,6 +140,22 @@ def test_enumerate_images_counts():
     # path(3) in K3: 3 labelings of the middle vertex
     assert len(enumerate_pattern_images(resolve("path(3)"), 3)) == 3
     assert enumerate_pattern_images(resolve("h1"), 4) == ()
+
+
+def test_enumerate_images_matches_brute_force_oracle():
+    # one edge set per coset of Aut(pattern), placed on every subset, must
+    # reproduce the bijection-per-subset oracle tuple, order included
+    patterns = [p for _, p in catalog()]
+    patterns += [resolve(f"kipas({m})") for m in (2, 3, 4)]
+    patterns += [resolve(f"path({t})") for t in (3, 4, 5)]
+    patterns += [resolve(f"complete({t})") for t in (3, 4)]
+    patterns += [
+        make_pattern(5, [(0, 2), (2, 3), (0, 3), (3, 4)], "isolated vertex 1"),
+        make_pattern(3, [], "empty"),
+    ]
+    for p in patterns:
+        for n in range(1, 10):
+            assert enumerate_pattern_images(p, n) == naive_images(p, n), (p.label, n)
 
 
 @settings(max_examples=40)

@@ -151,6 +151,16 @@ def test_conjecture_matches_theorems_for_stored_fans():
             assert conjecture_kipas(m, k).value == gr_value(f"kipas({m})", k).value, (m, k)
 
 
+def test_conjecture_is_fan_size_plus_one():
+    for m in range(5, 9):
+        for k in range(1, 7):
+            for r2 in (2 * m + 1, 5 * m):
+                assert conjecture_kipas(m, k, r2).value == g_value(
+                    f"kipas({m})", k, r2) + 1, (m, k, r2)
+    # beyond the pattern size cap, so canonical_id must stay out of the path
+    assert conjecture_kipas(20, 3, r2=50).value == 101
+
+
 def test_conjecture_needs_r2_for_unstored_fans():
     with pytest.raises(MissingR2Error):
         conjecture_kipas(6, 3)
