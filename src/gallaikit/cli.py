@@ -167,7 +167,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 def _cmd_formula(args: argparse.Namespace) -> int:
     if args.conjecture:
-        m = fan_param(canonical_id(args.target))
+        m = fan_param(args.target)
         if m is None:
             print(f"error: --conjecture needs a kipas target, got {args.target!r}",
                   file=sys.stderr)

@@ -2,16 +2,17 @@
 
 A Gallai partition splits the vertex set into ell >= 2 parts such that any
 two parts meet in a single color and the quotient coloring uses at most two
-colors overall.  gallai_partition computes one with the fewest possible
-parts, deterministically:
+colors overall.  gallai_partition returns the one with the fewest parts and,
+among those, the smallest part through vertex 0.  One engine reads it off
+the top of the modular decomposition: partition refinement gives P(0), the
+maximal modules without vertex 0, and the part through 0 is {0} plus every
+part X of P(0) whose closure with 0 (the smallest module containing 0 and X)
+is not the whole vertex set; the rest of P(0) are the other parts.
 
-  * if for some color d the graph of edges avoiding d is disconnected, a
-    two-part split exists; among those the lexicographically least part
-    list is returned (two parts is the global minimum),
-  * otherwise the quotient of any valid partition is prime, and the unique
-    coarsest choice is the set of maximal proper strong modules, recovered
-    by closing vertex pairs under outside vertices that see them in more
-    than one color.
+If for some color d the edges avoiding d form a disconnected graph, this is
+the split (component of 0, rest): any union of components through 0 would
+do, and the component is the smallest.  Otherwise the top is prime and the
+parts are the maximal strong modules, the unique coarsest valid partition.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .coloring import EdgeColoring
-from .detect import color_neighbor_masks, find_rainbow_triangle
+from .detect import _rainbow_scan, color_neighbor_masks
 
 
 class DecompositionError(Exception):
@@ -70,85 +71,77 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _component_of_zero(adj: list[int]) -> int:
-    comp = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & ~comp
-        comp |= frontier
-    return comp
+def _split(part: int, nbr, w: int) -> list[int]:
+    """The classes of part by color to w (w outside part); [part] if uniform."""
+    pieces = []
+    for row in nbr:
+        piece = part & row[w]
+        if piece == part:
+            return [part]
+        if piece:
+            pieces.append(piece)
+    return pieces
 
 
-def _pair_closure(c: EdgeColoring, nbr, v: int, u: int, full: int) -> int:
-    """Smallest vertex set containing v and u seen uniformly from outside."""
-    s = (1 << v) | (1 << u)
-    anchor = min(v, u)
-    while True:
+def _modules_avoiding_zero(nbr, n: int) -> list[int]:
+    """P(0): the maximal modules without vertex 0, by partition refinement.
+
+    Split V - {0} by color to 0, then every part by each vertex outside it.
+    A vertex must split again once its own part splits, so the vertices of
+    every part that splits go back on the work list.
+    """
+    queued = (1 << n) - 2
+    parts = _split(queued, nbr, 0)
+    pending = list(range(n - 1, 0, -1))
+    while pending:
+        w = pending.pop()
+        bit = 1 << w
+        queued &= ~bit
+        refined = []
+        for part in parts:
+            pieces = [part] if part & bit else _split(part, nbr, w)
+            if len(pieces) > 1:
+                pending.extend(_bits(part & ~queued))
+                queued |= part
+            refined.extend(pieces)
+        parts = refined
+    return parts
+
+
+def _closure(c: EdgeColoring, nbr, s: int, full: int) -> int:
+    """Smallest module containing s: add every vertex that sees s in two colors."""
+    anchor = (s & -s).bit_length() - 1
+    while s != full:
         add = 0
         for w in _bits(full & ~s):
-            d = c.color(w, anchor)
-            if s & ~nbr[d][w]:
+            if s & ~nbr[c.color(w, anchor)][w]:
                 add |= 1 << w
         if not add:
-            return s
+            break
         s |= add
-        if s == full:
-            return full
-
-
-def _strong_module_parts(c: EdgeColoring, nbr) -> list[tuple[int, ...]]:
-    n = c.n
-    full = (1 << n) - 1
-    assigned = 0
-    masks = []
-    for v in range(n):
-        if (1 << v) & assigned:
-            continue
-        member = 0
-        for u in range(n):
-            if u == v or (1 << u) & member:
-                continue
-            s = _pair_closure(c, nbr, v, u, full)
-            if s != full:
-                member |= s
-        if member == 0:
-            member = 1 << v
-        if member & assigned:
-            raise DecompositionInvariantError("computed modules overlap")
-        assigned |= member
-        masks.append(member)
-    if len(masks) < 2:
-        raise DecompositionInvariantError("no proper module split found")
-    return [tuple(_bits(m)) for m in masks]
+    return s
 
 
 def gallai_partition(c: EdgeColoring) -> GallaiPartition:
     """Exact minimum-part Gallai partition of a rainbow-free coloring."""
     if c.n < 2:
         raise TooSmallError(f"need at least two vertices, got n={c.n}")
-    witness = find_rainbow_triangle(c)
+    nbr = color_neighbor_masks(c)
+    witness = _rainbow_scan(c, nbr)[0] if c.k >= 3 else None
     if witness is not None:
         raise RainbowTriangleError(witness)
-    nbr = color_neighbor_masks(c)
     full = (1 << c.n) - 1
-    best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    for d in range(1, c.k + 1):
-        # every pair has exactly one color, so the non-d graph is the
-        # complement of color d
-        other = [full & ~(1 << v) & ~row for v, row in enumerate(nbr[d])]
-        comp = _component_of_zero(other)
-        if comp != full:
-            cand = (tuple(_bits(comp)), tuple(_bits(full & ~comp)))
-            if best is None or cand < best:
-                best = cand
-    if best is not None:
-        parts: Sequence[tuple[int, ...]] = list(best)
-    else:
-        parts = _strong_module_parts(c, nbr)
-    parts = sorted(parts)
+    outside = _modules_avoiding_zero(nbr, c.n)
+    # top grows inside the maximal strong module M0 through vertex 0: the
+    # closure of top and a part of P(0) is V exactly when the part lies
+    # outside M0, and M0 is {0} plus the parts of P(0) inside it.
+    top = 1
+    for part in outside:
+        if part & ~top:
+            s = _closure(c, nbr, top | part, full)
+            if s != full:
+                top = s
+    parts = sorted(tuple(_bits(m)) for m in [top] + [p for p in outside if not p & top])
     try:
         quotient = _quotient_of(c, parts)
     except InvalidPartitionError as exc:

@@ -10,10 +10,9 @@ colors forbid path(3).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-from .patterns import canonical_id
+from .patterns import _split_id, canonical_id
 
 
 class FormulaError(Exception):
@@ -53,9 +52,6 @@ MIXED_R2_TABLE: dict[tuple[str, str], int] = {
     ("kipas(4)", "path(3)"): 5,
 }
 
-_KIPAS_RE = re.compile(r"^kipas\((\d+)\)$")
-
-
 @dataclass(frozen=True)
 class GrValue:
     value: int
@@ -72,12 +68,11 @@ def _check_k(k: int) -> None:
 
 
 def fan_param(target_id: str) -> int | None:
-    """m when the canonical id denotes a fan (h12 counts as kipas(4))."""
-    cid = canonical_id(target_id)
-    if cid == "h12":
+    """m when the id denotes a fan (h12 counts as kipas(4)); m is not size-capped."""
+    family, arg = _split_id(target_id)
+    if family == "h12":
         return 4
-    m = _KIPAS_RE.match(cid)
-    return int(m.group(1)) if m else None
+    return arg if family == "kipas" else None
 
 
 def ramsey_two(target: str) -> int:

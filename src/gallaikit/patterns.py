@@ -101,18 +101,26 @@ def complete_edges(t: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(t) for j in range(i + 1, t))
 
 
-def canonical_id(pattern_id: str) -> str:
-    """Normalize a pattern id, raising for unknown or out-of-range ones."""
+def _split_id(pattern_id: str) -> tuple[str, int | None]:
+    """(family, parameter), or (id, None) for a fixed pattern; no size cap."""
     s = pattern_id.strip().lower().replace(" ", "")
     s = _ALIASES.get(s, s)
     if s in _FIVE_VERTEX_EDGES:
-        return s
+        return s, None
     m = _PARAM_RE.match(s)
     if m is None:
         raise UnknownPatternError(f"unknown pattern id {pattern_id!r}")
     family, arg = m.group(1), int(m.group(2))
     if arg < 2:
         raise ParameterRangeError(f"{family} needs a parameter >= 2, got {arg}")
+    return family, arg
+
+
+def canonical_id(pattern_id: str) -> str:
+    """Normalize a pattern id, raising for unknown or out-of-range ones."""
+    family, arg = _split_id(pattern_id)
+    if arg is None:
+        return family
     if arg > PARAM_CAP:
         raise TooLargeError(f"{family}({arg}) exceeds the size cap {PARAM_CAP}")
     return f"{family}({arg})"

@@ -108,6 +108,108 @@ def naive_rainbow(c: EdgeColoring) -> tuple[int, int, int] | None:
     return None
 
 
+def pair_closure_parts(c: EdgeColoring):
+    """The former gallai_partition engine, kept as its oracle.
+
+    Returns ("rainbow", triple) when the coloring has a rainbow triangle, else
+    (parts, quotient colors).  A two-part split comes from a color d whose
+    complement is disconnected (component of vertex 0, rest; lexicographically
+    least over d); otherwise every vertex v gets the union of the closures of
+    the pairs {v, u} that stay proper, a closure adding every outside vertex
+    that sees the set in two colors.
+    """
+    witness = naive_rainbow(c)
+    if witness is not None:
+        return "rainbow", witness
+    n = c.n
+    every = set(range(n))
+    splits = []
+    for d in range(1, c.k + 1):
+        comp, stack = {0}, [0]
+        while stack:
+            u = stack.pop()
+            for v in every - comp:
+                if c.color(u, v) != d:
+                    comp.add(v)
+                    stack.append(v)
+        if comp != every:
+            splits.append([tuple(sorted(comp)), tuple(sorted(every - comp))])
+
+    def closure(s):
+        while True:
+            add = {w for w in every - s if len({c.color(w, x) for x in s}) > 1}
+            if not add:
+                return s
+            s |= add
+
+    if splits:
+        parts = min(splits)
+    else:
+        parts, assigned = [], set()
+        for v in range(n):
+            if v in assigned:
+                continue
+            member = set()
+            for u in range(n):
+                if u != v and u not in member:
+                    s = closure({v, u})
+                    if s != every:
+                        member |= s
+            member = member or {v}
+            assert not member & assigned, "closures overlap"
+            assigned |= member
+            parts.append(tuple(sorted(member)))
+    parts = sorted(parts)
+    quotient = tuple(c.color(parts[a][0], parts[b][0])
+                     for a in range(len(parts)) for b in range(a + 1, len(parts)))
+    return tuple(parts), quotient
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for rest in _set_partitions(items[1:]):
+        for i in range(len(rest)):
+            yield rest[:i] + [[first] + rest[i]] + rest[i + 1:]
+        yield [[first]] + rest
+
+
+def _cross_colors(c: EdgeColoring, parts) -> set[int] | None:
+    """Colors between the parts; None when two parts meet in more than one color."""
+    cross = set()
+    for a in range(len(parts)):
+        for b in range(a + 1, len(parts)):
+            between = {c.color(u, v) for u in parts[a] for v in parts[b]}
+            if len(between) > 1:
+                return None
+            cross |= between
+    return cross
+
+
+def brute_force_min_partitions(c: EdgeColoring) -> list[tuple[tuple[int, ...], ...]]:
+    """Every valid Gallai partition minimizing (ell, size of the part through 0).
+
+    Enumerates all set partitions (n <= 8 keeps this to Bell(8) = 4140) and
+    keeps those with ell >= 2, one color between any two parts and at most
+    two colors overall; returns the minimizers as sorted tuples of parts.
+    """
+    assert c.n <= 8
+    best_key, best = None, []
+    for raw in _set_partitions(list(range(c.n))):
+        cross = _cross_colors(c, raw)
+        if len(raw) < 2 or cross is None or len(cross) > 2:
+            continue
+        key = (len(raw), len(next(p for p in raw if 0 in p)))
+        parts = tuple(sorted(tuple(sorted(p)) for p in raw))
+        if best_key is None or key < best_key:
+            best_key, best = key, [parts]
+        elif key == best_key:
+            best.append(parts)
+    return sorted(best)
+
+
 def random_coloring(rng: random.Random, n: int, k: int) -> EdgeColoring:
     cmap = {}
     for i in range(n):

@@ -107,6 +107,15 @@ def test_formula_conjecture_needs_fan(capsys):
     assert code == 2 and "kipas" in err
 
 
+def test_formula_conjecture_reads_fans_past_the_size_cap(capsys):
+    code, payload, _ = run_json(capsys, "formula", "--target", "kipas(20)", "--k", "3",
+                                "--conjecture", "--r2", "50")
+    assert code == 0 and payload["value"] == 101
+    code, _, err = run(capsys, "formula", "--target", "kipas(1)", "--k", "3",
+                       "--conjecture", "--r2", "50")
+    assert code == 2 and err.startswith("error:")
+
+
 def test_formula_uncovered_target_is_domain_error(capsys):
     code, _, err = run(capsys, "formula", "--target", "h7", "--k", "3")
     assert code == 2 and err.startswith("error:")

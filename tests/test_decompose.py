@@ -2,9 +2,16 @@ import random
 
 import pytest
 
-from conftest import plant_rainbow, random_gallai_blowup, recheck_partition
+from conftest import (
+    brute_force_min_partitions,
+    pair_closure_parts,
+    plant_rainbow,
+    random_coloring,
+    random_gallai_blowup,
+    recheck_partition,
+)
 from gallaikit.coloring import join, make_coloring
-from gallaikit.construct import base_pentagon, mono_complete
+from gallaikit.construct import base_pentagon, build_lower, mono_complete
 from gallaikit.decompose import (
     InvalidPartitionError,
     RainbowTriangleError,
@@ -102,3 +109,61 @@ def test_reduced_coloring_rejects_nonmono_pairs():
                              (1, 2): 1, (1, 3): 2, (2, 3): 1})
     with pytest.raises(InvalidPartitionError):
         reduced_coloring(c, ((0, 3), (1, 2)))
+
+
+def test_tie_break_is_smallest_part_through_zero():
+    # color 2 only on 03: the non-1 graph has components {0,3}, {1}, {2}, so
+    # any union of them through 0 splits in two; ((0,1,3),(2,)) sorts lower,
+    # but the rule takes the fewest parts, then the smallest part through 0
+    c = make_coloring(4, 2, {(0, 1): 1, (0, 2): 1, (0, 3): 2,
+                             (1, 2): 1, (1, 3): 1, (2, 3): 1})
+    assert reduced_coloring(c, ((0, 1, 3), (2,))).colors == (1,)
+    gp = gallai_partition(c)
+    assert gp.parts == ((0, 3), (1, 2))
+    assert brute_force_min_partitions(c) == [gp.parts]
+
+
+def test_matches_brute_force_minimum_on_small_inputs():
+    rng = random.Random(20261018)
+    for i in range(150):
+        n = rng.randint(2, 8)
+        if i % 2:
+            c = random_gallai_blowup(rng, n, rng.randint(1, 5))
+        else:
+            c = random_coloring(rng, n, 2)
+        assert brute_force_min_partitions(c) == [gallai_partition(c).parts], c
+
+
+def _engine_result(c):
+    try:
+        gp = gallai_partition(c)
+    except RainbowTriangleError as exc:
+        return "rainbow", exc.witness
+    return gp.parts, gp.quotient.colors
+
+
+def test_matches_pair_closure_oracle():
+    inputs = [build_lower("h1", 4, certify=False), build_lower("h10", 4, certify=False)]
+    # criterion 7's inputs, drawn in the same order from the same seed
+    rng = random.Random(7072026)
+    for _ in range(100):
+        n = rng.randint(2, 60)
+        inputs.append(random_gallai_blowup(rng, n, rng.randint(1, 6)))
+    planted = 0
+    while planted < 50:
+        n = rng.randint(4, 40)
+        c = plant_rainbow(rng, random_gallai_blowup(rng, n, rng.randint(3, 6)))
+        planted += pair_closure_parts(c)[0] == "rainbow"
+        inputs.append(c)
+    rng = random.Random(4242)
+    for _ in range(40):
+        inputs.append(random_gallai_blowup(rng, rng.randint(2, 60), rng.randint(1, 6)))
+    for _ in range(20):
+        n = rng.randint(4, 40)
+        inputs.append(plant_rainbow(rng, random_gallai_blowup(rng, n, rng.randint(3, 6))))
+    for _ in range(20):
+        c = random_coloring(rng, rng.randint(8, 30), 2)
+        assert all(len(p) == 1 for p in pair_closure_parts(c)[0])  # prime
+        inputs.append(c)
+    for c in inputs:
+        assert _engine_result(c) == pair_closure_parts(c), c

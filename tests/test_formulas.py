@@ -48,6 +48,7 @@ def test_fan_param():
     assert fan_param("kipas(2)") == 2
     assert fan_param("h10") is None
     assert fan_param("h1") is None
+    assert fan_param("kipas(20)") == 20  # a number, not a pattern: no size cap
 
 
 def test_gr_at_one_color_is_the_pattern_order():
