@@ -3,11 +3,17 @@
 A Gallai partition splits the vertex set into ell >= 2 parts such that any
 two parts meet in a single color and the quotient coloring uses at most two
 colors overall.  gallai_partition returns the one with the fewest parts and,
-among those, the smallest part through vertex 0.  One engine reads it off
-the top of the modular decomposition: partition refinement gives P(0), the
-maximal modules without vertex 0, and the part through 0 is {0} plus every
-part X of P(0) whose closure with 0 (the smallest module containing 0 and X)
-is not the whole vertex set; the rest of P(0) are the other parts.
+among those, the smallest part through vertex 0.  It is the top split of the
+modular decomposition, which the rainbow walk in detect computes first:
+partition refinement gives P(0), the maximal modules without vertex 0, and
+the part through 0 is {0} plus every part X of P(0) whose closure with 0 (the
+smallest module containing 0 and X) is not the whole vertex set; the rest of
+P(0) are the other parts.  The walk goes on down the module tree and reports
+rainbow-free only when every quotient on it uses at most two colors.  That is
+exact: a triangle with two vertices in one module is never rainbow, and a
+prime quotient with three colors has a rainbow triangle (Gallai's theorem;
+details in detect).  Only a walk that finds a rainbow runs the scan that
+names the lexicographically first witness.
 
 If for some color d the edges avoiding d form a disconnected graph, this is
 the split (component of 0, rest): any union of components through 0 would
@@ -21,11 +27,15 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .coloring import EdgeColoring
-from .detect import _rainbow_scan, color_neighbor_masks
-
-
-class DecompositionError(Exception):
-    pass
+from .detect import (
+    DecompositionError,
+    DecompositionInvariantError,
+    _bits,
+    _module_walk,
+    _rainbow_witness,
+    _root_split,
+    color_neighbor_masks,
+)
 
 
 class RainbowTriangleError(DecompositionError):
@@ -48,10 +58,6 @@ class InvalidPartitionError(DecompositionError):
         self.pair = pair
 
 
-class DecompositionInvariantError(DecompositionError):
-    """Internal consistency failure; indicates a bug, not bad input."""
-
-
 @dataclass(frozen=True)
 class GallaiPartition:
     parts: tuple[tuple[int, ...], ...]
@@ -62,86 +68,17 @@ class GallaiPartition:
         return len(self.parts)
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
-
-
-def _split(part: int, nbr, w: int) -> list[int]:
-    """The classes of part by color to w (w outside part); [part] if uniform."""
-    pieces = []
-    for row in nbr:
-        piece = part & row[w]
-        if piece == part:
-            return [part]
-        if piece:
-            pieces.append(piece)
-    return pieces
-
-
-def _modules_avoiding_zero(nbr, n: int) -> list[int]:
-    """P(0): the maximal modules without vertex 0, by partition refinement.
-
-    Split V - {0} by color to 0, then every part by each vertex outside it.
-    A vertex must split again once its own part splits, so the vertices of
-    every part that splits go back on the work list.
-    """
-    queued = (1 << n) - 2
-    parts = _split(queued, nbr, 0)
-    pending = list(range(n - 1, 0, -1))
-    while pending:
-        w = pending.pop()
-        bit = 1 << w
-        queued &= ~bit
-        refined = []
-        for part in parts:
-            pieces = [part] if part & bit else _split(part, nbr, w)
-            if len(pieces) > 1:
-                pending.extend(_bits(part & ~queued))
-                queued |= part
-            refined.extend(pieces)
-        parts = refined
-    return parts
-
-
-def _closure(c: EdgeColoring, nbr, s: int, full: int) -> int:
-    """Smallest module containing s: add every vertex that sees s in two colors."""
-    anchor = (s & -s).bit_length() - 1
-    while s != full:
-        add = 0
-        for w in _bits(full & ~s):
-            if s & ~nbr[c.color(w, anchor)][w]:
-                add |= 1 << w
-        if not add:
-            break
-        s |= add
-    return s
-
-
 def gallai_partition(c: EdgeColoring) -> GallaiPartition:
     """Exact minimum-part Gallai partition of a rainbow-free coloring."""
     if c.n < 2:
         raise TooSmallError(f"need at least two vertices, got n={c.n}")
     nbr = color_neighbor_masks(c)
-    witness = _rainbow_scan(c, nbr)[0] if c.k >= 3 else None
-    if witness is not None:
-        raise RainbowTriangleError(witness)
-    full = (1 << c.n) - 1
-    outside = _modules_avoiding_zero(nbr, c.n)
-    # top grows inside the maximal strong module M0 through vertex 0: the
-    # closure of top and a part of P(0) is V exactly when the part lies
-    # outside M0, and M0 is {0} plus the parts of P(0) inside it.
-    top = 1
-    for part in outside:
-        if part & ~top:
-            s = _closure(c, nbr, top | part, full)
-            if s != full:
-                top = s
-    parts = sorted(tuple(_bits(m)) for m in [top] + [p for p in outside if not p & top])
+    rainbow, root = _module_walk(c, nbr)
+    if rainbow:
+        raise RainbowTriangleError(_rainbow_witness(c, nbr)[0])
+    if root is None:
+        root = _root_split(c, nbr, (1 << c.n) - 1)
+    parts = sorted(tuple(_bits(m)) for m in root)
     try:
         quotient = _quotient_of(c, parts)
     except InvalidPartitionError as exc:

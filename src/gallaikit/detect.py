@@ -7,11 +7,34 @@ first triple, the embedding search fixes a pattern vertex order (hub first
 then rim for fans, otherwise descending degree) and tries host vertices in
 ascending order.
 
+Whether a coloring has a rainbow triangle is decided by a walk down its
+module tree (Gallai 1967; Gyarfas and Simonyi, JGT 2004).  A module is a
+vertex set that every outside vertex sees in a single color.  A triangle with
+two vertices in one module is never rainbow, so a module split into modules
+is rainbow-free exactly when the quotient on one representative per part is
+and every part is.  The walk keeps a stack of modules, starting from V, and
+skips a module S with fewer than 3 vertices or at most 2 colors inside.
+Otherwise it checks the row of the least vertex v0 of S (a rainbow (v0, y, z)
+inside S ends the walk; this keeps rainbow inputs fast) and splits S at the
+top of its decomposition: partition refinement from v0 gives the maximal
+modules of S without v0, and set closures grow the part through v0 into the
+maximal strong module through it (Ehrenfeucht, Gabow, McConnell and
+Sullivan, J. Algorithms 1994).  A two-part split is a degenerate node of
+some color d, and the walk replaces it by all components of the non-d graph
+inside S, so a join of many small blocks splits once.  Any other split is
+prime, and by Gallai's theorem a prime quotient is rainbow-free exactly when
+it uses at most 2 colors; with more, its rainbow triangle lifts to S through
+the representatives and the walk stops.  The walk reports rainbow-free only
+when every module on it passed, which is the proof above.  Only a walk that
+found a rainbow runs the O(n^2 k) scan, whose witness is the answer; a walk
+that finds one the scan does not is an internal error.
+
 The embedding search runs on a twin-class kernel of the color class.  False
 twins (vertices with the same open neighborhood in that color) are
 interchangeable: swapping two of them is an automorphism of the color class
-that fixes every other vertex.  A copy of an m-vertex pattern uses at most m
-members of any twin class, so the search keeps only the m lowest-indexed
+that fixes every other vertex.  False twins are never adjacent, so the
+members of one class that a copy uses are the image of an independent set of
+the pattern, and the search keeps only the alpha(pattern) lowest-indexed
 members of each class.  This is exact, and it returns the same witness as the
 search over every vertex: the ascending DFS reaches a dropped twin only after
 an unused, lower-indexed twin of it has failed in the same position, and by
@@ -27,7 +50,15 @@ from itertools import combinations, permutations
 from typing import Mapping, Optional
 
 from .coloring import EdgeColoring
-from .patterns import Pattern, TooLargeError, canonical_id, resolve
+from .patterns import Pattern, TooLargeError, canonical_id, independence_number, resolve
+
+
+class DecompositionError(Exception):
+    pass
+
+
+class DecompositionInvariantError(DecompositionError):
+    """Internal consistency failure; indicates a bug, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -97,31 +128,200 @@ def _class_masks(c: EdgeColoring, nbr: list[list[int]], color: int) -> list[int]
     return nbr[color] if color <= c.k else [0] * c.n
 
 
+def _rainbow_row(
+    c: EdgeColoring, nbr, x: int, ys, within: int
+) -> tuple[Optional[tuple[int, int, int]], int]:
+    """First rainbow (x, y, z) for y in ys (ascending), z in within above y."""
+    k = c.k
+    pairs = 0
+    for y in ys:
+        pairs += 1
+        cxy = c.color(x, y)
+        same = 0
+        for d in range(1, k + 1):
+            same |= nbr[d][x] & nbr[d][y]
+        above = (within >> (y + 1)) << (y + 1)
+        cand = above & ~(nbr[cxy][x] | nbr[cxy][y]) & ~same
+        if cand:
+            z = (cand & -cand).bit_length() - 1
+            return (x, y, z), pairs
+    return None, pairs
+
+
 def _rainbow_scan(c: EdgeColoring, nbr) -> tuple[Optional[tuple[int, int, int]], int]:
-    n, k = c.n, c.k
+    """The lexicographically first rainbow triple, and the pairs scanned."""
+    n = c.n
     full = (1 << n) - 1
     pairs = 0
     for x in range(n - 2):
-        for y in range(x + 1, n - 1):
-            pairs += 1
-            cxy = c.color(x, y)
-            same = 0
-            for d in range(1, k + 1):
-                same |= nbr[d][x] & nbr[d][y]
-            above = (full >> (y + 1)) << (y + 1)
-            cand = above & ~(nbr[cxy][x] | nbr[cxy][y]) & ~same
-            if cand:
-                z = (cand & -cand).bit_length() - 1
-                return (x, y, z), pairs
+        witness, row_pairs = _rainbow_row(c, nbr, x, range(x + 1, n - 1), full)
+        pairs += row_pairs
+        if witness is not None:
+            return witness, pairs
     return None, pairs
+
+
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return out
+
+
+def _split(part: int, nbr, w: int) -> list[int]:
+    """The classes of part by color to w (w outside part); [part] if uniform."""
+    pieces = []
+    for row in nbr:
+        piece = part & row[w]
+        if piece == part:
+            return [part]
+        if piece:
+            pieces.append(piece)
+    return pieces
+
+
+def _modules_avoiding(nbr, s: int, v0: int) -> list[int]:
+    """P(v0): the maximal modules of s without its vertex v0, by refinement.
+
+    Split s - {v0} by color to v0, then every part by each vertex of s outside
+    it.  A vertex must split again once its own part splits, so the vertices
+    of every part that splits go back on the work list.  A single vertex
+    never splits, so singletons leave the refinement at once.
+    """
+    queued = s & ~(1 << v0)
+    parts: list[int] = [queued]
+    done: list[int] = []
+    pending = _bits(queued)[::-1] + [v0]  # v0 first, then ascending
+    while pending and parts:
+        w = pending.pop()
+        bit = 1 << w
+        queued &= ~bit
+        refined = []
+        for part in parts:
+            pieces = [part] if part & bit else _split(part, nbr, w)
+            if len(pieces) > 1:
+                pending.extend(_bits(part & ~queued))
+                queued |= part
+            for piece in pieces:
+                (refined if piece & (piece - 1) else done).append(piece)
+        parts = refined
+    return parts + done
+
+
+def _closure(nbr, s: int, full: int) -> int:
+    """Smallest module of full containing s: add what sees s in two colors."""
+    anchor = (s & -s).bit_length() - 1
+    while s != full:
+        add = 0
+        for row in nbr:
+            for w in _bits(row[anchor] & full & ~s):
+                if s & ~row[w]:
+                    add |= 1 << w
+        if not add:
+            break
+        s |= add
+    return s
+
+
+def _root_split(c: EdgeColoring, nbr, s: int) -> list[int]:
+    """Top of the decomposition of the module s (two or more vertices).
+
+    The part through the least vertex v0 grows inside the maximal strong
+    module M0 through v0: the closure of it and a part of P(v0) is s exactly
+    when the part lies outside M0, and M0 is {v0} plus the parts of P(v0)
+    inside it.  The other parts of P(v0) are the other parts.  On a prime top
+    these are the maximal strong modules; on a degenerate top of color d they
+    are (co-component of v0, rest), as the non-d graph's components through
+    v0 form M0.
+    """
+    v0 = (s & -s).bit_length() - 1
+    outside = _modules_avoiding(nbr, s, v0)
+    top = 1 << v0
+    for part in outside:
+        if part & ~top:
+            grown = _closure(nbr, top | part, s)
+            if grown != s:
+                top = grown
+    return [top] + [p for p in outside if not p & top]
+
+
+def _co_components(nbr, s: int, d: int) -> list[int]:
+    """Components of the graph on s whose edges avoid color d."""
+    comps = []
+    rest = s
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= ~nbr[d][v]
+            frontier = reach & rest & ~comp
+            comp |= frontier
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
+def _colors_within(c: EdgeColoring, nbr, s: int, members: list[int]) -> int:
+    """How many colors the edges inside s use, counted up to 3."""
+    used = 0
+    for d in range(1, c.k + 1):
+        row = nbr[d]
+        if any(row[v] & s for v in members):
+            used += 1
+            if used > 2:
+                break
+    return used
+
+
+def _module_walk(c: EdgeColoring, nbr) -> tuple[bool, Optional[list[int]]]:
+    """Decide rainbow-freeness down the module tree (module docstring).
+
+    Returns (True, None) when c has a rainbow triangle.  Otherwise returns
+    (False, root), root being the split of V that the walk computed, or None
+    when V needed none (under 3 vertices or at most 2 colors).
+    """
+    full = (1 << c.n) - 1
+    root = None
+    stack = [full]
+    while stack:
+        s = stack.pop()
+        members = _bits(s)
+        if len(members) < 3 or _colors_within(c, nbr, s, members) <= 2:
+            continue
+        v0 = members[0]
+        if _rainbow_row(c, nbr, v0, members[1:], s)[0] is not None:
+            return True, None
+        parts = _root_split(c, nbr, s)
+        if s == full:
+            root = parts
+        if len(parts) == 2:
+            d = c.color(v0, (parts[1] & -parts[1]).bit_length() - 1)
+            parts = _co_components(nbr, s, d)
+        reps = [(p & -p).bit_length() - 1 for p in parts]
+        if _colors_within(c, nbr, sum(1 << r for r in reps), reps) > 2:
+            return True, None
+        stack.extend(parts)
+    return False, root
+
+
+def _rainbow_witness(c: EdgeColoring, nbr) -> tuple[tuple[int, int, int], int]:
+    """The scan's witness on a coloring the module walk found a rainbow in."""
+    witness, pairs = _rainbow_scan(c, nbr)
+    if witness is None:
+        raise DecompositionInvariantError(
+            "the module walk found a rainbow triangle that the scan does not")
+    return witness, pairs
 
 
 def find_rainbow_triangle(c: EdgeColoring) -> Optional[tuple[int, int, int]]:
     """Lexicographically first triple whose three edges use three colors."""
-    if c.k < 3 or c.n < 3:
+    nbr = color_neighbor_masks(c)
+    if not _module_walk(c, nbr)[0]:
         return None
-    witness, _ = _rainbow_scan(c, color_neighbor_masks(c))
-    return witness
+    return _rainbow_witness(c, nbr)[0]
 
 
 def _kipas_order(p: Pattern) -> Optional[list[int]]:
@@ -171,15 +371,16 @@ def _embed_search(
     prior = [
         [pos_of[u] for u in adj[v] if pos_of[u] < t] for t, v in enumerate(order)
     ]
-    # Twin-class kernel: keep the p.m lowest-indexed vertices of each class
-    # of equal neighbor masks.  Exact and witness-preserving (module
+    # Twin-class kernel: keep the alpha(p) lowest-indexed vertices of each
+    # class of equal neighbor masks.  Exact and witness-preserving (module
     # docstring): a dropped twin is tried only after a lower, unused twin
     # with the same candidacy failed in its place.
+    cap = independence_number(p)
     kept = 0
     class_size: dict[int, int] = {}
     for v, mask in enumerate(nbr_color):
         size = class_size.get(mask, 0)
-        if size < p.m:
+        if size < cap:
             class_size[mask] = size + 1
             kept |= 1 << v
     host = [0] * p.m
@@ -240,8 +441,8 @@ def verify(c: EdgeColoring, spec: AvoidanceSpec) -> VerificationReport:
     nbr = color_neighbor_masks(c)
     rainbow = None
     pairs = 0
-    if spec.require_gallai and c.k >= 3 and c.n >= 3:
-        rainbow, pairs = _rainbow_scan(c, nbr)
+    if spec.require_gallai and _module_walk(c, nbr)[0]:
+        rainbow, pairs = _rainbow_witness(c, nbr)
     witnesses = []
     nodes_total = 0
     checked = 0

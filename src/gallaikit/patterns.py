@@ -189,6 +189,26 @@ def are_isomorphic(p: Pattern, q: Pattern) -> bool:
     return go(0)
 
 
+@lru_cache(maxsize=64)
+def independence_number(p: Pattern) -> int:
+    """Size of a largest set of pairwise non-adjacent pattern vertices."""
+    adj = [0] * p.m
+    for a, b in p.edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+
+    def alpha(avail: int) -> int:
+        if not avail:
+            return 0
+        v = (avail & -avail).bit_length() - 1
+        rest = avail & ~(1 << v)
+        if not adj[v] & rest:  # some largest set contains v
+            return 1 + alpha(rest)
+        return max(alpha(rest), 1 + alpha(rest & ~adj[v]))
+
+    return alpha((1 << p.m) - 1)
+
+
 def chromatic_number(p: Pattern) -> int:
     """Exact chromatic number for patterns up to ISO_CAP vertices."""
     if p.m > ISO_CAP:

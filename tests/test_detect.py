@@ -9,11 +9,18 @@ from conftest import (
     naive_mono,
     naive_rainbow,
     plain_embed,
+    plant_rainbow,
     random_coloring,
     random_gallai_blowup,
 )
-from gallaikit.coloring import make_coloring
+from gallaikit import detect
+from gallaikit.coloring import EdgeColoring, blowup, join, make_coloring
 from gallaikit.construct import base_pentagon, build_lower, mono_complete
+from gallaikit.decompose import (
+    DecompositionInvariantError,
+    RainbowTriangleError,
+    gallai_partition,
+)
 from gallaikit.detect import (
     AvoidanceSpec,
     Embedding,
@@ -87,16 +94,85 @@ def test_detection_agrees_with_naive_oracle_small():
                 assert got == naive_mono(c, p, color), (n, k, cid, color)
 
 
+def assert_rainbow_matches_naive(c):
+    """Every rainbow entry point names the lexicographically first triple."""
+    want = naive_rainbow(c)
+    assert find_rainbow_triangle(c) == want, c
+    assert verify(c, AvoidanceSpec((), True)).rainbow_witness == want, c
+    if c.n < 2:
+        return
+    try:
+        gallai_partition(c)
+    except RainbowTriangleError as exc:
+        assert exc.witness == want, c
+    else:
+        assert want is None, c
+
+
 def test_rainbow_agrees_with_naive_oracle():
     rng = random.Random(4)
     for _ in range(60):
-        c = random_coloring(rng, rng.randint(3, 9), rng.randint(1, 4))
-        got = find_rainbow_triangle(c)
-        want = naive_rainbow(c)
-        assert (got is None) == (want is None)
-        if got is not None:
-            u, v, w = got
-            assert len({c.color(u, v), c.color(u, w), c.color(v, w)}) == 3
+        assert_rainbow_matches_naive(
+            random_coloring(rng, rng.randint(3, 9), rng.randint(1, 4)))
+    for _ in range(40):
+        c = random_gallai_blowup(rng, rng.randint(3, 30), rng.randint(3, 6))
+        assert_rainbow_matches_naive(c)
+        assert_rainbow_matches_naive(plant_rainbow(rng, c))
+
+
+def _join_of_pairs(blocks: int, k: int) -> EdgeColoring:
+    # a degenerate node of color k with `blocks` children, each an edge of
+    # color 1 or 2: the walk splits it once into all its co-components
+    return make_coloring(2 * blocks, k, {
+        (i, j): (1 + (i // 2) % 2 if i // 2 == j // 2 else k)
+        for i in range(2 * blocks) for j in range(i + 1, 2 * blocks)})
+
+
+def test_rainbow_walk_on_structured_inputs():
+    rng = random.Random(1907)
+    inputs = [mono_complete(n, 2, k=4) for n in (3, 4, 9)]
+    inputs += [_join_of_pairs(b, 3) for b in (2, 3, 20)]
+    inputs.append(join(_join_of_pairs(5, 3), plant_rainbow(rng, mono_complete(6, 1, k=4)), 4))
+    for _ in range(20):
+        # vertex 0 sees everything in one color, so every rainbow avoids it
+        n, k = rng.randint(4, 25), rng.randint(3, 5)
+        cmap = {(i, j): rng.randint(1, k) for i in range(n) for j in range(i + 1, n)}
+        cmap.update({(0, j): 1 for j in range(1, n)})
+        inputs.append(make_coloring(n, k, cmap))
+    for _ in range(20):
+        # random 2-colorings (mostly prime), bare and blown up with 3-colored parts
+        base = random_coloring(rng, rng.randint(8, 12), 2)
+        inputs.append(base)
+        inputs.append(blowup(base, [random_gallai_blowup(rng, rng.randint(1, 4), 4)
+                                    for _ in range(base.n)]))
+    for c in inputs:
+        assert_rainbow_matches_naive(c)
+
+
+def test_rainbow_found_from_a_prime_quotient_away_from_vertex_0():
+    # prime on 4 vertices, no rainbow through 0, rainbow (1, 2, 3): only the
+    # quotient's colors show it; blow-ups move it away from every row of 0
+    c = make_coloring(4, 3, {(0, 1): 1, (0, 2): 3, (0, 3): 1,
+                             (1, 2): 1, (1, 3): 2, (2, 3): 3})
+    assert_rainbow_matches_naive(c)
+    rng = random.Random(12)
+    for _ in range(10):
+        assert_rainbow_matches_naive(blowup(c, [random_gallai_blowup(
+            rng, rng.randint(1, 5), rng.randint(1, 3)) for _ in range(4)]))
+
+
+def test_rainbow_free_verify_scans_no_pairs():
+    # the scan only names the witness; a rainbow-free input never reaches it
+    c = random_gallai_blowup(random.Random(300), 300, 6)
+    rep = verify(c, AvoidanceSpec((), True))
+    assert rep.rainbow_witness is None
+    assert rep.stats.pairs_scanned == 0
+
+
+def test_walk_and_scan_disagreement_is_an_invariant_error(monkeypatch):
+    monkeypatch.setattr(detect, "_module_walk", lambda c, nbr: (True, None))
+    with pytest.raises(DecompositionInvariantError):
+        verify(mono_complete(5, 1, k=3), AvoidanceSpec((), True))
 
 
 def test_verify_report_consistency():
@@ -213,3 +289,6 @@ def test_kernel_bounds_tower_search_work():
     rep = verify(build_lower("h1", 6, certify=False), AvoidanceSpec.forbid_all("h1", 6))
     assert rep.passed
     assert rep.stats.embedding_nodes < 100_000
+    # the twins a copy uses are independent in the pattern: alpha(h1) = 2,
+    # where a cap of m = 5 per class took 36900 nodes
+    assert rep.stats.embedding_nodes < 10_000

@@ -14,6 +14,7 @@ from gallaikit.patterns import (
     catalog,
     chromatic_number,
     complete_edges,
+    independence_number,
     kipas_edges,
     make_pattern,
     path_edges,
@@ -111,3 +112,15 @@ def test_kipas_is_path_plus_hub(m):
     spokes = {(0, v) for v in range(1, m + 1)}
     path = {(a + 1, b + 1) for a, b in path_edges(m)}
     assert set(kipas_edges(m)) == spokes | path
+
+
+def test_independence_number_matches_subset_enumeration():
+    patterns = [p for _, p in catalog()]
+    patterns += [resolve(f"{fam}({t})") for fam in ("kipas", "path", "complete")
+                 for t in range(2, 9)]
+    patterns.append(make_pattern(4, [(0, 1)], "two isolated vertices"))
+    for p in patterns:
+        adj = p.adjacency()
+        want = max(len(s) for r in range(p.m + 1) for s in combinations(range(p.m), r)
+                   if all(b not in adj[a] for a, b in combinations(s, 2)))
+        assert independence_number(p) == want, p.label
