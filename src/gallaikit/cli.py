@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands: build, build-mixed, verify, partition, formula, search,
-encode, decode, catalog, fixtures.  Every subcommand accepts --json for
+encode, decode, catalog.  Every subcommand accepts --json for
 machine-readable output.  GRC files are the only medium between commands.
 
 Exit codes: 0 pass / witness / SAT-decoded, 1 fail / exhausted /
@@ -25,12 +25,7 @@ from .cnf import (
     parse_model,
 )
 from .coloring import ColoringError, read_grc, write_grc
-from .construct import (
-    ConstructionError,
-    build_lower,
-    build_mixed,
-    regenerate_fixtures,
-)
+from .construct import ConstructionError, build_lower, build_mixed
 from .decompose import DecompositionError, RainbowTriangleError, gallai_partition
 from .detect import AvoidanceSpec, verify
 from .formulas import (
@@ -41,7 +36,7 @@ from .formulas import (
     gr_value,
 )
 from .patterns import PatternError, canonical_id, catalog, chromatic_number
-from .search import ScopeExceededError, SearchError, SearchProblem, exhaustive_check
+from .search import SearchError, SearchProblem, exhaustive_check
 
 _DOMAIN_ERRORS = (
     ColoringError,
@@ -89,22 +84,22 @@ def _write_if_requested(args: argparse.Namespace, coloring) -> None:
         write_grc(coloring, args.out)
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
-    c = build_lower(args.target, args.k, r2=args.r2, certify=not args.no_certify)
+def _emit_built(args: argparse.Namespace, c) -> int:
     _write_if_requested(args, c)
     used = sorted(set(c.colors)) if c.colors else []
     payload = {"size": c.n, "colors_used": used, "certified": not args.no_certify}
     _emit(args, payload, f"size {c.n}, colors used {used}, certified {payload['certified']}")
     return 0
+
+
+def _cmd_build(args: argparse.Namespace) -> int:
+    return _emit_built(
+        args, build_lower(args.target, args.k, r2=args.r2, certify=not args.no_certify)
+    )
 
 
 def _cmd_build_mixed(args: argparse.Namespace) -> int:
-    c = build_mixed(args.k, args.s, certify=not args.no_certify)
-    _write_if_requested(args, c)
-    used = sorted(set(c.colors)) if c.colors else []
-    payload = {"size": c.n, "colors_used": used, "certified": not args.no_certify}
-    _emit(args, payload, f"size {c.n}, colors used {used}, certified {payload['certified']}")
-    return 0
+    return _emit_built(args, build_mixed(args.k, args.s, certify=not args.no_certify))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -166,6 +161,9 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_formula(args: argparse.Namespace) -> int:
+    if args.r2 is not None and not args.conjecture:
+        print("error: --r2 applies only with --conjecture", file=sys.stderr)
+        return 2
     if args.conjecture:
         m = fan_param(args.target)
         if m is None:
@@ -283,21 +281,6 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fixtures(args: argparse.Namespace) -> int:
-    if args.action != "regenerate":
-        print(f"error: unknown fixtures action {args.action!r}", file=sys.stderr)
-        return 2
-    written = regenerate_fixtures(
-        dest=args.dest, method=args.method, max_nodes=args.max_nodes
-    )
-    if args.json:
-        print(json.dumps({"written": written}))
-    else:
-        for path in written:
-            print(path)
-    return 0
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -349,7 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="number of colors")
     p.add_argument("--s", type=int,
                    help="mixed family: colors forbidding kipas(4) out of k")
-    p.add_argument("--r2", type=int, help="two-color Ramsey number for unlisted kipas")
+    p.add_argument("--r2", type=int,
+                   help="two-color Ramsey number for --conjecture on an unlisted kipas")
     p.add_argument("--conjecture", action="store_true",
                    help="evaluate the general kipas conjecture instead of a theorem")
     _add_common(p)
@@ -390,16 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_catalog)
 
-    p = subparsers.add_parser("fixtures", help="regenerate packaged extremal colorings")
-    p.add_argument("action", choices=("regenerate",))
-    p.add_argument("--method", choices=("auto", "seed", "search"), default="auto",
-                   help="auto searches within the node budget, then falls back to seed")
-    p.add_argument("--max-nodes", type=int, default=2_000_000,
-                   help="search budget per fixture")
-    p.add_argument("--dest", help="directory to write into (default: packaged data)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_fixtures)
-
     return parser
 
 
@@ -411,9 +385,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ScopeExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

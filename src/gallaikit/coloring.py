@@ -151,18 +151,7 @@ def join(left: EdgeColoring, right: EdgeColoring, bridge_color: int) -> EdgeColo
     """
     if bridge_color < 1:
         raise ColorRangeError(f"need bridge color >= 1, got {bridge_color}")
-    n = left.n + right.n
-    k = max(left.k, right.k, bridge_color)
-    ln = left.n
-    out = []
-    for i, j in combinations(range(n), 2):
-        if j < ln:
-            out.append(left.color(i, j))
-        elif i >= ln:
-            out.append(right.color(i - ln, j - ln))
-        else:
-            out.append(bridge_color)
-    return EdgeColoring(n, k, tuple(out))
+    return blowup(EdgeColoring(2, bridge_color, (bridge_color,)), [left, right])
 
 
 def blowup(base: EdgeColoring, parts: Sequence[EdgeColoring]) -> EdgeColoring:

@@ -10,16 +10,13 @@ builder certifies its output with detect.verify before returning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 
 from .coloring import (
     EdgeColoring,
     blowup,
     edge_list,
     join,
-    parse,
     relabel_colors,
-    serialize,
 )
 from .detect import AvoidanceSpec, color_neighbor_masks, verify
 from .formulas import (
@@ -32,7 +29,7 @@ from .formulas import (
 )
 from .patterns import canonical_id
 
-# node budget for fixture searches; generous for n <= 9 hosts
+# node budget for extremal searches; generous for n <= 9 hosts
 _SEARCH_NODE_CAP = 20_000_000
 
 
@@ -151,24 +148,6 @@ _SEEDS = {
     "kipas(4)": _rook_grid,
 }
 
-# h12 is isomorphic to kipas(4); they share one fixture file
-_FIXTURE_ALIASES = {"h12": "kipas(4)"}
-
-
-def fixture_basename(target: str) -> str:
-    cid = canonical_id(target)
-    cid = _FIXTURE_ALIASES.get(cid, cid)
-    return cid.replace("(", "_").replace(")", "") + ".grc"
-
-
-def load_fixture(target: str) -> EdgeColoring | None:
-    """Parse the packaged extremal coloring for target, or None if absent."""
-    name = fixture_basename(target)
-    ref = resources.files(__package__).joinpath("fixtures").joinpath(name)
-    if not ref.is_file():
-        return None
-    return parse(ref.read_text(encoding="ascii"))
-
 
 def _searched_extremal(cid: str, n: int, max_nodes: int) -> EdgeColoring:
     from .search import ScopeExceededError, SearchProblem, exhaustive_check
@@ -194,9 +173,9 @@ def extremal_two_coloring(
 ) -> EdgeColoring:
     """Two-coloring on R2(target)-1 vertices avoiding target in both colors.
 
-    Prefers the packaged fixture, falls back to the hardcoded seed, and as a
-    last resort runs a first-witness backtracking search (the route for a
-    fan outside the stored table, where r2 must be supplied).
+    Takes the hardcoded seed, and for a target without one runs a
+    first-witness backtracking search (the route for a fan outside the
+    stored table, where r2 must be supplied).
     """
     cid = canonical_id(target)
     if r2 is None:
@@ -204,14 +183,8 @@ def extremal_two_coloring(
     elif r2 < 3:
         raise RangeViolationError(f"need r2 >= 3, got {r2}")
     n = r2 - 1
-    c = load_fixture(cid)
-    if c is not None and (c.n != n or c.k != 2):
-        raise ConstructionError(
-            f"fixture for {cid} has shape ({c.n}, {c.k}), expected ({n}, 2)"
-        )
-    if c is None:
-        maker = _SEEDS.get(cid)
-        c = maker() if maker is not None else _searched_extremal(cid, n, _SEARCH_NODE_CAP)
+    maker = _SEEDS.get(cid)
+    c = maker() if maker is not None else _searched_extremal(cid, n, _SEARCH_NODE_CAP)
     if c.n != n:
         raise ConstructionError(f"extremal for {cid} has {c.n} vertices, want {n}")
     if certify:
@@ -332,6 +305,8 @@ def build_lower(
     if k < 1:
         raise RangeViolationError(f"need k >= 1, got {k}")
     cid = canonical_id(target)
+    if r2 is not None and fan_param(cid) is None:
+        raise RangeViolationError(f"r2 applies only to a fan target, got {cid}")
     if k <= 2 and cid == "h10":
         seed_id, p = "h10", BaseParams(5, ramsey_two("h10"))
     else:
@@ -399,45 +374,3 @@ def build_mixed(k: int, s: int, certify: bool = True) -> EdgeColoring:
             per_color[j] = "path(3)"
         _certify(c, AvoidanceSpec.from_map(per_color), f"build_mixed({k}, {s})")
     return c
-
-
-def fixture_targets() -> tuple[str, ...]:
-    """Targets with packaged extremal colorings, one per distinct file."""
-    ids = [cid for cid in _SEEDS if cid not in _FIXTURE_ALIASES]
-    return tuple(sorted(ids))
-
-
-def regenerate_fixtures(
-    dest=None, method: str = "auto", max_nodes: int = 2_000_000
-) -> list[str]:
-    """Rewrite the fixture files; returns the paths written.
-
-    method "seed" writes the hardcoded colorings, "search" insists on a
-    fresh backtracking witness, "auto" searches within max_nodes and falls
-    back to the seed.  Every file is certified before it is written.
-    """
-    if method not in ("auto", "seed", "search"):
-        raise ConstructionError(f"unknown method {method!r}")
-    from pathlib import Path
-
-    if dest is None:
-        dest = Path(__file__).resolve().parent / "fixtures"
-    dest = Path(dest)
-    dest.mkdir(parents=True, exist_ok=True)
-    written = []
-    for cid in fixture_targets():
-        n = ramsey_two(cid) - 1
-        c = None
-        if method in ("auto", "search"):
-            try:
-                c = _searched_extremal(cid, n, max_nodes)
-            except NoFixtureAndSearchFailedError:
-                if method == "search":
-                    raise
-        if c is None:
-            c = _SEEDS[cid]()
-        _certify(c, AvoidanceSpec.forbid_all(cid, 2), f"fixture({cid})")
-        path = dest / fixture_basename(cid)
-        path.write_text(serialize(c), encoding="ascii")
-        written.append(str(path))
-    return written

@@ -80,7 +80,7 @@ def gallai_partition(c: EdgeColoring) -> GallaiPartition:
         root = _root_split(c, nbr, (1 << c.n) - 1)
     parts = sorted(tuple(_bits(m)) for m in root)
     try:
-        quotient = _quotient_of(c, parts)
+        quotient = _quotient_of(c, parts, nbr)
     except InvalidPartitionError as exc:
         raise DecompositionInvariantError(f"computed parts are invalid: {exc}") from exc
     if len(set(quotient.colors)) > 2:
@@ -88,7 +88,10 @@ def gallai_partition(c: EdgeColoring) -> GallaiPartition:
     return GallaiPartition(tuple(parts), quotient)
 
 
-def _quotient_of(c: EdgeColoring, parts: Sequence[tuple[int, ...]]) -> EdgeColoring:
+def _quotient_of(
+    c: EdgeColoring, parts: Sequence[tuple[int, ...]], nbr
+) -> EdgeColoring:
+    """Quotient by parts, checking each part-a row against the mask of part b."""
     covered: set[int] = set()
     total = 0
     for idx, part in enumerate(parts):
@@ -104,17 +107,17 @@ def _quotient_of(c: EdgeColoring, parts: Sequence[tuple[int, ...]]) -> EdgeColor
     if covered != set(range(c.n)):
         raise InvalidPartitionError("parts do not cover all vertices")
     ell = len(parts)
+    masks = [sum(1 << v for v in part) for part in parts]
     colors = []
     for a in range(ell):
         for b in range(a + 1, ell):
             col = c.color(parts[a][0], parts[b][0])
-            for i in parts[a]:
-                for j in parts[b]:
-                    if c.color(i, j) != col:
-                        raise InvalidPartitionError(
-                            f"parts {a} and {b} meet in more than one color",
-                            pair=(a, b),
-                        )
+            row, mb = nbr[col], masks[b]
+            if any(row[i] & mb != mb for i in parts[a]):
+                raise InvalidPartitionError(
+                    f"parts {a} and {b} meet in more than one color",
+                    pair=(a, b),
+                )
             colors.append(col)
     return EdgeColoring(ell, c.k, tuple(colors))
 
@@ -128,8 +131,9 @@ def reduced_coloring(c: EdgeColoring, partition: PartitionLike) -> EdgeColoring:
     Accepts a GallaiPartition (re-deriving and cross-checking its stored
     quotient) or a plain list of parts; parts are ordered by least member.
     """
+    nbr = color_neighbor_masks(c)
     if isinstance(partition, GallaiPartition):
-        quotient = _quotient_of(c, partition.parts)
+        quotient = _quotient_of(c, partition.parts, nbr)
         if quotient != partition.quotient:
             raise InvalidPartitionError("stored quotient does not match the coloring")
         return quotient
@@ -139,4 +143,4 @@ def reduced_coloring(c: EdgeColoring, partition: PartitionLike) -> EdgeColoring:
         if len(set(t)) != len(t):
             raise InvalidPartitionError(f"part {idx} repeats a vertex")
         norm.append(t)
-    return _quotient_of(c, sorted(norm))
+    return _quotient_of(c, sorted(norm), nbr)

@@ -4,7 +4,7 @@ import pytest
 
 from gallaikit.cli import main
 from gallaikit.coloring import read_grc
-from gallaikit.construct import fixture_targets
+from gallaikit.formulas import R2_TABLE
 
 
 def run(capsys, *argv):
@@ -116,6 +116,20 @@ def test_formula_conjecture_reads_fans_past_the_size_cap(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_formula_r2_without_conjecture_is_usage_error(capsys):
+    code, out, err = run(capsys, "formula", "--target", "kipas(4)", "--k", "3",
+                         "--r2", "12")
+    assert code == 2 and out == "" and "--r2" in err
+
+
+def test_build_r2_for_a_non_fan_is_domain_error(capsys, tmp_path):
+    out_path = tmp_path / "h1.grc"
+    code, out, err = run(capsys, "build", "--target", "h1", "--k", "3", "--r2", "99",
+                         "--out", str(out_path))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert not out_path.exists()
+
+
 def test_formula_uncovered_target_is_domain_error(capsys):
     code, _, err = run(capsys, "formula", "--target", "h7", "--k", "3")
     assert code == 2 and err.startswith("error:")
@@ -183,17 +197,9 @@ def test_catalog_lists_all_patterns(capsys):
         assert row["vertices"] == 5 and row["chromatic_number"] == 3
 
 
-def test_fixtures_regenerate_to_directory(capsys, tmp_path):
-    code, payload, _ = run_json(
-        capsys, "fixtures", "regenerate", "--method", "seed",
-        "--dest", str(tmp_path))
-    assert code == 0
-    assert len(payload["written"]) == len(fixture_targets())
-
-
 def test_build_verify_pipeline_every_target(capsys, tmp_path):
     # end-to-end smoke: build | verify succeeds for each supported target
-    for cid in fixture_targets() + ("h12",):
+    for cid in sorted(R2_TABLE):
         path = tmp_path / f"{cid.replace('(', '_').rstrip(')')}.grc"
         assert main(["build", "--target", cid, "--k", "3",
                      "--out", str(path), "--no-certify"]) == 0

@@ -13,13 +13,10 @@ from gallaikit.construct import (
     build_lower,
     build_mixed,
     extremal_two_coloring,
-    fixture_targets,
-    load_fixture,
     mono_complete,
-    regenerate_fixtures,
 )
 from gallaikit.detect import AvoidanceSpec, find_mono_embedding, verify
-from gallaikit.formulas import RangeViolationError, g_value, ramsey_two, w_value
+from gallaikit.formulas import R2_TABLE, RangeViolationError, g_value, ramsey_two, w_value
 from gallaikit.patterns import resolve
 
 
@@ -49,7 +46,7 @@ def test_mono_complete():
 
 
 def test_every_fixture_target_has_a_seed_on_ramsey_minus_one():
-    for cid in fixture_targets():
+    for cid in sorted(R2_TABLE):
         c = extremal_two_coloring(cid, certify=True)
         assert c.n == ramsey_two(cid) - 1
         assert c.k == 2
@@ -77,20 +74,6 @@ def test_extremal_search_fallback_unavailable_scope():
     # an unknown target id fails before any search can run
     with pytest.raises(Exception):
         extremal_two_coloring("h13")
-
-
-def test_load_fixture_round_trips(tmp_path):
-    c = load_fixture("h10")
-    assert c is not None
-    assert parse(serialize(c)) == c
-
-
-def test_regenerate_fixtures_seed_writes_all(tmp_path):
-    written = regenerate_fixtures(dest=tmp_path, method="seed")
-    assert len(written) == len(fixture_targets())
-    for path in written:
-        with open(path, encoding="ascii") as fh:
-            parse(fh.read())
 
 
 def test_build_kipas_aux_sizes_and_purity():
@@ -186,6 +169,14 @@ def test_build_lower_k1_is_bare_clique():
 def test_build_lower_k2_is_the_extremal_coloring():
     assert build_lower("h10", 2).n == 6
     assert build_lower("h5", 2).n == 9
+
+
+def test_build_lower_rejects_r2_for_a_non_fan():
+    for cid in ("h1", "h10", "h5"):
+        with pytest.raises(RangeViolationError):
+            build_lower(cid, 3, r2=99, certify=False)
+    # h12 is kipas(4), so it takes r2 like the fan
+    assert build_lower("h12", 3, r2=10, certify=False).n == g_value("h12", 3)
 
 
 def test_build_lower_unknown_fan_needs_r2():

@@ -111,6 +111,48 @@ def test_reduced_coloring_rejects_nonmono_pairs():
         reduced_coloring(c, ((0, 3), (1, 2)))
 
 
+def test_invalid_partition_names_the_first_failing_pair():
+    # parts 0|1 meet in color 1 only; 0|2 and 1|2 both mix colors 1 and 2
+    c = make_coloring(5, 2, {(0, 1): 1, (0, 2): 1, (0, 3): 1, (0, 4): 2,
+                             (1, 2): 1, (1, 3): 2, (1, 4): 1,
+                             (2, 3): 1, (2, 4): 1, (3, 4): 1})
+    with pytest.raises(InvalidPartitionError) as info:
+        reduced_coloring(c, ((0,), (1, 2), (3, 4)))
+    assert info.value.pair == (0, 2)
+    assert str(info.value) == "parts 0 and 2 meet in more than one color"
+
+
+def _plain_quotient(c, parts):
+    # pair by pair over every cross edge: the reference for reduced_coloring
+    colors = []
+    for a in range(len(parts)):
+        for b in range(a + 1, len(parts)):
+            seen = {c.color(i, j) for i in parts[a] for j in parts[b]}
+            if len(seen) > 1:
+                return (a, b)
+            colors.append(seen.pop())
+    return tuple(colors)
+
+
+def test_reduced_coloring_matches_plain_pair_loop():
+    rng = random.Random(6061)
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        c = random_gallai_blowup(rng, n, rng.randint(1, 4))
+        if rng.random() < 0.5:
+            c = random_coloring(rng, n, rng.randint(1, 3))
+        order = list(range(n))
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        parts = sorted(tuple(sorted(order[i:j]))
+                       for i, j in zip([0] + cuts, cuts + [n]))
+        try:
+            got = reduced_coloring(c, parts).colors
+        except InvalidPartitionError as exc:
+            got = exc.pair
+        assert got == _plain_quotient(c, parts), (c, parts)
+
+
 def test_tie_break_is_smallest_part_through_zero():
     # color 2 only on 03: the non-1 graph has components {0,3}, {1}, {2}, so
     # any union of them through 0 splits in two; ((0,1,3),(2,)) sorts lower,
