@@ -50,6 +50,10 @@ _DOMAIN_ERRORS = (
 )
 
 
+_R2_HELP = ("two-color Ramsey number; only for a fan; must match R2_TABLE, "
+            "else 2m+1 <= r2 <= 2(m^2-m+1)")
+
+
 def _forbid_pair(text: str) -> tuple[int, str]:
     color, sep, pid = text.partition("=")
     if not sep or not pid:
@@ -295,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("build", help="materialize a lower-bound coloring")
     p.add_argument("--target", required=True, help="pattern id, e.g. h10 or kipas(4)")
     p.add_argument("--k", type=int, required=True, help="number of colors")
-    p.add_argument("--r2", type=int, help="two-color Ramsey number for unlisted kipas")
+    p.add_argument("--r2", type=int, help=_R2_HELP)
     p.add_argument("--out", help="write the coloring to this GRC file")
     p.add_argument("--no-certify", action="store_true",
                    help="skip the avoidance re-check (sizes still validated)")
@@ -332,8 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="number of colors")
     p.add_argument("--s", type=int,
                    help="mixed family: colors forbidding kipas(4) out of k")
-    p.add_argument("--r2", type=int,
-                   help="two-color Ramsey number for --conjecture on an unlisted kipas")
+    p.add_argument("--r2", type=int, help=_R2_HELP + " (with --conjecture)")
     p.add_argument("--conjecture", action="store_true",
                    help="evaluate the general kipas conjecture instead of a theorem")
     _add_common(p)

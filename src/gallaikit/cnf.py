@@ -44,18 +44,6 @@ class CnfDocument:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise CnfError(f"literal {lit} out of range")
 
-    def var_of(self, i: int, j: int, color: int) -> int:
-        if not 1 <= color <= self.k:
-            raise CnfError(f"color {color} outside 1..{self.k}")
-        return edge_index(self.n, i, j) * self.k + color
-
-    def decode_var(self, var: int) -> tuple[int, int, int]:
-        """(i, j, color) for a positive variable index."""
-        if not 1 <= var <= self.num_vars:
-            raise CnfError(f"variable {var} outside 1..{self.num_vars}")
-        e, color = divmod(var - 1, self.k)
-        return (*edge_list(self.n)[e], color + 1)
-
     def var_map_lines(self) -> list[str]:
         lines = [f"c var((i,j),c) = edge_index(i,j)*{self.k} + c; edges lexicographic"]
         for i, j in edge_list(self.n):
@@ -65,10 +53,8 @@ class CnfDocument:
             )
         return lines
 
-    def to_dimacs(self, include_map: bool = True) -> str:
-        lines = []
-        if include_map:
-            lines.extend(self.var_map_lines())
+    def to_dimacs(self) -> str:
+        lines = self.var_map_lines()
         lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
         for clause in self.clauses:
             lines.append(" ".join(str(lit) for lit in clause) + " 0")

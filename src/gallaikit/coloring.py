@@ -105,9 +105,6 @@ class EdgeColoring:
         for idx, pair in enumerate(combinations(range(self.n), 2)):
             yield pair, self.colors[idx]
 
-    def colors_used(self) -> frozenset[int]:
-        return frozenset(self.colors)
-
 
 EntrySpec = Union[Mapping[tuple[int, int], int], Iterable[tuple[int, int, int]]]
 
@@ -207,8 +204,11 @@ def relabel_colors(
 def serialize(c: EdgeColoring) -> str:
     """Canonical grc text: header, then one row per leading vertex."""
     lines = [f"grc 1 {c.n} {c.k}"]
+    start = 0
     for i in range(c.n - 1):
-        lines.append(" ".join(str(c.color(i, j)) for j in range(i + 1, c.n)))
+        stop = start + c.n - 1 - i
+        lines.append(" ".join(map(str, c.colors[start:stop])))
+        start = stop
     return "\n".join(lines) + "\n"
 
 

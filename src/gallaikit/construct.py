@@ -9,8 +9,6 @@ builder certifies its output with detect.verify before returning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coloring import (
     EdgeColoring,
     blowup,
@@ -19,15 +17,8 @@ from .coloring import (
     relabel_colors,
 )
 from .detect import AvoidanceSpec, color_neighbor_masks, verify
-from .formulas import (
-    RangeViolationError,
-    UnsupportedTargetError,
-    fan_param,
-    g_value,
-    ramsey_two,
-    w_value,
-)
-from .patterns import canonical_id
+from .formulas import RangeViolationError, fan_param, g_value, ramsey_two, w_value
+from .patterns import canonical_id, resolve
 
 # node budget for extremal searches; generous for n <= 9 hosts
 _SEARCH_NODE_CAP = 20_000_000
@@ -45,10 +36,6 @@ class ParityViolationError(ConstructionError):
     pass
 
 
-class UnsupportedKipasError(ConstructionError):
-    pass
-
-
 class NoFixtureAndSearchFailedError(ConstructionError):
     pass
 
@@ -57,20 +44,6 @@ class CertificationError(ConstructionError):
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
-
-
-@dataclass(frozen=True)
-class BaseParams:
-    """Effective base-pattern parameters driving the tower branch rule."""
-
-    h_order: int
-    r2: int
-
-    def __post_init__(self) -> None:
-        if self.h_order < 3:
-            raise RangeViolationError(f"need h_order >= 3, got {self.h_order}")
-        if self.r2 <= self.h_order:
-            raise RangeViolationError(f"need r2 > h_order, got {self.r2}")
 
 
 def _certify(c: EdgeColoring, spec: AvoidanceSpec, label: str) -> None:
@@ -173,16 +146,12 @@ def extremal_two_coloring(
 ) -> EdgeColoring:
     """Two-coloring on R2(target)-1 vertices avoiding target in both colors.
 
-    Takes the hardcoded seed, and for a target without one runs a
-    first-witness backtracking search (the route for a fan outside the
-    stored table, where r2 must be supplied).
+    R2 is ramsey_two(target, r2), so r2 is only for a fan and must agree
+    with R2_TABLE.  Takes the hardcoded seed, and for a target without one
+    (a fan outside the table) runs a first-witness backtracking search.
     """
     cid = canonical_id(target)
-    if r2 is None:
-        r2 = ramsey_two(cid)
-    elif r2 < 3:
-        raise RangeViolationError(f"need r2 >= 3, got {r2}")
-    n = r2 - 1
+    n = ramsey_two(cid, r2) - 1
     maker = _SEEDS.get(cid)
     c = maker() if maker is not None else _searched_extremal(cid, n, _SEARCH_NODE_CAP)
     if c.n != n:
@@ -247,37 +216,17 @@ def build_kipas_aux(
     return c
 
 
-def _base_params(cid: str, r2: int | None) -> tuple[str, BaseParams]:
-    """Seed id and effective (h_order, r2) pair for the tower recursion."""
-    if cid == "h10":
-        # any triangle-free color class is h10-free, and the triangle
-        # parameters give the larger tower
-        return "kipas(2)", BaseParams(3, 6)
-    if cid == "h12":
-        return "kipas(4)", BaseParams(5, 10)
-    m = fan_param(cid)
-    if m is not None:
-        if r2 is None:
-            try:
-                r2 = ramsey_two(cid)
-            except UnsupportedTargetError:
-                raise UnsupportedKipasError(
-                    f"kipas({m}) has no stored Ramsey value; pass r2"
-                ) from None
-        return cid, BaseParams(m + 1, r2)
-    return cid, BaseParams(5, ramsey_two(cid))
-
-
-def _tower(seed_id: str, p: BaseParams, k: int, r2_arg: int | None) -> EdgeColoring:
+def _tower(seed_id: str, k: int, r2: int | None) -> EdgeColoring:
+    h = resolve(seed_id).m
     if k == 1:
-        return mono_complete(p.h_order - 1, 1)
+        return mono_complete(h - 1, 1)
     if k == 2:
-        return extremal_two_coloring(seed_id, certify=False, r2=r2_arg)
+        return extremal_two_coloring(seed_id, certify=False, r2=r2)
     if k % 2:
-        if 2 * (p.r2 - 1) >= 5 * (p.h_order - 1):
-            side = _tower(seed_id, p, k - 1, r2_arg)
+        if 2 * (ramsey_two(seed_id, r2) - 1) >= 5 * (h - 1):
+            side = _tower(seed_id, k - 1, r2)
             return join(side, side, k)
-        part = _tower(seed_id, p, k - 2, r2_arg)
+        part = _tower(seed_id, k - 2, r2)
         return blowup(base_pentagon(k - 1, k), [part] * 5)
     m = fan_param(seed_id)
     if m is not None and m % 2 == 0:
@@ -285,9 +234,9 @@ def _tower(seed_id: str, p: BaseParams, k: int, r2_arg: int | None) -> EdgeColor
         # two color-(k-1) towers sit adjacent on the cycle
         hi = _aux(m, k, k)
         lo = _aux(m, k, k - 1)
-        sub = _tower(seed_id, p, k - 2, r2_arg)
+        sub = _tower(seed_id, k - 2, r2)
         return blowup(base_pentagon(k, k - 1), [hi, lo, lo, hi, sub])
-    part = _tower(seed_id, p, k - 2, r2_arg)
+    part = _tower(seed_id, k - 2, r2)
     return blowup(base_pentagon(k - 1, k), [part] * 5)
 
 
@@ -300,19 +249,14 @@ def build_lower(
     towers when 2(R2-1) >= 5(|H|-1) and otherwise blows up a fresh pentagon
     with five k-2 towers; even k blows up a pentagon, except even fans,
     which take the five-part assembly.  h10 rides the triangle tower for
-    k >= 3 and h12 rides kipas(4).
+    k >= 3.  r2 goes to ramsey_two (only for a fan, and it must agree with
+    R2_TABLE), which g_value asks before anything is built.
     """
-    if k < 1:
-        raise RangeViolationError(f"need k >= 1, got {k}")
+    expect = g_value(target, k, r2)
     cid = canonical_id(target)
-    if r2 is not None and fan_param(cid) is None:
-        raise RangeViolationError(f"r2 applies only to a fan target, got {cid}")
-    if k <= 2 and cid == "h10":
-        seed_id, p = "h10", BaseParams(5, ramsey_two("h10"))
-    else:
-        seed_id, p = _base_params(cid, r2)
-    c = _tower(seed_id, p, k, r2)
-    expect = g_value(cid, k, r2)
+    # any triangle-free color class is h10-free, and from k=3 on the
+    # triangle parameters give the larger tower
+    c = _tower("kipas(2)" if cid == "h10" and k >= 3 else cid, k, r2)
     if c.n != expect:
         raise ConstructionError(f"built {c.n} vertices for {cid}, k={k}; want {expect}")
     if certify:
@@ -339,8 +283,7 @@ def assemble_case3(
 
 def _mixed(k: int, s: int) -> EdgeColoring:
     if s == k:
-        seed_id, p = _base_params("kipas(4)", None)
-        return _tower(seed_id, p, k, None)
+        return _tower("kipas(4)", k, None)
     if s == 0:
         return EdgeColoring(2, k, (k,))
     if s == 1:

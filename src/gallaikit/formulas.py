@@ -27,7 +27,7 @@ class RangeViolationError(FormulaError):
     pass
 
 
-class MissingR2Error(FormulaError):
+class MissingR2Error(UnsupportedTargetError):
     pass
 
 
@@ -75,11 +75,39 @@ def fan_param(target_id: str) -> int | None:
     return arg if family == "kipas" else None
 
 
-def ramsey_two(target: str) -> int:
-    cid = canonical_id(target)
-    if cid not in R2_TABLE:
+def ramsey_two(target: str, r2: int | None = None) -> int:
+    """Two-color Ramsey number R2 of the target; the one place r2 is checked.
+
+    With r2 None, the stored R2_TABLE value (MissingR2Error for a fan
+    without one).  A caller's r2 is taken only for a fan kipas(m) (h12 is
+    kipas(4); m is not size-capped): it must equal the stored value when
+    there is one, and otherwise lie in 2m+1 .. 2(m^2-m+1).  The floor is
+    the Chvatal-Harary bound (chi-1)(|H|-1)+1.  The ceiling: on
+    2 R(P_m, K_{m+1}) vertices some vertex has R(P_m, K_{m+1}) neighbors in
+    one color, and they hold a P_m in that color (a fan with the vertex) or
+    a K_{m+1} in the other; R(P_m, K_{m+1}) = m(m-1)+1 by Chvatal's
+    tree-versus-clique theorem.
+    """
+    family, arg = _split_id(target)
+    cid = family if arg is None else f"{family}({arg})"
+    m = fan_param(cid)
+    stored = R2_TABLE.get(cid)
+    if r2 is None:
+        if stored is not None:
+            return stored
+        if m is not None:
+            raise MissingR2Error(f"R2({cid}) is unknown; pass r2")
         raise UnsupportedTargetError(f"no stored two-color Ramsey value for {cid}")
-    return R2_TABLE[cid]
+    if m is None:
+        raise RangeViolationError(f"r2 applies only to a fan target, got {cid}")
+    if stored is not None:
+        if r2 != stored:
+            raise RangeViolationError(f"R2_TABLE stores R2({cid}) = {stored}; got r2={r2}")
+        return r2
+    low, high = 2 * m + 1, 2 * (m * m - m + 1)
+    if not low <= r2 <= high:
+        raise RangeViolationError(f"need {low} <= r2 <= {high} for {cid}, got {r2}")
+    return r2
 
 
 def ramsey_mixed(target_a: str, target_b: str) -> int:
@@ -87,17 +115,6 @@ def ramsey_mixed(target_a: str, target_b: str) -> int:
     if key not in MIXED_R2_TABLE:
         raise UnsupportedTargetError(f"no stored mixed Ramsey value for {key}")
     return MIXED_R2_TABLE[key]
-
-
-def _fan_r2(m: int, r2: int | None) -> int:
-    if r2 is not None:
-        if r2 < 3:
-            raise RangeViolationError(f"need r2 >= 3, got {r2}")
-        return r2
-    cid = f"kipas({m})"
-    if cid in R2_TABLE:
-        return R2_TABLE[cid]
-    raise MissingR2Error(f"R2({cid}) is unknown; pass r2 explicitly")
 
 
 def _fan_size(m: int, k: int, r2v: int) -> int:
@@ -115,6 +132,7 @@ def g_value(target: str, k: int, r2: int | None = None) -> int:
     """Vertex count of the largest known k-coloring avoiding the target."""
     _check_k(k)
     cid = canonical_id(target)
+    r2v = ramsey_two(cid, r2)  # also rejects an r2 the target does not take
     if cid == "h10":
         if k == 1:
             return 4
@@ -125,15 +143,12 @@ def g_value(target: str, k: int, r2: int | None = None) -> int:
         return 2 * 5 ** ((k - 1) // 2)
     m = fan_param(cid)
     if m is not None:
-        return _fan_size(m, k, _fan_r2(m, r2))
-    if cid in R2_TABLE:
-        r2v = R2_TABLE[cid]
-        if k == 1:
-            return 4
-        if k % 2 == 0:
-            return (r2v - 1) * 5 ** ((k - 2) // 2)
-        return 4 * 5 ** ((k - 1) // 2)
-    raise UnsupportedTargetError(f"no size formula for {cid}")
+        return _fan_size(m, k, r2v)
+    if k == 1:
+        return 4
+    if k % 2 == 0:
+        return (r2v - 1) * 5 ** ((k - 2) // 2)
+    return 4 * 5 ** ((k - 1) // 2)
 
 
 def w_value(k: int, s: int) -> int:
@@ -195,7 +210,7 @@ def conjecture_kipas(m: int, k: int, r2: int | None = None) -> GrValue:
     """Conjectured Gallai-Ramsey number of the fan kipas(m), any m >= 2.
 
     Matches the proved values for m in {2, 3, 4}.  For other m the two-color
-    Ramsey number must be supplied.
+    Ramsey number must be supplied; ramsey_two checks it.
     """
     if m < 2:
         raise RangeViolationError(f"fan needs m >= 2, got {m}")
@@ -206,7 +221,8 @@ def conjecture_kipas(m: int, k: int, r2: int | None = None) -> GrValue:
         tag = "odd-k"
     else:
         tag = "even-k,odd-m" if m % 2 else "even-k,even-m"
-    return GrValue(_fan_size(m, k, _fan_r2(m, r2)) + 1, f"conjecture:{tag}")
+    size = _fan_size(m, k, ramsey_two(f"kipas({m})", r2))
+    return GrValue(size + 1, f"conjecture:{tag}")
 
 
 _STAR_TARGETS = ("h1", "h2", "h3", "h4", "h5", "h6", "h10", "h11")

@@ -55,9 +55,6 @@ class Pattern:
             adj[b].add(a)
         return tuple(frozenset(s) for s in adj)
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.adjacency())
-
 
 def make_pattern(m: int, edges, label: str = "custom") -> Pattern:
     norm = set()

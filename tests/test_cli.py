@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +131,44 @@ def test_build_r2_for_a_non_fan_is_domain_error(capsys, tmp_path):
                          "--out", str(out_path))
     assert code == 2 and out == "" and err.startswith("error:")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("build", "--target", "kipas(4)", "--k", "3", "--r2", "14"), "10"),
+    (("build", "--target", "h12", "--k", "3", "--r2", "14"), "10"),
+    (("formula", "--target", "kipas(4)", "--k", "3", "--conjecture", "--r2", "14"), "10"),
+    (("build", "--target", "kipas(6)", "--k", "3", "--r2", "5"), "13"),
+    (("formula", "--target", "kipas(6)", "--k", "3", "--conjecture", "--r2", "5"), "13"),
+])
+def test_r2_against_the_rule_is_domain_error(capsys, tmp_path, argv, named):
+    # a listed fan's r2 must equal R2_TABLE; an unlisted one's is >= 2m+1
+    # (13 for kipas(6))
+    out_path = tmp_path / "o.grc"
+    if argv[0] == "build":
+        argv += ("--out", str(out_path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert named in err
+    assert not out_path.exists()
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("gallaikit ")]
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        if argv[0] == "decode":  # needs a solver's model file
+            continue
+        said = re.search(r"# exits (\d)", line)
+        want = int(said.group(1)) if said else 0
+        code, _, err = run(capsys, *argv)
+        assert code == want, (line, err)
+        ran += 1
+    assert ran >= 11, lines
 
 
 def test_formula_uncovered_target_is_domain_error(capsys):

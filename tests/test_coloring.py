@@ -86,6 +86,9 @@ def test_parse_serialize_round_trip(n, data):
     )
     c = make_coloring(n, k, dict(zip(edge_list(n), colors)))
     text = serialize(c)
+    # serialize slices rows out of the flat tuple; the per-pair loop is the oracle
+    rows = [" ".join(str(c.color(i, j)) for j in range(i + 1, n)) for i in range(n - 1)]
+    assert text == "\n".join([f"grc 1 {n} {k}", *rows]) + "\n"
     back = parse(text)
     assert back == c
     assert serialize(back) == text

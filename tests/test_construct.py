@@ -2,10 +2,8 @@ import pytest
 
 from gallaikit.coloring import join, parse, serialize
 from gallaikit.construct import (
-    BaseParams,
     EqualColorsError,
     ParityViolationError,
-    UnsupportedKipasError,
     _clique_cover_ok,
     assemble_case3,
     base_pentagon,
@@ -16,7 +14,16 @@ from gallaikit.construct import (
     mono_complete,
 )
 from gallaikit.detect import AvoidanceSpec, find_mono_embedding, verify
-from gallaikit.formulas import R2_TABLE, RangeViolationError, g_value, ramsey_two, w_value
+from gallaikit.formulas import (
+    R2_TABLE,
+    MissingR2Error,
+    RangeViolationError,
+    conjecture_kipas,
+    fan_param,
+    g_value,
+    ramsey_two,
+    w_value,
+)
 from gallaikit.patterns import resolve
 
 
@@ -31,13 +38,6 @@ def test_base_pentagon_shape():
 def test_base_pentagon_rejects_equal_colors():
     with pytest.raises(EqualColorsError):
         base_pentagon(3, 3)
-
-
-def test_base_params_validation():
-    with pytest.raises(Exception):
-        BaseParams(h_order=2, r2=6)
-    with pytest.raises(Exception):
-        BaseParams(h_order=5, r2=5)
 
 
 def test_mono_complete():
@@ -134,7 +134,7 @@ def test_clique_cover_check():
 def test_assemble_case3_rejects_unlisted_fan_without_r2():
     # materializing m outside {2,4} further needs a searchable two-color
     # base, so only the precondition is exercised here
-    with pytest.raises(UnsupportedKipasError):
+    with pytest.raises(MissingR2Error):
         assemble_case3(6, 4)
 
 
@@ -180,10 +180,48 @@ def test_build_lower_rejects_r2_for_a_non_fan():
 
 
 def test_build_lower_unknown_fan_needs_r2():
-    with pytest.raises(UnsupportedKipasError):
+    with pytest.raises(MissingR2Error):
         build_lower("kipas(6)", 3)
     c = build_lower("kipas(6)", 3, r2=13, certify=False)
     assert c.n == g_value("kipas(6)", 3, r2=13)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc)
+
+
+def test_every_r2_consumer_applies_the_same_rule():
+    # g_value, build_lower and conjecture_kipas all defer to ramsey_two, so
+    # each (target, r2) either works everywhere with one size or fails
+    # everywhere with one exception class.  An r2 is taken only for a fan,
+    # equal to the stored value, or (unlisted fan) from 2m+1 up to
+    # 2(m^2-m+1) = 62 for m = 6
+    for target in ("h1", "h10", "h12", "kipas(2)", "kipas(3)", "kipas(4)", "kipas(6)"):
+        m = fan_param(target)
+        half = m if m is not None else resolve(target).m - 1
+        stored = R2_TABLE.get(target)
+        r2s = [None, 2 * half, 2 * half + 1, 99]
+        if stored is not None:
+            r2s += [stored, stored + 4]
+        for r2 in r2s:
+            if r2 is None:
+                want = int if stored is not None else MissingR2Error
+            elif m is not None and r2 == (stored or 2 * m + 1):
+                want = int
+            else:
+                want = RangeViolationError
+            # g_value first: a wrongly accepted r2 = 99 would send build_lower
+            # into an extremal search on 98 vertices
+            size = _outcome(lambda: g_value(target, 3, r2))
+            assert (size if isinstance(size, type) else int) is want, (target, r2, size)
+            built = _outcome(lambda: build_lower(target, 3, r2=r2, certify=False).n)
+            assert built == size, (target, r2, built)
+            if m is not None:
+                conj = _outcome(lambda: conjecture_kipas(m, 3, r2).value - 1)
+                assert conj == size, (target, r2, conj)
 
 
 def test_build_mixed_sizes_and_palettes():

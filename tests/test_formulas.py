@@ -42,6 +42,23 @@ def test_two_color_table_is_closed_world():
         ramsey_two("kipas(5)")
 
 
+def test_ramsey_two_checks_a_supplied_r2():
+    assert ramsey_two("kipas(4)", 10) == ramsey_two("h12", 10) == 10
+    with pytest.raises(RangeViolationError, match="= 10"):
+        ramsey_two("h12", 14)
+    with pytest.raises(RangeViolationError, match="fan"):
+        ramsey_two("h10", 7)
+    # unlisted fan: 2m+1 .. 2(m^2-m+1), with no pattern size cap
+    assert ramsey_two("kipas(5)", 11) == 11 and ramsey_two("kipas(5)", 42) == 42
+    assert ramsey_two("kipas(20)", 50) == 50
+    for bad in (10, 43):
+        with pytest.raises(RangeViolationError, match="11 <= r2 <= 42"):
+            ramsey_two("kipas(5)", bad)
+    # the stored fans sit inside the same bounds
+    for m in (2, 3, 4):
+        assert 2 * m + 1 <= ramsey_two(f"kipas({m})") <= 2 * (m * m - m + 1)
+
+
 def test_fan_param():
     assert fan_param("kipas(4)") == 4
     assert fan_param("h12") == 4
