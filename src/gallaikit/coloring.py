@@ -2,20 +2,33 @@
 
 An EdgeColoring assigns a color from {1, ..., k} to every unordered pair of
 n labeled vertices.  Colors are stored densely over the upper triangle in
-lexicographic edge order: (0,1), (0,2), ..., (0,n-1), (1,2), ...
+lexicographic edge order: (0,1), (0,2), ..., (0,n-1), (1,2), ...  That order
+is a run of rows: row i holds the colors of (i,i+1), ..., (i,n-1).
+
+Each coloring keeps that upper triangle twice: as the public tuple colors
+and as one bytes buffer, one byte per edge in the same order.  The layers
+that touch every edge work on the buffer in C rather than loop over the
+tuple in Python: the color range check, parse (which builds the buffer from
+the row text), blowup (which assembles rows from buffer slices) and the
+per-color neighbor masks in detect (built once per coloring from an n x n
+byte matrix and cached on it).  A byte caps the palette: k is at most
+MAX_COLORS = 255, and a larger k raises ColorRangeError everywhere a
+coloring is made (parse, EdgeColoring(...), the CNF decoder).
 
 The text format ("grc") mirrors that layout.  Line 1 is the header
 ``grc 1 <n> <k>``; line i+1 (for i = 0 .. n-2) lists the colors of the edges
 (i,i+1), (i,i+2), ..., (i,n-1) separated by single spaces.  serialize always
 emits exactly that shape; parse tolerates extra whitespace but checks every
-count against the header.
+count against the header.  Every number in the text (n, k and each color) is
+a token of ASCII digits [0-9]+; a sign, an underscore or any other digit
+character is a GrcSyntaxError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from itertools import combinations, islice
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence, Union
 
 
 class ColoringError(Exception):
@@ -54,6 +67,9 @@ class GrcHeaderError(ColoringError):
     """grc body inconsistent with its header counts."""
 
 
+MAX_COLORS = 255
+
+
 def edge_count(n: int) -> int:
     return n * (n - 1) // 2
 
@@ -72,12 +88,32 @@ def edge_list(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
+def row_bounds(n: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of row i, the edges (i, i+1..n-1), for i = 0 .. n-1."""
+    start = 0
+    for i in range(n):
+        stop = start + n - 1 - i
+        yield start, stop
+        start = stop
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ColorRangeError(f"need k >= 1, got k={k}")
+    if k > MAX_COLORS:
+        raise ColorRangeError(f"k={k} exceeds {MAX_COLORS}, the most colors a byte holds")
+
+
 @dataclass(frozen=True)
 class EdgeColoring:
     """Complete graph on n vertices, one color in 1..k per edge.
 
     Immutable; equality and hashing are structural.  k is declared, not
-    inferred, so a coloring may use fewer colors than it reserves.
+    inferred, so a coloring may use fewer colors than it reserves, and at
+    most MAX_COLORS.  colors may be given as any sequence of ints or as a
+    bytes buffer; it is stored as a tuple, and the attribute buffer holds
+    the same colors as bytes (module docstring).  Derived data such as
+    detect's neighbor masks is cached on the instance, outside the fields.
     """
 
     n: int
@@ -87,15 +123,22 @@ class EdgeColoring:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ColoringError(f"need n >= 1, got n={self.n}")
-        if self.k < 1:
-            raise ColorRangeError(f"need k >= 1, got k={self.k}")
+        _check_k(self.k)
         if len(self.colors) != edge_count(self.n):
             raise ColoringError(
                 f"n={self.n} needs {edge_count(self.n)} colors, got {len(self.colors)}"
             )
-        for c in self.colors:
-            if not 1 <= c <= self.k:
-                raise ColorRangeError(f"color {c} outside 1..{self.k}")
+        try:
+            buf = bytes(self.colors)
+        except (TypeError, ValueError):  # a color that is no int in 0..255
+            buf = None
+        if buf is None or buf.translate(None, bytes(range(1, self.k + 1))):
+            bad = next(c for c in self.colors
+                       if not (isinstance(c, int) and 1 <= c <= self.k))
+            raise ColorRangeError(f"color {bad} outside 1..{self.k}")
+        if type(self.colors) is not tuple:
+            object.__setattr__(self, "colors", tuple(buf))
+        object.__setattr__(self, "buffer", buf)
 
     def color(self, i: int, j: int) -> int:
         return self.colors[edge_index(self.n, i, j)]
@@ -122,8 +165,7 @@ def make_coloring(n: int, k: int, entries: EntrySpec) -> EdgeColoring:
         triples = [(i, j, c) for i, j, c in entries]
     if n < 1:
         raise ColoringError(f"need n >= 1, got n={n}")
-    if k < 1:
-        raise ColorRangeError(f"need k >= 1, got k={k}")
+    _check_k(k)
     slots: list[int | None] = [None] * edge_count(n)
     for i, j, c in triples:
         if i == j or not (0 <= i < n and 0 <= j < n):
@@ -160,21 +202,17 @@ def blowup(base: EdgeColoring, parts: Sequence[EdgeColoring]) -> EdgeColoring:
     """
     if len(parts) != base.n:
         raise ArityMismatchError(f"base has {base.n} vertices, got {len(parts)} parts")
-    owner: list[int] = []
-    local: list[int] = []
-    for p_id, part in enumerate(parts):
-        owner.extend([p_id] * part.n)
-        local.extend(range(part.n))
-    n = len(owner)
+    n = sum(p.n for p in parts)
     k = max([base.k] + [p.k for p in parts])
-    out = []
-    for i, j in combinations(range(n), 2):
-        pi, pj = owner[i], owner[j]
-        if pi == pj:
-            out.append(parts[pi].color(local[i], local[j]))
-        else:
-            out.append(base.color(pi, pj))
-    return EdgeColoring(n, k, tuple(out))
+    chunks = []
+    for p_id, part in enumerate(parts):
+        # every vertex of the part ends its row with the same cross edges
+        tail = b"".join(bytes((base.color(p_id, q),)) * parts[q].n
+                        for q in range(p_id + 1, base.n))
+        for start, stop in row_bounds(part.n):
+            chunks.append(part.buffer[start:stop])
+            chunks.append(tail)
+    return EdgeColoring(n, k, b"".join(chunks))
 
 
 def relabel_colors(
@@ -204,16 +242,38 @@ def relabel_colors(
 def serialize(c: EdgeColoring) -> str:
     """Canonical grc text: header, then one row per leading vertex."""
     lines = [f"grc 1 {c.n} {c.k}"]
-    start = 0
-    for i in range(c.n - 1):
-        stop = start + c.n - 1 - i
+    for start, stop in islice(row_bounds(c.n), c.n - 1):
         lines.append(" ".join(map(str, c.colors[start:stop])))
-        start = stop
     return "\n".join(lines) + "\n"
 
 
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def _decimal(token: str) -> bool:
+    """True iff token is ASCII [0-9]+ (int() would also take '+1', '1_0', '١')."""
+    return token.isascii() and token.isdigit()
+
+
+def _reject_row(toks: list[str], k: int, i: int) -> NoReturn:
+    """Raise for the first token of row i that is not a color in 1..k."""
+    for t in toks:
+        if not _decimal(t):
+            raise GrcSyntaxError(f"bad color token {t!r} in row {i}")
+        digits = t.lstrip("0")
+        if not digits or len(digits) > 3 or int(digits) > k:
+            raise ColorRangeError(f"color {digits or 0} outside 1..{k} in row {i}")
+    raise AssertionError(f"row {i} has no bad token")
+
+
 def parse(text: str) -> EdgeColoring:
-    """Inverse of serialize; raises on any structural inconsistency."""
+    """Inverse of serialize; raises on any structural inconsistency.
+
+    Each row's tokens are counted, joined and checked as one ASCII digit
+    string; when each is one digit (always for k <= 9) str.translate turns
+    the row into bytes, otherwise int() does, token by token.  The first bad
+    token in reading order is the one reported.
+    """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise GrcSyntaxError("empty document")
@@ -222,33 +282,42 @@ def parse(text: str) -> EdgeColoring:
         raise GrcSyntaxError("header must be 'grc 1 <n> <k>'")
     if head[1] != "1":
         raise GrcSyntaxError(f"unsupported format version {head[1]!r}")
+    if not (_decimal(head[2]) and _decimal(head[3])):
+        raise GrcSyntaxError("header n and k must be integers")
     try:
         n, k = int(head[2]), int(head[3])
-    except ValueError:
+    except ValueError:  # more digits than int() converts
         raise GrcSyntaxError("header n and k must be integers") from None
     if n < 1 or k < 1:
         raise GrcHeaderError(f"need n >= 1 and k >= 1, got n={n} k={k}")
+    _check_k(k)
     rows = list(lines[1:])
     while rows and not rows[-1].strip():
         rows.pop()
     if len(rows) != n - 1:
         raise GrcHeaderError(f"expected {n - 1} rows after the header, got {len(rows)}")
-    flat: list[int] = []
+    palette = bytes(range(1, k + 1))
+    chunks = []
     for i, row in enumerate(rows):
         toks = row.split()
         if len(toks) != n - 1 - i:
             raise GrcHeaderError(
                 f"row {i} should list {n - 1 - i} colors, got {len(toks)}"
             )
-        for t in toks:
+        digits = "".join(toks)
+        if not _decimal(digits):
+            _reject_row(toks, k, i)
+        if len(digits) == len(toks):
+            vals = digits.encode("ascii").translate(_DIGIT_VALUES)
+        else:
             try:
-                col = int(t)
-            except ValueError:
-                raise GrcSyntaxError(f"bad color token {t!r} in row {i}") from None
-            if not 1 <= col <= k:
-                raise ColorRangeError(f"color {col} outside 1..{k} in row {i}")
-            flat.append(col)
-    return EdgeColoring(n, k, tuple(flat))
+                vals = bytes(map(int, toks))
+            except ValueError:  # a value above 255
+                _reject_row(toks, k, i)
+        if vals.translate(None, palette):
+            _reject_row(toks, k, i)
+        chunks.append(vals)
+    return EdgeColoring(n, k, b"".join(chunks))
 
 
 def read_grc(path) -> EdgeColoring:

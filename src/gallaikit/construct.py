@@ -60,7 +60,7 @@ def mono_complete(n: int, color: int = 1, k: int | None = None) -> EdgeColoring:
         raise RangeViolationError(f"need color >= 1, got {color}")
     if k is None:
         k = color
-    return EdgeColoring(n, k, tuple(color for _ in range(n * (n - 1) // 2)))
+    return EdgeColoring(n, k, (color,) * (n * (n - 1) // 2))
 
 
 def base_pentagon(cycle_color: int, chord_color: int) -> EdgeColoring:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Mapping, Optional
 
-from .coloring import EdgeColoring
+from .coloring import EdgeColoring, row_bounds
 from .patterns import Pattern, TooLargeError, canonical_id, independence_number, resolve
 
 
@@ -114,18 +114,51 @@ class AvoidanceSpec:
         return cls.from_map({c: pattern_id for c in range(1, k + 1)}, require_gallai)
 
 
-def color_neighbor_masks(c: EdgeColoring) -> list[list[int]]:
-    """nbr[color][v] = bitmask of the vertices joined to v in that color."""
-    nbr = [[0] * c.n for _ in range(c.k + 1)]
-    for (i, j), col in c.items():
-        nbr[col][i] |= 1 << j
-        nbr[col][j] |= 1 << i
+def color_neighbor_masks(c: EdgeColoring) -> tuple[tuple[int, ...], ...]:
+    """nbr[color][v] = bitmask of the vertices joined to v in that color.
+
+    Built once per coloring and cached on it.  The rows are tuples, so every
+    caller (verify, the rainbow walk, the embedding search, gallai_partition,
+    reduced_coloring, the builders' certification) shares them read-only.
+    """
+    nbr = c.__dict__.get("_neighbor_masks")
+    if nbr is None:
+        nbr = _build_masks(c)
+        object.__setattr__(c, "_neighbor_masks", nbr)
     return nbr
 
 
-def _class_masks(c: EdgeColoring, nbr: list[list[int]], color: int) -> list[int]:
+def _build_masks(c: EdgeColoring) -> tuple[tuple[int, ...], ...]:
+    """The masks from c.buffer by way of an n x n byte matrix.
+
+    Row i of the matrix gets row i of the buffer right of the diagonal, and
+    each column is copied below it with one strided slice.  Reversed, the
+    matrix lists row v from vertex n-1 down to vertex 0, so translating the
+    bytes of color d to "1" and all others to "0" spells each mask in
+    binary for int(_, 2).  Color 0 (the diagonal) gets empty masks.
+    """
+    n = c.n
+    mat = bytearray(n * n)
+    for i, (start, stop) in enumerate(row_bounds(n)):
+        mat[i * n + i + 1:(i + 1) * n] = c.buffer[start:stop]
+    for j in range(1, n):
+        mat[j * n:j * n + j] = mat[j:j * n:n]
+    rev = mat[::-1]
+    del mat
+    zeros = b"0" * 256
+    nbr = [(0,) * n]
+    for d in range(1, c.k + 1):
+        bits = rev.translate(zeros[:d] + b"1" + zeros[d + 1:])
+        # row v of the matrix is rev[(n-1-v)*n : (n-v)*n], reversed
+        nbr.append(tuple(int(bits[(n - 1 - v) * n:(n - v) * n], 2) for v in range(n)))
+    return tuple(nbr)
+
+
+def _class_masks(
+    c: EdgeColoring, nbr: tuple[tuple[int, ...], ...], color: int
+) -> tuple[int, ...]:
     """One row of color_neighbor_masks; a color above c.k is an empty class."""
-    return nbr[color] if color <= c.k else [0] * c.n
+    return nbr[color] if color <= c.k else (0,) * c.n
 
 
 def _rainbow_row(

@@ -210,6 +210,34 @@ def brute_force_min_partitions(c: EdgeColoring) -> list[tuple[tuple[int, ...], .
     return sorted(best)
 
 
+def plain_masks(c: EdgeColoring) -> list[list[int]]:
+    """Per-color neighbor masks from one walk over c.items().
+
+    The library's former color_neighbor_masks, kept as its oracle.
+    """
+    nbr = [[0] * c.n for _ in range(c.k + 1)]
+    for (i, j), col in c.items():
+        nbr[col][i] |= 1 << j
+        nbr[col][j] |= 1 << i
+    return nbr
+
+
+def plain_blowup(base: EdgeColoring, parts) -> EdgeColoring:
+    """blowup by one color lookup per pair: the library's former loop."""
+    owner, local = [], []
+    for p_id, part in enumerate(parts):
+        owner.extend([p_id] * part.n)
+        local.extend(range(part.n))
+    out = []
+    for i, j in combinations(range(len(owner)), 2):
+        pi, pj = owner[i], owner[j]
+        if pi == pj:
+            out.append(parts[pi].color(local[i], local[j]))
+        else:
+            out.append(base.color(pi, pj))
+    return EdgeColoring(len(owner), max([base.k] + [p.k for p in parts]), tuple(out))
+
+
 def random_coloring(rng: random.Random, n: int, k: int) -> EdgeColoring:
     cmap = {}
     for i in range(n):
@@ -240,6 +268,33 @@ def random_gallai_blowup(rng: random.Random, n: int, k: int) -> EdgeColoring:
     base = make_coloring(t, k, base_map)
     parts = [random_gallai_blowup(rng, s, k) for s in sizes]
     return blowup(base, parts)
+
+
+def buffer_inputs() -> list[EdgeColoring]:
+    """Colorings for the byte-buffer differential tests.
+
+    50 random colorings (k up to 12, so rows with two-digit tokens occur),
+    20 random Gallai blow-ups, the h1 and h10 towers at k=4, and the edge
+    cases n=1, n=2, k=1, k=255 and a declared color that is never used.
+    """
+    from gallaikit.construct import build_lower
+
+    rng = random.Random(8)
+    cases = [random_coloring(rng, rng.randint(1, 30), rng.randint(1, 12))
+             for _ in range(50)]
+    cases += [random_gallai_blowup(rng, rng.randint(1, 60), rng.randint(1, 6))
+              for _ in range(20)]
+    cases += [build_lower("h1", 4, certify=False), build_lower("h10", 4, certify=False)]
+    cases += [
+        EdgeColoring(1, 1, ()),
+        EdgeColoring(1, 3, ()),
+        EdgeColoring(2, 1, (1,)),
+        EdgeColoring(2, 4, (4,)),
+        EdgeColoring(4, 1, (1,) * 6),
+        EdgeColoring(4, 3, (1, 3, 1, 3, 1, 3)),  # color 2 is never used
+        EdgeColoring(3, 255, (255, 1, 200)),
+    ]
+    return cases
 
 
 def recheck_partition(c: EdgeColoring, gp) -> None:

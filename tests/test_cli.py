@@ -277,6 +277,30 @@ def test_non_ascii_grc_is_domain_error(capsys, tmp_path):
         assert code == 2 and err.startswith("error:"), argv
 
 
+def test_non_decimal_grc_token_is_domain_error(capsys, tmp_path):
+    # int() would read this as the rainbow 1, 10, 2
+    path = tmp_path / "c.grc"
+    path.write_text("grc 1 3 10\n+1 1_0\n2\n", encoding="ascii")
+    for argv in (("verify", str(path), "--gallai"), ("partition", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "bad color token '+1'" in err, argv
+
+
+def test_more_than_255_colors_is_domain_error(capsys, tmp_path):
+    grc = tmp_path / "c.grc"
+    grc.write_text("grc 1 3 256\n1 1\n1\n", encoding="ascii")
+    code, _, err = run(capsys, "partition", str(grc))
+    assert code == 2 and "k=256 exceeds 255" in err
+    for k, want in ((255, 0), (256, 2)):
+        cnf, model = tmp_path / f"{k}.cnf", tmp_path / f"{k}.model"
+        cnf.write_text(f"p cnf {k} 1\n1 0\n", encoding="ascii")
+        model.write_text("SAT\n1 " + " ".join(str(-v) for v in range(2, k + 1)) + " 0\n",
+                         encoding="ascii")
+        code, _, _ = run(capsys, "decode", "--cnf", str(cnf), "--model", str(model),
+                         "--n", "2", "--k", str(k))
+        assert code == want, k
+
+
 def test_decode_non_ascii_model_is_domain_error(capsys, tmp_path):
     cnf = tmp_path / "f.cnf"
     main(["encode", "--n", "3", "--per-color", "k3,k3", "--out", str(cnf)])

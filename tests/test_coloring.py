@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_coloring
+from conftest import buffer_inputs, plain_blowup, random_coloring, random_gallai_blowup
 from gallaikit.coloring import (
     ArityMismatchError,
+    MAX_COLORS,
     ColorRangeError,
     DuplicateEdgeError,
+    EdgeColoring,
     GrcHeaderError,
     GrcSyntaxError,
     MissingEdgeError,
@@ -179,3 +181,87 @@ def test_relabel_rejects_collisions_and_gaps():
         relabel_colors(c, {1: 1, 2: 1}, 2)
     with pytest.raises(UnmappedColorError):
         relabel_colors(c, {1: 2}, 2)
+
+
+def test_buffer_round_trip_on_differential_inputs():
+    for c in buffer_inputs():
+        assert c.buffer == bytes(c.colors)
+        text = serialize(c)
+        back = parse(text)
+        assert back == c and back.buffer == c.buffer, (c.n, c.k)
+        assert serialize(back) == text
+
+
+def test_blowup_matches_per_pair_oracle():
+    from gallaikit.construct import base_pentagon
+
+    rng = random.Random(11)
+    for _ in range(60):
+        base = random_coloring(rng, rng.randint(1, 6), rng.randint(1, 4))
+        parts = [random_coloring(rng, rng.randint(1, 7), rng.randint(1, 6))
+                 for _ in range(base.n)]
+        got = blowup(base, parts)
+        assert got == plain_blowup(base, parts)
+        assert got.buffer == bytes(got.colors)
+    for c in buffer_inputs()[50:72]:
+        assert join(c, c, 7) == plain_blowup(EdgeColoring(2, 7, (7,)), [c, c])
+    parts = [random_gallai_blowup(rng, s, 3) for s in (1, 9, 4, 12, 2)]
+    for cycle, chord in ((1, 2), (9, 10)):
+        base = base_pentagon(cycle, chord)
+        assert blowup(base, parts) == plain_blowup(base, parts)
+
+
+@pytest.mark.parametrize("token", ["+1", "1_0", "\u0661", "-1", "1.0", "0x1", "\u00b2", "1e1"])
+def test_parse_accepts_only_ascii_decimal_color_tokens(token):
+    # int() reads several of these (+1 as 1, 1_0 as 10, an Arabic-Indic one as 1)
+    with pytest.raises(GrcSyntaxError):
+        parse(f"grc 1 3 10\n{token} 1\n2\n")
+    with pytest.raises(GrcSyntaxError):
+        parse(f"grc 1 3 10\n2 2\n{token}\n")
+    with pytest.raises(GrcSyntaxError):
+        parse(f"grc 1 {token} 10\n")
+
+
+def test_parse_reads_leading_zeros_and_two_digit_colors():
+    assert parse("grc 1 3 12\n01 12\n007\n").colors == (1, 12, 7)
+
+
+def test_parse_reports_the_first_bad_token_in_reading_order():
+    with pytest.raises(ColorRangeError, match="color 11 outside 1..10 in row 0"):
+        parse("grc 1 3 10\n11 x\n2\n")
+    with pytest.raises(GrcSyntaxError, match="'x' in row 0"):
+        parse("grc 1 3 10\nx 11\n2\n")
+    with pytest.raises(ColorRangeError, match="color 0 outside 1..10 in row 1"):
+        parse("grc 1 3 10\n1 1\n000\n")
+    with pytest.raises(ColorRangeError, match="color 256 outside 1..10"):
+        parse("grc 1 3 10\n1 256\n2\n")
+    with pytest.raises(ColorRangeError, match="outside 1..10"):
+        parse("grc 1 3 10\n1 " + "9" * 5000 + "\n2\n")
+
+
+def test_palette_is_capped_at_255_colors():
+    assert MAX_COLORS == 255
+    top = EdgeColoring(3, 255, (255, 1, 200))
+    assert parse(serialize(top)) == top
+    assert make_coloring(2, 255, {(0, 1): 255}).colors == (255,)
+    assert join(top, top, 255).k == 255
+    with pytest.raises(ColorRangeError, match="k=256 exceeds 255"):
+        EdgeColoring(2, 256, (1,))
+    with pytest.raises(ColorRangeError, match="k=256 exceeds 255"):
+        parse("grc 1 2 256\n1\n")
+    with pytest.raises(ColorRangeError):
+        make_coloring(2, 256, {(0, 1): 1})
+    with pytest.raises(ColorRangeError):
+        join(top, top, 256)
+    with pytest.raises(ColorRangeError):
+        relabel_colors(top, {1: 1, 200: 2, 255: 3}, 256)
+
+
+def test_edge_coloring_range_check_names_the_first_bad_color():
+    for colors, bad in (((1, 5, 0), "5"), ((1, 0, 5), "0"), ((300, 1, 1), "300"),
+                        ((1, -1, 1), "-1"), ((1, 1.5, 1), "1.5")):
+        with pytest.raises(ColorRangeError, match=f"color {bad} outside 1..4"):
+            EdgeColoring(3, 4, colors)
+    c = EdgeColoring(3, 4, b"\x01\x04\x02")
+    assert c.colors == (1, 4, 2) and type(c.colors) is tuple
+    assert c == EdgeColoring(3, 4, [1, 4, 2])

@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    buffer_inputs,
     naive_images,
     naive_mono,
     naive_rainbow,
     plain_embed,
+    plain_masks,
     plant_rainbow,
     random_coloring,
     random_gallai_blowup,
@@ -20,6 +22,7 @@ from gallaikit.decompose import (
     DecompositionInvariantError,
     RainbowTriangleError,
     gallai_partition,
+    reduced_coloring,
 )
 from gallaikit.detect import (
     AvoidanceSpec,
@@ -292,3 +295,33 @@ def test_kernel_bounds_tower_search_work():
     # the twins a copy uses are independent in the pattern: alpha(h1) = 2,
     # where a cap of m = 5 per class took 36900 nodes
     assert rep.stats.embedding_nodes < 10_000
+
+
+def test_masks_match_plain_loop():
+    for c in buffer_inputs():
+        got = detect.color_neighbor_masks(c)
+        assert [list(row) for row in got] == plain_masks(c), (c.n, c.k)
+
+
+def test_masks_are_built_once_per_coloring(monkeypatch):
+    builds = []
+    build = detect._build_masks
+    monkeypatch.setattr(detect, "_build_masks", lambda c: builds.append(c.n) or build(c))
+    c = random_gallai_blowup(random.Random(5), 40, 4)
+    verify(c, AvoidanceSpec.forbid_all("h1", c.k))
+    reduced_coloring(c, gallai_partition(c))
+    assert builds == [40]
+    # an equal coloring is another instance and builds its own
+    detect.color_neighbor_masks(EdgeColoring(c.n, c.k, c.colors))
+    assert builds == [40, 40]
+
+
+def test_cached_masks_are_read_only_and_survive_verify():
+    c = build_lower("h1", 4, certify=False)
+    first = detect.color_neighbor_masks(c)
+    assert type(first) is tuple and all(type(row) is tuple for row in first)
+    verify(c, AvoidanceSpec.forbid_all("h1", c.k))
+    find_rainbow_triangle(c)
+    again = detect.color_neighbor_masks(c)
+    assert again is first
+    assert [list(row) for row in again] == plain_masks(c)
