@@ -84,16 +84,15 @@ def encode_cnf(problem: SearchProblem) -> CnfDocument:
             eyz = edge_index(n, y, z)
             for c1, c2, c3 in permutations(range(1, k + 1), 3):
                 clauses.append((-var(exy, c1), -var(exz, c2), -var(eyz, c3)))
+    # each distinct pattern's images, as edge indices, enumerated once
+    images: dict[str, list[list[int]]] = {}
+    for pid in dict.fromkeys(problem.per_color):
+        if pid is not None and resolve(pid).m <= n:
+            images[pid] = [[edge_index(n, i, j) for i, j in image]
+                           for image in enumerate_pattern_images(resolve(pid), n)]
     for color, pid in enumerate(problem.per_color, start=1):
-        if pid is None:
-            continue
-        pattern = resolve(pid)
-        if pattern.m > n:
-            continue
-        for image in enumerate_pattern_images(pattern, n):
-            clauses.append(
-                tuple(-var(edge_index(n, i, j), color) for i, j in image)
-            )
+        for edges in images.get(pid, ()):
+            clauses.append(tuple(-var(e, color) for e in edges))
     return CnfDocument(n, k, e_total * k, tuple(clauses))
 
 

@@ -9,11 +9,12 @@ Each coloring keeps that upper triangle twice: as the public tuple colors
 and as one bytes buffer, one byte per edge in the same order.  The layers
 that touch every edge work on the buffer in C rather than loop over the
 tuple in Python: the color range check, parse (which builds the buffer from
-the row text), blowup (which assembles rows from buffer slices) and the
-per-color neighbor masks in detect (built once per coloring from an n x n
-byte matrix and cached on it).  A byte caps the palette: k is at most
-MAX_COLORS = 255, and a larger k raises ColorRangeError everywhere a
-coloring is made (parse, EdgeColoring(...), the CNF decoder).
+the row text), serialize (which translates buffer rows back to text), blowup
+(which assembles rows from buffer slices) and the per-color neighbor masks
+in detect (built once per coloring from an n x n byte matrix and cached on
+it).  A byte caps the palette: k is at most MAX_COLORS = 255, and a larger k
+raises ColorRangeError everywhere a coloring is made (parse,
+EdgeColoring(...), the CNF decoder).
 
 The text format ("grc") mirrors that layout.  Line 1 is the header
 ``grc 1 <n> <k>``; line i+1 (for i = 0 .. n-2) lists the colors of the edges
@@ -239,11 +240,20 @@ def relabel_colors(
     return EdgeColoring(c.n, new_k, tuple(lookup[x] for x in c.colors))
 
 
+# str.translate table: code point v (a color byte read as latin-1) -> "v "
+_COLOR_WORDS = tuple(f"{v} " for v in range(MAX_COLORS + 1))
+
+
 def serialize(c: EdgeColoring) -> str:
-    """Canonical grc text: header, then one row per leading vertex."""
+    """Canonical grc text: header, then one row per leading vertex.
+
+    Each row is its slice of the buffer read as latin-1 (one code point per
+    color) and translated to decimal words, whatever k is.
+    """
     lines = [f"grc 1 {c.n} {c.k}"]
+    buf = c.buffer
     for start, stop in islice(row_bounds(c.n), c.n - 1):
-        lines.append(" ".join(map(str, c.colors[start:stop])))
+        lines.append(buf[start:stop].decode("latin-1").translate(_COLOR_WORDS)[:-1])
     return "\n".join(lines) + "\n"
 
 

@@ -8,7 +8,7 @@ library is evidence, not circularity.
 import random
 from itertools import combinations, permutations
 
-from gallaikit.coloring import EdgeColoring, make_coloring
+from gallaikit.coloring import EdgeColoring, edge_index, make_coloring
 
 
 def naive_mono(c: EdgeColoring, pattern, color: int) -> bool:
@@ -238,6 +238,15 @@ def plain_blowup(base: EdgeColoring, parts) -> EdgeColoring:
     return EdgeColoring(len(owner), max([base.k] + [p.k for p in parts]), tuple(out))
 
 
+def plain_serialize(c: EdgeColoring) -> str:
+    """serialize by str() on every color of the tuple: the library's former loop."""
+    lines = [f"grc 1 {c.n} {c.k}"]
+    for i in range(c.n - 1):
+        start = edge_index(c.n, i, i + 1)
+        lines.append(" ".join(map(str, c.colors[start:start + c.n - 1 - i])))
+    return "\n".join(lines) + "\n"
+
+
 def random_coloring(rng: random.Random, n: int, k: int) -> EdgeColoring:
     cmap = {}
     for i in range(n):
@@ -324,3 +333,81 @@ def plant_rainbow(rng: random.Random, c: EdgeColoring) -> EdgeColoring:
     cmap = {pair: col for pair, col in c.items()}
     cmap[(u, v)], cmap[(u, w)], cmap[(v, w)] = chosen
     return make_coloring(c.n, c.k, cmap)
+
+
+def plain_exhaustive_check(problem, max_nodes: int | None = None):
+    """search.exhaustive_check with the completion test as a list scan.
+
+    The library's former DFS, kept as its oracle: per (edge, color) a plain
+    list of completion masks, built from naive_images with inline edge
+    indices, and at every node a Python loop asking whether some mask lies
+    inside the color's edge set.  Same edge and color order, same first-edge
+    pin and same node counting, so kind, nodes_explored, symmetry_reduced,
+    the witness and the node at which max_nodes cuts off must all agree.
+    """
+    from gallaikit.patterns import resolve
+    from gallaikit.search import (
+        EXHAUST_BUDGET,
+        ScopeExceededError,
+        SearchOutcome,
+    )
+
+    n, k = problem.n, problem.k
+    e_total = n * (n - 1) // 2
+
+    def idx(u, v):
+        return u * (2 * n - u - 1) // 2 + (v - u - 1)
+
+    if problem.mode == "exhaust" and k**e_total > EXHAUST_BUDGET:
+        raise ScopeExceededError(f"{k}^{e_total} states exceeds the enumeration budget")
+    symmetric = k >= 2 and len(set(problem.per_color)) == 1
+    if e_total == 0:
+        return SearchOutcome("witness", EdgeColoring(n, k, ()), 0, False)
+    mono = [[[] for _ in range(k + 1)] for _ in range(e_total)]
+    for color, pid in enumerate(problem.per_color, start=1):
+        if pid is None:
+            continue
+        for image in naive_images(resolve(pid), n):
+            mask = 0
+            for i, j in image:
+                mask |= 1 << idx(i, j)
+            top = mask.bit_length() - 1
+            mono[top][color].append(mask ^ (1 << top))
+    tri = [[] for _ in range(e_total)]
+    if problem.require_gallai and k >= 3:
+        for y, z in combinations(range(n), 2):
+            for x in range(y):
+                tri[idx(y, z)].append((idx(x, y), idx(x, z)))
+
+    choice = [0] * e_total
+    col_mask = [0] * (k + 1)
+    pos = nodes = 0
+    while True:
+        if choice[pos]:
+            col_mask[choice[pos]] ^= 1 << pos
+        limit = 1 if pos == 0 and symmetric else k
+        color = choice[pos] + 1
+        while color <= limit:
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                raise ScopeExceededError(f"node budget {max_nodes} exhausted")
+            cm = col_mask[color]
+            ok = not any(rem & cm == rem for rem in mono[pos][color]) and not any(
+                choice[e1] != choice[e2] and color not in (choice[e1], choice[e2])
+                for e1, e2 in tri[pos]
+            )
+            if ok:
+                break
+            color += 1
+        if color <= limit:
+            choice[pos] = color
+            col_mask[color] |= 1 << pos
+            pos += 1
+            if pos == e_total:
+                witness = EdgeColoring(n, k, tuple(choice))
+                return SearchOutcome("witness", witness, nodes, symmetric)
+            continue
+        choice[pos] = 0
+        pos -= 1
+        if pos < 0:
+            return SearchOutcome("exhausted", None, nodes, symmetric)

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import buffer_inputs, plain_blowup, random_coloring, random_gallai_blowup
+from conftest import (
+    buffer_inputs,
+    plain_blowup,
+    plain_serialize,
+    random_coloring,
+    random_gallai_blowup,
+)
 from gallaikit.coloring import (
     ArityMismatchError,
     MAX_COLORS,
@@ -88,7 +94,7 @@ def test_parse_serialize_round_trip(n, data):
     )
     c = make_coloring(n, k, dict(zip(edge_list(n), colors)))
     text = serialize(c)
-    # serialize slices rows out of the flat tuple; the per-pair loop is the oracle
+    # serialize translates rows of the buffer; the per-pair loop is the oracle
     rows = [" ".join(str(c.color(i, j)) for j in range(i + 1, n)) for i in range(n - 1)]
     assert text == "\n".join([f"grc 1 {n} {k}", *rows]) + "\n"
     back = parse(text)
@@ -190,6 +196,21 @@ def test_buffer_round_trip_on_differential_inputs():
         back = parse(text)
         assert back == c and back.buffer == c.buffer, (c.n, c.k)
         assert serialize(back) == text
+
+
+def test_serialize_matches_str_join_oracle():
+    # one translate table serves every k: one-digit, two-digit and three-digit
+    # colors, alone or mixed in a row
+    rng = random.Random(12)
+    for k in (1, 2, 9, 10, 255):
+        for n in (1, 2, 3, 7, 40):
+            m = edge_count(n)
+            colors = [rng.randint(1, k) for _ in range(m)]
+            colors[: min(m, 2)] = [k, 1][: min(m, 2)]
+            c = EdgeColoring(n, k, tuple(colors))
+            assert serialize(c) == plain_serialize(c), (n, k)
+    for c in buffer_inputs():
+        assert serialize(c) == plain_serialize(c), (c.n, c.k)
 
 
 def test_blowup_matches_per_pair_oracle():

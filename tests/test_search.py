@@ -2,8 +2,10 @@ from itertools import product
 
 import pytest
 
+from conftest import plain_exhaustive_check
 from gallaikit.coloring import edge_count, edge_list, make_coloring
 from gallaikit.detect import AvoidanceSpec, verify
+from gallaikit.patterns import catalog
 from gallaikit.search import (
     ScopeExceededError,
     SearchProblem,
@@ -122,3 +124,85 @@ def test_symmetry_reduction_recorded_only_when_identical():
     asym = exhaustive_check(SearchProblem(4, ("k3", "path(3)"), mode="exhaust"))
     assert sym.symmetry_reduced
     assert not asym.symmetry_reduced
+
+
+def _outcome(search, problem, max_nodes):
+    try:
+        out = search(problem, max_nodes=max_nodes)
+    except ScopeExceededError:
+        return "scope exceeded"
+    return out.kind, out.nodes_explored, out.symmetry_reduced, out.witness
+
+
+def _same(problem, max_nodes=None):
+    """The library's outcome, asserted equal to the list-scan oracle's."""
+    got = _outcome(exhaustive_check, problem, max_nodes)
+    assert got == _outcome(plain_exhaustive_check, problem, max_nodes), problem
+    return got
+
+
+def test_transposed_check_matches_list_scan_two_colors():
+    # every catalog id and kipas(2..4), both colors forbidding it, n <= 8
+    ids = [pid for pid, _ in catalog()] + ["kipas(2)", "kipas(3)", "kipas(4)"]
+    kinds = {_same(SearchProblem(n, (pid, pid)))[0] for pid in ids for n in range(2, 9)}
+    assert kinds == {"witness", "exhausted"}
+
+
+def test_transposed_check_matches_list_scan_mixed_and_gallai():
+    # None slots, a one-edge pattern (its completion mask is empty), different
+    # patterns per color, and k = 3 with the rainbow-triangle check; exhaust
+    # mode also compares the state budget guard (3^15 > 2^21 refuses n=6)
+    cases = [
+        (n, per_color, False)
+        for n in range(2, 8)
+        for per_color in [(None, "h1"), ("kipas(3)", None), ("path(2)", "k3"),
+                          ("path(3)", "kipas(4)"), ("h10", None, "k3")]
+    ]
+    cases += [
+        (n, per_color, True)
+        for n in range(3, 8)
+        for per_color in [("k3", "k3", "k3"), ("h10", "h10", "h10"),
+                          ("path(3)", None, "kipas(3)"), (None, None, None)]
+    ]
+    seen = set()
+    for n, per_color, gallai in cases:
+        for mode in ("first", "exhaust"):
+            got = _same(SearchProblem(n, per_color, require_gallai=gallai, mode=mode))
+            seen.add(got if got == "scope exceeded" else got[0])
+    assert seen == {"witness", "exhausted", "scope exceeded"}
+
+
+def test_max_nodes_cuts_off_at_the_same_node():
+    for problem in [SearchProblem(7, ("h10", "h10"), mode="exhaust"),
+                    SearchProblem(6, ("k3", "k3", "k3"), require_gallai=True)]:
+        full = _same(problem)[1]
+        assert _same(problem, max_nodes=full)[1] == full
+        for budget in (0, 1, full // 3, full - 1):
+            assert _same(problem, max_nodes=budget) == "scope exceeded"
+
+
+KIPAS4_N9 = (1, 1, 1, 1, 1, 2, 2, 2, 1, 1, 2, 2, 1, 2, 2, 2, 2, 2,
+             2, 1, 1, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 1)
+H5_N9 = (1, 1, 1, 1, 2, 2, 2, 2, 1, 2, 2, 1, 1, 2, 2, 2, 2, 2,
+         2, 1, 1, 1, 1, 2, 1, 2, 2, 1, 2, 1, 1, 1, 2, 2, 1, 1)
+
+
+def test_anchor_traversals_pinned():
+    # the searches of the benchmark's anchors workload: node counts and the
+    # witnesses are the lexicographic DFS's, whatever its completion test
+    pins = [
+        ("h1", 9, "first", 221129, None),
+        ("h2", 9, "first", 71917, None),
+        ("h3", 9, "first", 72869, None),
+        ("kipas(4)", 9, "first", 221234, KIPAS4_N9),
+        ("h5", 9, "first", 160068, H5_N9),
+        ("h10", 7, "exhaust", 12595, None),
+        ("k3", 6, "exhaust", 987, None),
+    ]
+    for pid, n, mode, nodes, colors in pins:
+        out = exhaustive_check(SearchProblem(n, (pid, pid), mode=mode))
+        assert out.nodes_explored == nodes, pid
+        assert out.symmetry_reduced
+        assert out.kind == ("witness" if colors else "exhausted"), pid
+        if colors:
+            assert out.witness.colors == colors
