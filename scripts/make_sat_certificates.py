@@ -24,7 +24,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gallaikit.cnf import decode_assignment, encode_cnf, parse_model
-from gallaikit.detect import AvoidanceSpec, verify
+from gallaikit.detect import verify
 from gallaikit.search import SearchProblem
 
 SOLVERS = ("kissat", "cadical", "cryptominisat5", "minisat", "glucose")
@@ -95,10 +95,7 @@ def main() -> int:
             got = "sat"
             model = parse_model(outcome[4:])
             c = decode_assignment(doc, model)
-            per_color = {
-                i + 1: pid for i, pid in enumerate(problem.per_color) if pid is not None
-            }
-            rep = verify(c, AvoidanceSpec.from_map(per_color, problem.require_gallai))
+            rep = verify(c, problem.spec)
             if not rep.passed:
                 print(f"{name}: solver model FAILED re-verification", file=sys.stderr)
                 failures += 1

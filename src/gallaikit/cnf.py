@@ -3,8 +3,10 @@
 Variable v(e, c) = e*k + c for 0-based lexicographic edge index e and color
 c in 1..k, so variables run 1..E*k.  Clause groups, in emission order:
 one-color-at-least per edge, one-color-at-most per edge, rainbow-triangle
-blockers (ordered color triples), and one all-negative clause per
-monochromatic pattern image.
+blockers (ordered color triples per SearchProblem.rainbow_triangles entry),
+and, color by color, one all-negative clause per image in
+SearchProblem.forbidden_images.  The search compiles its tables from the
+same two lists, so both engines see one constraint set.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from itertools import combinations, permutations
 from typing import Iterable, Optional
 
 from .coloring import EdgeColoring, edge_count, edge_index, edge_list
-from .detect import enumerate_pattern_images
-from .patterns import resolve
 from .search import SearchProblem
 
 
@@ -77,21 +77,12 @@ def encode_cnf(problem: SearchProblem) -> CnfDocument:
     for e in range(e_total):
         for c1, c2 in combinations(range(1, k + 1), 2):
             clauses.append((-var(e, c1), -var(e, c2)))
-    if problem.require_gallai and k >= 3:
-        for x, y, z in combinations(range(n), 3):
-            exy = edge_index(n, x, y)
-            exz = edge_index(n, x, z)
-            eyz = edge_index(n, y, z)
-            for c1, c2, c3 in permutations(range(1, k + 1), 3):
-                clauses.append((-var(exy, c1), -var(exz, c2), -var(eyz, c3)))
-    # each distinct pattern's images, as edge indices, enumerated once
-    images: dict[str, list[list[int]]] = {}
-    for pid in dict.fromkeys(problem.per_color):
-        if pid is not None and resolve(pid).m <= n:
-            images[pid] = [[edge_index(n, i, j) for i, j in image]
-                           for image in enumerate_pattern_images(resolve(pid), n)]
-    for color, pid in enumerate(problem.per_color, start=1):
-        for edges in images.get(pid, ()):
+    for exy, exz, eyz in problem.rainbow_triangles():
+        for c1, c2, c3 in permutations(range(1, k + 1), 3):
+            clauses.append((-var(exy, c1), -var(exz, c2), -var(eyz, c3)))
+    images = {c: imgs for colors, imgs in problem.forbidden_images() for c in colors}
+    for color in range(1, k + 1):
+        for edges in images.get(color, ()):
             clauses.append(tuple(-var(e, color) for e in edges))
     return CnfDocument(n, k, e_total * k, tuple(clauses))
 

@@ -46,7 +46,8 @@ is what keeps certifying them cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
+from math import comb
 from typing import Mapping, Optional
 
 from .coloring import EdgeColoring, row_bounds
@@ -494,28 +495,41 @@ def verify(c: EdgeColoring, spec: AvoidanceSpec) -> VerificationReport:
     )
 
 
+IMAGE_BUDGET = 1 << 19  # every five-vertex pattern up to n=16, kipas(5) at n=12
+
+
 def enumerate_pattern_images(pattern: Pattern, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Every distinct edge set an injective copy of pattern can occupy in K_n.
 
     The pattern's non-isolated vertices, relabelled 0..m'-1, give one edge
-    set per coset of its automorphism group (all m'! permutations, once per
-    call); each is then placed on every m'-subset of range(n) in increasing
-    order.  Without isolated vertices an image spans exactly its subset, so
-    images on different subsets never collide and nothing is deduplicated
-    across subsets.  Isolated vertices only need room: pattern.m <= n.
-    Sorted, so the CNF clause order is fixed.  Capped at n <= 16.
+    set (shape) per coset of its automorphism group, grown as the orbit
+    under the transpositions (t-1 t); each is placed on every m'-subset of
+    range(n) in increasing order.  Without isolated vertices an image spans
+    exactly its subset, so images on different subsets never collide.
+    Isolated vertices only need room: pattern.m <= n.  Sorted, so the CNF
+    clause order is fixed.  Once |shapes| * C(n, m') exceeds IMAGE_BUDGET the
+    orbit stops and TooLargeError names that count (a lower bound) and the
+    budget, before any image is built.
     """
-    if n > 16:
-        raise TooLargeError(f"image enumeration capped at n=16, got {n}")
     if pattern.m > n:
         return ()
     spine = sorted({v for e in pattern.edges for v in e})
     pos = {v: t for t, v in enumerate(spine)}
-    edges = [(pos[a], pos[b]) for a, b in pattern.edges]
-    shapes = {
-        frozenset((min(per[a], per[b]), max(per[a], per[b])) for a, b in edges)
-        for per in permutations(range(len(spine)))
-    }
+    subsets = comb(n, len(spine))
+    swaps = [(*range(t - 1), t, t - 1, *range(t + 1, len(spine))) for t in range(1, len(spine))]
+    todo = [frozenset((pos[a], pos[b]) for a, b in pattern.edges)]
+    shapes = set(todo)
+    while todo and len(shapes) * subsets <= IMAGE_BUDGET:
+        shape = todo.pop()
+        for per in swaps:  # in a fixed order, so the count at a stop is too
+            moved = frozenset((min(per[a], per[b]), max(per[a], per[b])) for a, b in shape)
+            if moved not in shapes:
+                shapes.add(moved)
+                todo.append(moved)
+    count = len(shapes) * subsets
+    if count > IMAGE_BUDGET:
+        raise TooLargeError(f"{pattern.label} on {n} vertices has at least {count} images, "
+                            f"over the image budget of {IMAGE_BUDGET}")
     return tuple(sorted(
         tuple(sorted((sub[a], sub[b]) for a, b in shape))
         for sub in combinations(range(n), len(spine))

@@ -3,7 +3,9 @@
 Edges are assigned in lexicographic order, colors in increasing order, so
 the first witness found is the lexicographically least valid coloring.
 Pruning is incremental: coloring an edge only re-checks pattern images and
-triangles whose last edge (in assignment order) is that edge.
+triangles whose last edge (in assignment order) is that edge.  Both this
+search and cnf.encode_cnf read the images and triangles from one compile
+step, SearchProblem.forbidden_images() and rainbow_triangles().
 
 The image check is bit-parallel.  _completion_tables stores the completion
 masks of each (edge, color) transposed, one int per earlier edge with one
@@ -16,9 +18,10 @@ the masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
-from .coloring import EdgeColoring, edge_count, edge_index, edge_list
+from .coloring import EdgeColoring, edge_count, edge_index
 from .detect import AvoidanceSpec, enumerate_pattern_images, verify
 from .patterns import canonical_id, resolve
 
@@ -50,17 +53,38 @@ class SearchProblem:
             raise SearchError("per_color must list at least one color")
         if self.mode not in ("first", "exhaust"):
             raise SearchError(f"mode must be first or exhaust, got {self.mode!r}")
-        canon = tuple(
-            None if pid is None else canonical_id(pid) for pid in self.per_color
-        )
-        for pid in canon:
-            if pid is not None:
-                resolve(pid)
+        canon = tuple(None if pid is None else canonical_id(pid) for pid in self.per_color)
         object.__setattr__(self, "per_color", canon)
 
     @property
     def k(self) -> int:
         return len(self.per_color)
+
+    @property
+    def spec(self) -> AvoidanceSpec:
+        """What verify checks a witness against; None slots forbid nothing."""
+        return AvoidanceSpec.from_map(dict(enumerate(self.per_color, 1)), self.require_gallai)
+
+    def forbidden_images(self) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+        """(colors, images) per distinct forbidden pattern, in first-use order:
+        the colors that forbid it and its images as edge-index tuples, which
+        are ascending (image pairs are sorted and edge_index is monotone)."""
+        n, per_color = self.n, self.per_color
+        return [
+            (tuple(c for c, other in enumerate(per_color, start=1) if other == pid),
+             [tuple(edge_index(n, i, j) for i, j in image)
+              for image in enumerate_pattern_images(resolve(pid), n)])
+            for pid in dict.fromkeys(per_color) if pid is not None
+        ]
+
+    def rainbow_triangles(self) -> list[tuple[int, int, int]]:
+        """(xy, xz, yz) edge indices of every triangle x < y < z, in combinations
+        order, when rainbow triangles are forbidden (require_gallai, k >= 3)."""
+        if not (self.require_gallai and self.k >= 3):
+            return []
+        n = self.n
+        return [(edge_index(n, x, y), edge_index(n, x, z), edge_index(n, y, z))
+                for x, y, z in combinations(range(n), 3)]
 
 
 @dataclass(frozen=True)
@@ -82,28 +106,17 @@ def _completion_tables(
     takes color c.  Number them t = 0..T-1 in image order; bit t of
     alive = 2^T - 1 stands for mask t.  cols holds (1 << d, nb) for every
     earlier edge d in some mask, in increasing d; bit t of nb is set iff
-    mask t does not contain d.  Images are enumerated once per distinct
-    pattern, and colors that forbid the same pattern share its entries.
+    mask t does not contain d.  Colors that forbid the same pattern share
+    its entries.
     """
-    n, k = problem.n, problem.k
-    e_total = edge_count(n)
     table: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [
-        [(0, ())] * (k + 1) for _ in range(e_total)
+        [(0, ())] * (problem.k + 1) for _ in range(edge_count(problem.n))
     ]
-    for pid in dict.fromkeys(problem.per_color):
-        if pid is None:
-            continue
-        pattern = resolve(pid)
-        if pattern.m > n:
-            continue
+    for colors, images in problem.forbidden_images():
         # groups[e] = the earlier edges of each image whose last edge is e
-        groups: list[list[list[int]]] = [[] for _ in range(e_total)]
-        for image in enumerate_pattern_images(pattern, n):
-            idx = sorted(edge_index(n, i, j) for i, j in image)
-            groups[idx[-1]].append(idx[:-1])
-        colors = [
-            c for c, other in enumerate(problem.per_color, start=1) if other == pid
-        ]
+        groups: list[list[tuple[int, ...]]] = [[] for _ in table]
+        for image in images:
+            groups[image[-1]].append(image[:-1])
         for pos, group in enumerate(groups):
             if not group:
                 continue
@@ -116,20 +129,6 @@ def _completion_tables(
             for color in colors:
                 table[pos][color] = entry
     return table
-
-
-def _triangle_tables(n: int) -> list[list[tuple[int, int]]]:
-    """tri[e] = (earlier, earlier) edge index pairs closing a triangle at e."""
-    tri: list[list[tuple[int, int]]] = [[] for _ in range(edge_count(n))]
-    for pos, (y, z) in enumerate(edge_list(n)):
-        for x in range(y):
-            tri[pos].append((edge_index(n, x, y), edge_index(n, x, z)))
-    return tri
-
-
-def _spec_of(problem: SearchProblem) -> AvoidanceSpec:
-    per = {c: pid for c, pid in enumerate(problem.per_color, start=1)}
-    return AvoidanceSpec.from_map(per, require_gallai=problem.require_gallai)
 
 
 def exhaustive_check(
@@ -154,24 +153,20 @@ def exhaustive_check(
         witness = EdgeColoring(n, k, ())
         return SearchOutcome("witness", witness, 0, False)
     mono = _completion_tables(problem)
-    tri = (
-        _triangle_tables(n)
-        if problem.require_gallai and k >= 3
-        else [[] for _ in range(e_total)]
-    )
+    # tri[e] = the two earlier edges of each triangle whose last edge is e
+    tri: list[list[tuple[int, int]]] = [[] for _ in range(e_total)]
+    for xy, xz, yz in problem.rainbow_triangles():
+        tri[yz].append((xy, xz))
 
-    choice = [0] * e_total
-    placed = [False] * e_total
+    choice = [0] * e_total  # 0 = not placed
     col_mask = [0] * (k + 1)
     pos = 0
     nodes = 0
     while True:
-        if placed[pos]:
+        if choice[pos]:
             col_mask[choice[pos]] ^= 1 << pos
-            placed[pos] = False
         limit = 1 if pos == 0 and symmetric else k
         color = choice[pos] + 1
-        advanced = False
         while color <= limit:
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
@@ -192,17 +187,15 @@ def exhaustive_check(
                         ok = False
                         break
             if ok:
-                choice[pos] = color
-                col_mask[color] = cm | (1 << pos)
-                placed[pos] = True
-                advanced = True
                 break
             color += 1
-        if advanced:
+        if color <= limit:
+            choice[pos] = color
+            col_mask[color] = cm | (1 << pos)
             pos += 1
             if pos == e_total:
                 witness = EdgeColoring(n, k, tuple(choice))
-                report = verify(witness, _spec_of(problem))
+                report = verify(witness, problem.spec)
                 if not report.passed:
                     raise SearchError("witness failed its own certification")
                 return SearchOutcome("witness", witness, nodes, symmetric)

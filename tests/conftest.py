@@ -99,6 +99,36 @@ def naive_images(pattern, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(sorted(tuple(sorted(img)) for img in seen))
 
 
+def plain_cnf_clauses(problem) -> tuple[tuple[int, ...], ...]:
+    """cnf.encode_cnf's clause tuple, order included, from plain loops.
+
+    Images come from naive_images and edge indices from inline arithmetic,
+    so neither the library's image enumeration nor its compiled problem is
+    used; only the pattern ids are resolved through the catalog.
+    """
+    from gallaikit.patterns import resolve
+
+    n, k = problem.n, len(problem.per_color)
+
+    def var(u, v, c):
+        return (u * (2 * n - u - 1) // 2 + (v - u - 1)) * k + c
+
+    colors = range(1, k + 1)
+    edges = list(combinations(range(n), 2))
+    clauses = [tuple(var(u, v, c) for c in colors) for u, v in edges]
+    clauses += [(-var(u, v, c1), -var(u, v, c2))
+                for u, v in edges for c1, c2 in combinations(colors, 2)]
+    if problem.require_gallai and k >= 3:
+        clauses += [(-var(x, y, c1), -var(x, z, c2), -var(y, z, c3))
+                    for x, y, z in combinations(range(n), 3)
+                    for c1, c2, c3 in permutations(colors, 3)]
+    for color, pid in enumerate(problem.per_color, start=1):
+        if pid is not None:
+            clauses += [tuple(-var(u, v, color) for u, v in image)
+                        for image in naive_images(resolve(pid), n)]
+    return tuple(clauses)
+
+
 def naive_rainbow(c: EdgeColoring) -> tuple[int, int, int] | None:
     """First triangle wearing three distinct colors, scanning lexicographically."""
     for u, v, w in combinations(range(c.n), 3):

@@ -152,6 +152,17 @@ def test_r2_against_the_rule_is_domain_error(capsys, tmp_path, argv, named):
     assert not out_path.exists()
 
 
+def test_build_over_the_image_budget_fails_closed(capsys, tmp_path):
+    # kipas(6) has no seed, so build searches K_12 for it: 2520 * C(12, 7)
+    # images are refused before any is built, and no file is written
+    out_path = tmp_path / "k6.grc"
+    code, out, err = run(capsys, "build", "--target", "kipas(6)", "--k", "2",
+                         "--r2", "13", "--out", str(out_path))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "524288" in err
+    assert not out_path.exists()
+
+
 def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)

@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import random_coloring
+from conftest import plain_cnf_clauses, random_coloring
 from gallaikit.cnf import (
     CnfDocument,
     CnfError,
@@ -69,6 +69,21 @@ def test_clause_counts_match_independent_formulas():
         k = len(per_color)
         assert doc.num_vars == edge_count(n) * k
         assert len(doc.clauses) == expected_counts(n, k, per_color, gallai), (n, per_color)
+
+
+def test_clauses_match_plain_encoder_exactly():
+    # every clause, literal order and clause order included, against the
+    # plain-loop oracle: two equal fans, Gallai k=3, a None slot between two
+    # different patterns, a one-edge pattern, and a pattern larger than n
+    cases = [
+        SearchProblem(9, ("kipas(4)", "kipas(4)")),
+        SearchProblem(8, ("h10", "h10", "h10"), require_gallai=True),
+        SearchProblem(7, ("h1", None, "path(3)"), require_gallai=True),
+        SearchProblem(3, ("path(2)", "path(2)")),
+        SearchProblem(4, ("kipas(4)", "k3")),
+    ]
+    for problem in cases:
+        assert encode_cnf(problem).clauses == plain_cnf_clauses(problem), problem
 
 
 def test_var_numbering_is_edge_major():

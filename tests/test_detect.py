@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,7 @@ from gallaikit.detect import (
     find_rainbow_triangle,
     verify,
 )
-from gallaikit.patterns import catalog, make_pattern, resolve
+from gallaikit.patterns import TooLargeError, catalog, make_pattern, resolve
 
 
 def test_rainbow_found_on_rainbow_k3():
@@ -235,6 +236,24 @@ def test_enumerate_images_matches_brute_force_oracle():
     for p in patterns:
         for n in range(1, 10):
             assert enumerate_pattern_images(p, n) == naive_images(p, n), (p.label, n)
+
+
+def test_image_budget_fails_closed_before_building():
+    # |shapes| * C(n, m') over 2^19 raises at once, naming count and budget:
+    # kipas(6) at n=12 has 2520 * 792 images, path(7) at n=16 2520 * 11440
+    for pid, n in (("kipas(6)", 12), ("path(7)", 16), ("kipas(6)", 11)):
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError, match=r"\d+ images, over the image budget of 524288"):
+            enumerate_pattern_images(resolve(pid), n)
+        assert time.perf_counter() - start < 1.0, pid
+    # one shape on C(1025, 2) = 524800 subsets
+    with pytest.raises(TooLargeError, match=r"at least 524800 images"):
+        enumerate_pattern_images(resolve("path(2)"), 1025)
+    # a 16-vertex path's orbit stops growing at the budget, not at 16!/2
+    with pytest.raises(TooLargeError):
+        enumerate_pattern_images(resolve("path(16)"), 17)
+    # and a clique's orbit is the clique itself
+    assert len(enumerate_pattern_images(resolve("complete(16)"), 16)) == 1
 
 
 @settings(max_examples=40)

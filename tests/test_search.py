@@ -36,6 +36,19 @@ def test_problem_validation():
         SearchProblem(3, ("k3",), mode="all")
 
 
+def test_spec_is_the_avoidance_spec_of_per_color():
+    # None slots forbid nothing, aliases are canonical, colors keep their slot
+    cases = [("p3", None, "k3"), (None, "kipas(4)"), ("k3", "complete(3)", None, "h10"),
+             (None,), ("path(3)",)]
+    for per_color in cases:
+        for gallai in (False, True):
+            problem = SearchProblem(5, per_color, require_gallai=gallai)
+            per = {c: pid for c, pid in enumerate(per_color, start=1) if pid is not None}
+            assert problem.spec == AvoidanceSpec.from_map(per, require_gallai=gallai)
+    spec = SearchProblem(4, ("p3", None, "k3"), require_gallai=True).spec
+    assert spec == AvoidanceSpec(((1, "path(3)"), (3, "complete(3)")), True)
+
+
 def test_edgeless_host_yields_trivial_witness():
     out = exhaustive_check(SearchProblem(1, ("k3",)))
     assert out.kind == "witness" and out.witness.n == 1
