@@ -4,176 +4,67 @@ Materializes Gallai-Ramsey lower-bound colorings, verifies what a
 coloring avoids, extracts Gallai partitions, evaluates the closed-form
 numbers the constructions realize, and certifies small Ramsey anchors by
 exhaustive search or DIMACS CNF export.
+
+The public names are resolved on first use (PEP 562), so importing the
+package, or one of its modules, loads only the modules actually used.
 """
 
-from .cnf import (
-    CnfDocument,
-    CnfError,
-    NotExactlyOneError,
-    assignment_satisfies,
-    decode_assignment,
-    encode_cnf,
-    parse_dimacs,
-    parse_model,
-)
-from .coloring import (
-    ColoringError,
-    EdgeColoring,
-    blowup,
-    edge_count,
-    edge_index,
-    edge_list,
-    join,
-    make_coloring,
-    parse,
-    read_grc,
-    relabel_colors,
-    serialize,
-    write_grc,
-)
-from .construct import (
-    ConstructionError,
-    EqualColorsError,
-    NoFixtureAndSearchFailedError,
-    ParityViolationError,
-    assemble_case3,
-    base_pentagon,
-    build_kipas_aux,
-    build_lower,
-    build_mixed,
-    extremal_two_coloring,
-    mono_complete,
-)
-from .decompose import (
-    DecompositionError,
-    GallaiPartition,
-    InvalidPartitionError,
-    RainbowTriangleError,
-    TooSmallError,
-    gallai_partition,
-    reduced_coloring,
-)
-from .detect import (
-    AvoidanceSpec,
-    CheckStats,
-    Embedding,
-    VerificationReport,
-    find_mono_embedding,
-    find_rainbow_triangle,
-    verify,
-)
-from .formulas import (
-    FormulaError,
-    GrValue,
-    MissingR2Error,
-    UnsupportedTargetError,
-    case3_recurrence_check,
-    check_inequalities_star,
-    check_inequalities_star2,
-    conjecture_kipas,
-    fan_param,
-    g_value,
-    gr_mixed_value,
-    gr_value,
-    ramsey_mixed,
-    ramsey_two,
-    w_value,
-)
-from .patterns import (
-    Pattern,
-    PatternError,
-    UnknownPatternError,
-    are_isomorphic,
-    canonical_id,
-    catalog,
-    chromatic_number,
-    make_pattern,
-    resolve,
-)
-from .search import (
-    ScopeExceededError,
-    SearchError,
-    SearchOutcome,
-    SearchProblem,
-    exhaustive_check,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AvoidanceSpec",
-    "CheckStats",
-    "CnfDocument",
-    "CnfError",
-    "ColoringError",
-    "ConstructionError",
-    "DecompositionError",
-    "EdgeColoring",
-    "Embedding",
-    "EqualColorsError",
-    "FormulaError",
-    "GallaiPartition",
-    "GrValue",
-    "InvalidPartitionError",
-    "MissingR2Error",
-    "NoFixtureAndSearchFailedError",
-    "NotExactlyOneError",
-    "ParityViolationError",
-    "Pattern",
-    "PatternError",
-    "RainbowTriangleError",
-    "ScopeExceededError",
-    "SearchError",
-    "SearchOutcome",
-    "SearchProblem",
-    "TooSmallError",
-    "UnknownPatternError",
-    "UnsupportedTargetError",
-    "VerificationReport",
-    "are_isomorphic",
-    "assemble_case3",
-    "assignment_satisfies",
-    "base_pentagon",
-    "blowup",
-    "build_kipas_aux",
-    "build_lower",
-    "build_mixed",
-    "canonical_id",
-    "case3_recurrence_check",
-    "catalog",
-    "check_inequalities_star",
-    "check_inequalities_star2",
-    "chromatic_number",
-    "conjecture_kipas",
-    "decode_assignment",
-    "edge_count",
-    "edge_index",
-    "edge_list",
-    "encode_cnf",
-    "exhaustive_check",
-    "extremal_two_coloring",
-    "fan_param",
-    "find_mono_embedding",
-    "find_rainbow_triangle",
-    "g_value",
-    "gallai_partition",
-    "gr_mixed_value",
-    "gr_value",
-    "join",
-    "make_coloring",
-    "make_pattern",
-    "mono_complete",
-    "parse",
-    "parse_dimacs",
-    "parse_model",
-    "ramsey_mixed",
-    "ramsey_two",
-    "read_grc",
-    "reduced_coloring",
-    "relabel_colors",
-    "resolve",
-    "serialize",
-    "verify",
-    "w_value",
-    "write_grc",
-]
+# the public names, by the module that defines them
+_EXPORTS = {
+    "cnf": (
+        "CnfDocument", "CnfError", "NotExactlyOneError", "assignment_satisfies",
+        "decode_assignment", "encode_cnf", "parse_dimacs", "parse_model",
+    ),
+    "coloring": (
+        "ColoringError", "EdgeColoring", "blowup", "edge_count", "edge_index",
+        "edge_list", "join", "make_coloring", "parse", "read_grc", "relabel_colors",
+        "serialize", "write_grc",
+    ),
+    "construct": (
+        "ConstructionError", "EqualColorsError", "NoFixtureAndSearchFailedError",
+        "ParityViolationError", "assemble_case3", "base_pentagon", "build_kipas_aux",
+        "build_lower", "build_mixed", "extremal_two_coloring", "mono_complete",
+    ),
+    "decompose": (
+        "DecompositionError", "GallaiPartition", "InvalidPartitionError",
+        "RainbowTriangleError", "TooSmallError", "gallai_partition", "reduced_coloring",
+    ),
+    "detect": (
+        "AvoidanceSpec", "CheckStats", "Embedding", "VerificationReport",
+        "find_mono_embedding", "find_rainbow_triangle", "verify",
+    ),
+    "formulas": (
+        "FormulaError", "GrValue", "MissingR2Error", "UnsupportedTargetError",
+        "case3_recurrence_check", "check_inequalities_star", "check_inequalities_star2",
+        "conjecture_kipas", "fan_param", "g_value", "gr_mixed_value", "gr_value",
+        "ramsey_mixed", "ramsey_two", "w_value",
+    ),
+    "patterns": (
+        "Pattern", "PatternError", "UnknownPatternError", "are_isomorphic",
+        "canonical_id", "catalog", "chromatic_number", "make_pattern", "resolve",
+    ),
+    "search": (
+        "ScopeExceededError", "SearchError", "SearchOutcome", "SearchProblem",
+        "exhaustive_check",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

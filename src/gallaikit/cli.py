@@ -14,40 +14,63 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 
-from .cnf import (
-    CnfDocument,
-    CnfError,
-    assignment_satisfies,
-    decode_assignment,
-    encode_cnf,
-    parse_dimacs,
-    parse_model,
-)
-from .coloring import ColoringError, read_grc, write_grc
-from .construct import ConstructionError, build_lower, build_mixed
-from .decompose import DecompositionError, RainbowTriangleError, gallai_partition
-from .detect import AvoidanceSpec, verify
-from .formulas import (
-    FormulaError,
-    conjecture_kipas,
-    fan_param,
-    gr_mixed_value,
-    gr_value,
-)
-from .patterns import PatternError, canonical_id, catalog, chromatic_number
-from .search import SearchError, SearchProblem, exhaustive_check
+# the library names the handlers look up in this module, by defining module;
+# each is bound on first use, so a subcommand loads only the modules it uses
+_LAZY = {
+    "read_grc": "coloring", "write_grc": "coloring",
+    "canonical_id": "patterns", "catalog": "patterns", "chromatic_number": "patterns",
+    "AvoidanceSpec": "detect", "verify": "detect",
+    "RainbowTriangleError": "decompose", "gallai_partition": "decompose",
+    "build_lower": "construct", "build_mixed": "construct",
+    "conjecture_kipas": "formulas", "fan_param": "formulas",
+    "gr_mixed_value": "formulas", "gr_value": "formulas",
+    "SearchProblem": "search", "exhaustive_check": "search",
+    "CnfDocument": "cnf", "CnfError": "cnf", "assignment_satisfies": "cnf",
+    "decode_assignment": "cnf", "encode_cnf": "cnf", "parse_dimacs": "cnf",
+    "parse_model": "cnf",
+}
 
-_DOMAIN_ERRORS = (
-    ColoringError,
-    PatternError,
-    FormulaError,
-    ConstructionError,
-    SearchError,
-    CnfError,
-    DecompositionError,
-    OSError,
-)
+# the modules each subcommand's handler uses
+_USES = {
+    "build": ("construct", "coloring"),
+    "build-mixed": ("construct", "coloring"),
+    "verify": ("coloring", "patterns", "detect"),
+    "partition": ("coloring", "decompose"),
+    "formula": ("formulas", "patterns"),
+    "search": ("search", "coloring"),
+    "encode": ("search", "cnf"),
+    "decode": ("cnf", "coloring"),
+    "catalog": ("patterns",),
+}
+
+# the domain error of each module
+_ERROR_OF = {
+    "coloring": "ColoringError", "patterns": "PatternError", "formulas": "FormulaError",
+    "construct": "ConstructionError", "search": "SearchError", "cnf": "CnfError",
+    "decompose": "DecompositionError",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _domain_errors() -> tuple[type[Exception], ...]:
+    """OSError and the domain errors of the modules loaded so far, which are
+    the only modules that can have raised."""
+    errors: list[type[Exception]] = [OSError]
+    for module, error in _ERROR_OF.items():
+        mod = sys.modules.get(f"{__package__}.{module}")
+        if mod is not None:
+            errors.append(getattr(mod, error))
+    return tuple(errors)
 
 
 _R2_HELP = ("two-color Ramsey number; only for a fan; must match R2_TABLE, "
@@ -386,9 +409,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits itself on usage errors and --help
         return int(exc.code or 0)
+    uses = _USES[args.command]
+    for name, module in _LAZY.items():
+        if module in uses and name not in globals():
+            __getattr__(name)  # a name patched in beforehand stays as it is
     try:
         return args.func(args)
-    except _DOMAIN_ERRORS as exc:
+    except _domain_errors() as exc:  # evaluated only once something raised
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

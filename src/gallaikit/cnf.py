@@ -12,11 +12,13 @@ same two lists, so both engines see one constraint set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import Iterable, Optional
+from itertools import chain, combinations, permutations
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .coloring import EdgeColoring, edge_count, edge_index, edge_list
-from .search import SearchProblem
+
+if TYPE_CHECKING:  # decode never needs the search stack
+    from .search import SearchProblem
 
 
 class CnfError(Exception):
@@ -37,7 +39,14 @@ class CnfDocument:
     def __post_init__(self) -> None:
         if self.num_vars != edge_count(self.n) * self.k:
             raise CnfError("num_vars must be edge_count * k")
-        for clause in self.clauses:
+        clauses = self.clauses
+        lits = chain.from_iterable
+        if (all(clauses) and all(map(all, clauses))
+                and -self.num_vars <= min(lits(clauses), default=0)
+                and max(lits(clauses), default=0) <= self.num_vars):
+            return
+        # some clause is bad: name the first bad one
+        for clause in clauses:
             if not clause:
                 raise CnfError("empty clause")
             for lit in clause:
@@ -57,7 +66,7 @@ class CnfDocument:
         lines = self.var_map_lines()
         lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
         for clause in self.clauses:
-            lines.append(" ".join(str(lit) for lit in clause) + " 0")
+            lines.append(" ".join(map(str, clause)) + " 0")
         return "\n".join(lines) + "\n"
 
 
@@ -82,8 +91,8 @@ def encode_cnf(problem: SearchProblem) -> CnfDocument:
             clauses.append((-var(exy, c1), -var(exz, c2), -var(eyz, c3)))
     images = {c: imgs for colors, imgs in problem.forbidden_images() for c in colors}
     for color in range(1, k + 1):
-        for edges in images.get(color, ()):
-            clauses.append(tuple(-var(e, color) for e in edges))
+        neg = [-var(e, color) for e in range(e_total)].__getitem__
+        clauses.extend(tuple(map(neg, edges)) for edges in images.get(color, ()))
     return CnfDocument(n, k, e_total * k, tuple(clauses))
 
 

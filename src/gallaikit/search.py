@@ -7,12 +7,12 @@ triangles whose last edge (in assignment order) is that edge.  Both this
 search and cnf.encode_cnf read the images and triangles from one compile
 step, SearchProblem.forbidden_images() and rainbow_triangles().
 
-The image check is bit-parallel.  _completion_tables stores the completion
-masks of each (edge, color) transposed, one int per earlier edge with one
-bit per mask; a node ANDs together the ints of the edges that do not yet
-wear the color, and the color is blocked iff some mask's bit survives.  One
-AND per missing edge over up to ~1500 masks replaces a Python loop over
-the masks.
+The image check is bit-parallel and byte-sliced.  _completion_tables gives
+each completion mask of an (edge, color) one bit of an int and, for each
+byte of earlier edges, a 256-entry table indexed by which edges of that
+byte wear the color; the entry keeps the bits of the masks that still fit.
+A node ANDs one table entry per byte, at most 5 at n=9, and the color is
+blocked iff some mask's bit survives.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .coloring import EdgeColoring, edge_count, edge_index
+from .coloring import EdgeColoring, edge_count, edge_index, edge_list
 from .detect import AvoidanceSpec, enumerate_pattern_images, verify
 from .patterns import canonical_id, resolve
 
@@ -70,9 +70,10 @@ class SearchProblem:
         the colors that forbid it and its images as edge-index tuples, which
         are ascending (image pairs are sorted and edge_index is monotone)."""
         n, per_color = self.n, self.per_color
+        index = {pair: e for e, pair in enumerate(edge_list(n))}.__getitem__
         return [
             (tuple(c for c, other in enumerate(per_color, start=1) if other == pid),
-             [tuple(edge_index(n, i, j) for i, j in image)
+             [tuple(map(index, image))
               for image in enumerate_pattern_images(resolve(pid), n)])
             for pid in dict.fromkeys(per_color) if pid is not None
         ]
@@ -97,19 +98,22 @@ class SearchOutcome:
 
 def _completion_tables(
     problem: SearchProblem,
-) -> list[list[tuple[int, tuple[tuple[int, int], ...]]]]:
-    """mono[e][c] = (alive, cols): the completion masks of edge e in color c,
-    transposed for the bit-parallel test in exhaustive_check.
+) -> list[list[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]]]:
+    """mono[e][c] = (alive, slices): the completion masks of edge e in color
+    c, byte-sliced for the bit-parallel test in exhaustive_check.
 
     The completion masks of (e, c) are the sets of earlier edges that, all
     in color c, finish an image of the color's forbidden pattern when edge e
     takes color c.  Number them t = 0..T-1 in image order; bit t of
-    alive = 2^T - 1 stands for mask t.  cols holds (1 << d, nb) for every
-    earlier edge d in some mask, in increasing d; bit t of nb is set iff
-    mask t does not contain d.  Colors that forbid the same pattern share
-    its entries.
+    alive = 2^T - 1 stands for mask t.  slices holds (shift, tab) for each
+    byte of earlier edges shift..shift+7 that holds an edge of some mask, in
+    increasing shift.  With bit i of x set iff edge shift + i is in color c,
+    tab[x] keeps the masks whose edges in that byte all are: it is the AND
+    of nb[d] over the mask edges d of the byte missing from x, where bit t
+    of nb[d] is set iff mask t does not contain d.  Colors that forbid the
+    same pattern share their entries.
     """
-    table: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [
+    table: list[list[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]]] = [
         [(0, ())] * (problem.k + 1) for _ in range(edge_count(problem.n))
     ]
     for colors, images in problem.forbidden_images():
@@ -125,7 +129,17 @@ def _completion_tables(
             for t, rest in enumerate(group):
                 for d in rest:
                     has[d] = has.get(d, 0) | (1 << t)
-            entry = (alive, tuple((1 << d, alive ^ has[d]) for d in sorted(has)))
+            slices = []
+            for shift in sorted({d & ~7 for d in has}):
+                nb = [alive ^ has.get(shift + i, 0) for i in range(8)]
+                # f[m] = AND of nb over the bits of m, by its lowest bit
+                f = [alive] * 256
+                for m in range(1, 256):
+                    low = m & -m
+                    f[m] = f[m ^ low] & nb[low.bit_length() - 1]
+                # x names the edges in the color, 255 - x the missing ones
+                slices.append((shift, tuple(reversed(f))))
+            entry = (alive, tuple(slices))
             for color in colors:
                 table[pos][color] = entry
     return table
@@ -173,12 +187,11 @@ def exhaustive_check(
                 raise ScopeExceededError(f"node budget {max_nodes} exhausted")
             cm = col_mask[color]
             # a completion mask survives while every edge of it is in cm
-            alive, cols = mono[pos][color]
-            for bit, nb in cols:
-                if not cm & bit:
-                    alive &= nb
-                    if not alive:
-                        break
+            alive, slices = mono[pos][color]
+            for shift, tab in slices:
+                alive &= tab[(cm >> shift) & 255]
+                if not alive:
+                    break
             ok = not alive
             if ok:
                 for e1, e2 in tri[pos]:

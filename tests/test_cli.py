@@ -1,10 +1,15 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gallaikit
+from gallaikit import cli
 from gallaikit.cli import main
 from gallaikit.coloring import read_grc
 from gallaikit.formulas import R2_TABLE
@@ -326,3 +331,80 @@ def test_decode_non_ascii_model_is_domain_error(capsys, tmp_path):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# what python -m gallaikit.cli runs, plus a list of sys.modules at exit
+_AS_MAIN = """import atexit, runpy, sys
+atexit.register(lambda: print("modules:", *sys.modules, file=sys.stderr))
+runpy.run_module("gallaikit.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _child(*argv, cwd=None, code=_AS_MAIN):
+    """Python code, by default the CLI, in a fresh interpreter."""
+    src = str(Path(gallaikit.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+
+
+def test_subcommands_import_only_their_modules(tmp_path):
+    assert main(["build", "--target", "h10", "--k", "3", "--out", str(tmp_path / "c.grc"),
+                 "--no-certify"]) == 0
+    unused = {
+        ("verify", "c.grc", "--gallai", "--forbid-all", "h10"):
+            {"search", "cnf", "construct", "formulas", "decompose"},
+        ("search", "--n", "5", "--per-color", "k3,k3"): {"cnf", "construct", "decompose"},
+    }
+    for argv, modules in unused.items():
+        child = _child(*argv, cwd=tmp_path)
+        assert child.returncode == 0, child.stderr
+        loaded = set(child.stderr.rpartition("modules:")[2].split())
+        assert "gallaikit.detect" in loaded
+        assert not loaded & {f"gallaikit.{m}" for m in modules}, argv
+
+
+def test_bad_input_exits_two_in_a_fresh_interpreter(tmp_path):
+    (tmp_path / "bad.grc").write_text("grc 1 3 10\n+1 1_0\n2\n", encoding="ascii")
+    (tmp_path / "bad.cnf").write_text("p cnf 3 1\n1 two 0\n", encoding="ascii")
+    (tmp_path / "model.out").write_text("SAT\n1 -2 -3 0\n", encoding="ascii")
+    for argv in (("verify", "bad.grc", "--gallai"), ("partition", "bad.grc"),
+                 ("decode", "--cnf", "bad.cnf", "--model", "model.out", "--n", "3",
+                  "--k", "1")):
+        child = _child(*argv, cwd=tmp_path)
+        assert child.returncode == 2 and child.stdout == "", argv
+        assert child.stderr.startswith("error: ") and "Traceback" not in child.stderr, argv
+
+
+def test_package_names_resolve():
+    # dir() lists the public names before any of them is first used
+    fresh = _child(code="import gallaikit\n"
+                        "assert set(gallaikit.__all__) <= set(dir(gallaikit))\n"
+                        "assert len(gallaikit.__all__) == 75")
+    assert fresh.returncode == 0, fresh.stderr
+    for name in gallaikit.__all__:
+        assert getattr(gallaikit, name) is not None
+    scope: dict = {}
+    exec("from gallaikit import *", scope)
+    assert set(gallaikit.__all__) <= set(scope)
+    assert scope["verify"] is gallaikit.detect.verify
+    with pytest.raises(AttributeError):
+        gallaikit.no_such_name
+
+
+def test_handlers_call_the_module_attributes(capsys, tmp_path, monkeypatch):
+    # tracing wraps these attributes of cli; the handlers must call the wrappers
+    calls = []
+    for name in ("exhaustive_check", "verify", "encode_cnf"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real, name=name, **kw:
+                            calls.append(name) or real(*a, **kw))
+    grc = str(tmp_path / "c.grc")
+    assert main(["search", "--n", "5", "--per-color", "k3,k3", "--out", grc]) == 0
+    assert main(["verify", grc, "--forbid-all", "k3"]) == 0
+    assert main(["encode", "--n", "4", "--per-color", "k3,k3",
+                 "--out", str(tmp_path / "f.cnf")]) == 0
+    capsys.readouterr()
+    assert calls == ["exhaustive_check", "verify", "encode_cnf"]
+    with pytest.raises(AttributeError):
+        cli.no_such_name

@@ -1,14 +1,16 @@
+import random
 from itertools import product
 
 import pytest
 
-from conftest import plain_exhaustive_check
+from conftest import naive_images, plain_exhaustive_check
 from gallaikit.coloring import edge_count, edge_list, make_coloring
 from gallaikit.detect import AvoidanceSpec, verify
-from gallaikit.patterns import catalog
+from gallaikit.patterns import catalog, resolve
 from gallaikit.search import (
     ScopeExceededError,
     SearchProblem,
+    _completion_tables,
     exhaustive_check,
 )
 
@@ -219,3 +221,34 @@ def test_anchor_traversals_pinned():
         assert out.kind == ("witness" if colors else "exhausted"), pid
         if colors:
             assert out.witness.colors == colors
+
+
+def test_byte_sliced_tables_match_subset_scan():
+    # at every (pos, color), for random sets cm of earlier edges in the color,
+    # the tables block the color iff some completion mask lies inside cm; the
+    # masks come from naive_images with inline edge indices
+    rng = random.Random(7)
+    verdicts = set()
+    for per_color, gallai in [(("kipas(4)", "kipas(4)"), False), (("h1", "h1"), False),
+                              (("h10", "h10", "h10"), True)]:
+        for n in range(2, 10):
+            problem = SearchProblem(n, per_color, require_gallai=gallai)
+            k, e_total = problem.k, n * (n - 1) // 2
+            masks = [[[] for _ in range(k + 1)] for _ in range(e_total)]
+            for color, pid in enumerate(per_color, start=1):
+                for image in naive_images(resolve(pid), n):
+                    mask = sum(1 << (i * (2 * n - i - 1) // 2 + j - i - 1) for i, j in image)
+                    top = mask.bit_length() - 1
+                    masks[top][color].append(mask ^ (1 << top))
+            tables = _completion_tables(problem)
+            for pos in range(e_total):
+                for color in range(1, k + 1):
+                    for density in (0.3, 0.6, 0.8, 0.9, 1.0):
+                        cm = sum(1 << d for d in range(pos) if rng.random() < density)
+                        alive, slices = tables[pos][color]
+                        for shift, tab in slices:
+                            alive &= tab[(cm >> shift) & 255]
+                        want = any(rem & cm == rem for rem in masks[pos][color])
+                        assert (alive != 0) == want, (per_color, n, pos, color, cm)
+                        verdicts.add(want)
+    assert verdicts == {False, True}
