@@ -5,8 +5,11 @@ c in 1..k, so variables run 1..E*k.  Clause groups, in emission order:
 one-color-at-least per edge, one-color-at-most per edge, rainbow-triangle
 blockers (ordered color triples per SearchProblem.rainbow_triangles entry),
 and, color by color, one all-negative clause per image in
-SearchProblem.forbidden_images.  The search compiles its tables from the
-same two lists, so both engines see one constraint set.
+SearchProblem.forbidden_images.  Those images arrive as ascending
+edge-index tuples in a fixed order, so a clause is the image mapped through
+the color's negated variables, and the clause order is pinned by the image
+order.  The search compiles its tables from the same two lists, so both
+engines see one constraint set.
 """
 
 from __future__ import annotations
@@ -64,9 +67,12 @@ class CnfDocument:
 
     def to_dimacs(self) -> str:
         lines = self.var_map_lines()
-        lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
-        for clause in self.clauses:
-            lines.append(" ".join(map(str, clause)) + " 0")
+        v = self.num_vars
+        lines.append(f"p cnf {v} {len(self.clauses)}")
+        # text[lit] for every lit in -v..v: negatives index from the end
+        text = list(map(str, range(v + 1))) + list(map(str, range(-v, 0)))
+        fmt = text.__getitem__
+        lines += [" ".join(map(fmt, clause)) + " 0" for clause in self.clauses]
         return "\n".join(lines) + "\n"
 
 
@@ -130,14 +136,11 @@ def decode_assignment(
 
 
 def assignment_satisfies(doc: CnfDocument, assignment: Iterable[int]) -> bool:
+    """Whether every clause holds when exactly the positive literals of the
+    assignment are true: a clause fails iff it shares no true literal."""
     true_vars = _true_set(doc, assignment)
-    for clause in doc.clauses:
-        if not any(
-            (lit > 0 and lit in true_vars) or (lit < 0 and -lit not in true_vars)
-            for lit in clause
-        ):
-            return False
-    return True
+    true_lits = true_vars.union(-v for v in range(1, doc.num_vars + 1) if v not in true_vars)
+    return not any(map(true_lits.isdisjoint, doc.clauses))
 
 
 def _dimacs_ints(tokens: list[str]) -> list[int]:

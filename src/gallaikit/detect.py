@@ -498,18 +498,26 @@ def verify(c: EdgeColoring, spec: AvoidanceSpec) -> VerificationReport:
 IMAGE_BUDGET = 1 << 19  # every five-vertex pattern up to n=16, kipas(5) at n=12
 
 
-def enumerate_pattern_images(pattern: Pattern, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Every distinct edge set an injective copy of pattern can occupy in K_n.
+def enumerate_pattern_images(pattern: Pattern, n: int) -> tuple[tuple[int, ...], ...]:
+    """Every distinct edge set an injective copy of pattern can occupy in K_n,
+    as ascending tuples of lexicographic edge indices (coloring.edge_index).
 
     The pattern's non-isolated vertices, relabelled 0..m'-1, give one edge
     set (shape) per coset of its automorphism group, grown as the orbit
     under the transpositions (t-1 t); each is placed on every m'-subset of
     range(n) in increasing order.  Without isolated vertices an image spans
     exactly its subset, so images on different subsets never collide.
-    Isolated vertices only need room: pattern.m <= n.  Sorted, so the CNF
-    clause order is fixed.  Once |shapes| * C(n, m') exceeds IMAGE_BUDGET the
-    orbit stops and TooLargeError names that count (a lower bound) and the
-    budget, before any image is built.
+    Isolated vertices only need room: pattern.m <= n.  Once |shapes| *
+    C(n, m') exceeds IMAGE_BUDGET the orbit stops and TooLargeError names
+    that count (a lower bound) and the budget, before any image is built.
+
+    No image is sorted on its own.  A shape is kept as the ascending
+    positions (picks) of its pairs among the C(m', 2) local pairs in
+    lexicographic order; placing it on an increasing subset keeps that
+    order, and edge_index is monotone in it, so mapping the picks through
+    the subset's row of edge indices gives an ascending tuple.  The one
+    final sort puts the images in the order of the sorted vertex-pair
+    images, for the same reason, so the CNF clause order is fixed.
     """
     if pattern.m > n:
         return ()
@@ -530,8 +538,12 @@ def enumerate_pattern_images(pattern: Pattern, n: int) -> tuple[tuple[tuple[int,
     if count > IMAGE_BUDGET:
         raise TooLargeError(f"{pattern.label} on {n} vertices has at least {count} images, "
                             f"over the image budget of {IMAGE_BUDGET}")
-    return tuple(sorted(
-        tuple(sorted((sub[a], sub[b]) for a, b in shape))
-        for sub in combinations(range(n), len(spine))
-        for shape in shapes
-    ))
+    local = {pair: t for t, pair in enumerate(combinations(range(len(spine)), 2))}
+    picks = [tuple(sorted(map(local.__getitem__, shape))) for shape in shapes]
+    first = [start for start, _ in row_bounds(n)]
+    images: list[tuple[int, ...]] = []
+    for sub in combinations(range(n), len(spine)):
+        row = [first[i] + j - i - 1 for i, j in combinations(sub, 2)].__getitem__
+        images += [tuple(map(row, pick)) for pick in picks]
+    images.sort()
+    return tuple(images)

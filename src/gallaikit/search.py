@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .coloring import EdgeColoring, edge_count, edge_index, edge_list
+from .coloring import EdgeColoring, edge_count, edge_index
 from .detect import AvoidanceSpec, enumerate_pattern_images, verify
 from .patterns import canonical_id, resolve
 
@@ -65,16 +65,14 @@ class SearchProblem:
         """What verify checks a witness against; None slots forbid nothing."""
         return AvoidanceSpec.from_map(dict(enumerate(self.per_color, 1)), self.require_gallai)
 
-    def forbidden_images(self) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    def forbidden_images(self) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
         """(colors, images) per distinct forbidden pattern, in first-use order:
-        the colors that forbid it and its images as edge-index tuples, which
-        are ascending (image pairs are sorted and edge_index is monotone)."""
+        the colors that forbid it and enumerate_pattern_images' tuple itself,
+        ascending edge-index tuples in a fixed order, with no copy made."""
         n, per_color = self.n, self.per_color
-        index = {pair: e for e, pair in enumerate(edge_list(n))}.__getitem__
         return [
             (tuple(c for c, other in enumerate(per_color, start=1) if other == pid),
-             [tuple(map(index, image))
-              for image in enumerate_pattern_images(resolve(pid), n)])
+             enumerate_pattern_images(resolve(pid), n))
             for pid in dict.fromkeys(per_color) if pid is not None
         ]
 

@@ -129,6 +129,23 @@ def plain_cnf_clauses(problem) -> tuple[tuple[int, ...], ...]:
     return tuple(clauses)
 
 
+def plain_assignment_satisfies(doc, assignment) -> bool:
+    """cnf.assignment_satisfies as a per-literal loop over every clause.
+
+    The library's former check, kept as its oracle: a variable is true iff
+    the assignment lists it positively, and a clause holds iff one of its
+    literals is true under that reading.
+    """
+    true_vars = {lit for lit in assignment if lit > 0}
+    for clause in doc.clauses:
+        if not any(
+            (lit > 0 and lit in true_vars) or (lit < 0 and -lit not in true_vars)
+            for lit in clause
+        ):
+            return False
+    return True
+
+
 def naive_rainbow(c: EdgeColoring) -> tuple[int, int, int] | None:
     """First triangle wearing three distinct colors, scanning lexicographically."""
     for u, v, w in combinations(range(c.n), 3):

@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import plain_cnf_clauses, random_coloring
+from conftest import plain_assignment_satisfies, plain_cnf_clauses, random_coloring
 from gallaikit.cnf import (
     CnfDocument,
     CnfError,
@@ -46,6 +46,15 @@ def expected_counts(n, k, per_color, gallai):
         if p.m <= n:
             mono += count_images_naively(p, n)
     return alo + amo + rainbow + mono
+
+
+def random_document(rng, max_n, max_width, max_clauses):
+    """A document of random clauses over every literal of a random K_n, k."""
+    n, k = rng.randint(2, max_n), rng.randint(1, 3)
+    v = edge_count(n) * k
+    return CnfDocument(n, k, v, tuple(
+        tuple(rng.choice((1, -1)) * rng.randint(1, v) for _ in range(rng.randint(1, max_width)))
+        for _ in range(rng.randint(0, max_clauses))))
 
 
 def test_minimal_documents():
@@ -147,6 +156,44 @@ def test_assignment_satisfies_agrees_with_verify():
         )
         assert assignment_satisfies(doc, assign) == verify(c, spec).passed
         checked += 1
+
+
+def test_assignment_satisfies_matches_per_literal_loop():
+    # random documents (encoded problems and random clause sets) under random
+    # assignments, given as positive sets or as signed literal lists, against
+    # the per-literal loop; both verdicts must occur
+    rng = random.Random(31)
+    docs = [encode_cnf(SearchProblem(n, per_color, require_gallai=gallai))
+            for n, per_color, gallai in [(3, ("k3", "k3"), False), (4, ("path(3)", "k3", None), True),
+                                         (5, ("path(4)", "path(4)"), False)]]
+    docs += [random_document(rng, 4, 4, 12) for _ in range(20)]
+    verdicts = set()
+    for doc in docs:
+        for _ in range(40):
+            density = rng.choice((0.0, 0.2, 0.5, 0.8, 1.0))
+            signs = [rng.random() < density for _ in range(doc.num_vars)]
+            positive = {v for v, on in enumerate(signs, 1) if on}
+            signed = [v if on else -v for v, on in enumerate(signs, 1)]
+            rng.shuffle(signed)
+            want = plain_assignment_satisfies(doc, positive)
+            assert assignment_satisfies(doc, positive) == want
+            assert assignment_satisfies(doc, signed) == want
+            verdicts.add(want)
+    assert verdicts == {False, True}
+    # an out-of-range literal is still refused
+    with pytest.raises(CnfError, match="out of range"):
+        assignment_satisfies(docs[0], [docs[0].num_vars + 1])
+
+
+def test_dimacs_clause_lines_match_plain_formatting():
+    # the literal table prints each clause exactly as str() of its literals
+    rng = random.Random(5)
+    docs = [encode_cnf(SearchProblem(5, ("h10", "h10", "h10"), require_gallai=True))]
+    docs += [random_document(rng, 5, 5, 20) for _ in range(10)]
+    for doc in docs:
+        lines = doc.var_map_lines() + [f"p cnf {doc.num_vars} {len(doc.clauses)}"]
+        lines += [" ".join(str(lit) for lit in clause) + " 0" for clause in doc.clauses]
+        assert doc.to_dimacs() == "\n".join(lines) + "\n"
 
 
 def test_decode_requires_exactly_one_color_per_edge():

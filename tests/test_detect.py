@@ -224,18 +224,22 @@ def test_enumerate_images_counts():
 
 def test_enumerate_images_matches_brute_force_oracle():
     # one edge set per coset of Aut(pattern), placed on every subset, must
-    # reproduce the bijection-per-subset oracle tuple, order included
+    # reproduce the bijection-per-subset oracle tuple, order included, with
+    # each vertex pair mapped to its edge index by inline arithmetic
     patterns = [p for _, p in catalog()]
     patterns += [resolve(f"kipas({m})") for m in (2, 3, 4)]
-    patterns += [resolve(f"path({t})") for t in (3, 4, 5)]
-    patterns += [resolve(f"complete({t})") for t in (3, 4)]
+    patterns += [resolve(f"path({t})") for t in (2, 3, 4, 5)]
+    patterns += [resolve(f"complete({t})") for t in (2, 3, 4)]
     patterns += [
         make_pattern(5, [(0, 2), (2, 3), (0, 3), (3, 4)], "isolated vertex 1"),
         make_pattern(3, [], "empty"),
     ]
-    for p in patterns:
-        for n in range(1, 10):
-            assert enumerate_pattern_images(p, n) == naive_images(p, n), (p.label, n)
+    cases = [(p, n) for p in patterns for n in range(1, 10)] + [(resolve("kipas(4)"), 10)]
+    for p, n in cases:
+        want = tuple(tuple(i * (2 * n - i - 1) // 2 + j - i - 1 for i, j in image)
+                     for image in naive_images(p, n))
+        assert enumerate_pattern_images(p, n) == want, (p.label, n)
+    assert enumerate_pattern_images(make_pattern(3, [], "empty"), 4) == ((),)
 
 
 def test_image_budget_fails_closed_before_building():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -7,6 +8,7 @@ from conftest import naive_images, plain_exhaustive_check
 from gallaikit.coloring import edge_count, edge_list, make_coloring
 from gallaikit.detect import AvoidanceSpec, verify
 from gallaikit.patterns import catalog, resolve
+import gallaikit.search as search_module
 from gallaikit.search import (
     ScopeExceededError,
     SearchProblem,
@@ -252,3 +254,37 @@ def test_byte_sliced_tables_match_subset_scan():
                         assert (alive != 0) == want, (per_color, n, pos, color, cm)
                         verdicts.add(want)
     assert verdicts == {False, True}
+
+
+def test_forbidden_images_hands_on_the_enumerated_tuple(monkeypatch):
+    # each pattern's images are the very tuple enumerate_pattern_images
+    # returned, reached through search's module global, with no second copy
+    returned = []
+    real = search_module.enumerate_pattern_images
+
+    def recording(pattern, n):
+        images = real(pattern, n)
+        returned.append(images)
+        return images
+
+    monkeypatch.setattr(search_module, "enumerate_pattern_images", recording)
+    out = SearchProblem(7, ("h1", "k3", None, "h1")).forbidden_images()
+    assert [colors for colors, _ in out] == [(1, 4), (2,)]
+    assert len(returned) == 2
+    for (_, images), made in zip(out, returned):
+        assert images is made and type(images) is tuple
+
+
+def test_forbidden_images_memory_peak():
+    # kipas(5) at n=12: 332640 images of 9 edges.  One copy of them holds
+    # about 40 MB; building vertex-pair images and then mapping them to
+    # edge indices peaked at about 236 MB under tracemalloc
+    problem = SearchProblem(12, ("kipas(5)", "kipas(5)"))
+    tracemalloc.start()
+    try:
+        out = problem.forbidden_images()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out[0][1]) == 332640
+    assert peak < 80 * 2**20, peak
