@@ -90,6 +90,16 @@ def _forbid_pair(text: str) -> tuple[int, str]:
     return c, pid
 
 
+def _node_budget(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {budget}")
+    return budget
+
+
 def _per_color_list(text: str) -> tuple[str | None, ...]:
     # "h10,h10" -> ("h10","h10"); "none" or "-" leaves a color unconstrained
     out: list[str | None] = []
@@ -372,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gallai", action="store_true", help="also forbid rainbow triangles")
     p.add_argument("--mode", choices=("first", "exhaust"), default="first",
                    help="stop at first witness, or prove none exists")
-    p.add_argument("--max-nodes", type=int, help="abort after this many search nodes")
+    p.add_argument("--max-nodes", type=_node_budget, help="abort after this many search nodes")
     p.add_argument("--out", help="write a found witness to this GRC file")
     _add_common(p)
     p.set_defaults(func=_cmd_search)

@@ -14,10 +14,10 @@ engines see one constraint set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations, permutations
 from typing import TYPE_CHECKING, Iterable, Optional
 
+from ._record import Record
 from .coloring import EdgeColoring, edge_count, edge_index, edge_list
 
 if TYPE_CHECKING:  # decode never needs the search stack
@@ -32,8 +32,7 @@ class NotExactlyOneError(CnfError):
     pass
 
 
-@dataclass(frozen=True)
-class CnfDocument:
+class CnfDocument(Record):
     n: int
     k: int
     num_vars: int

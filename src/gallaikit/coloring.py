@@ -27,9 +27,10 @@ character is a GrcSyntaxError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence, Union
+
+from ._record import Record
 
 
 class ColoringError(Exception):
@@ -105,8 +106,7 @@ def _check_k(k: int) -> None:
         raise ColorRangeError(f"k={k} exceeds {MAX_COLORS}, the most colors a byte holds")
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(Record):
     """Complete graph on n vertices, one color in 1..k per edge.
 
     Immutable; equality and hashing are structural.  k is declared, not

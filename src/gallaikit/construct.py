@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from .coloring import (
     EdgeColoring,
+    _check_k,
     blowup,
     edge_list,
     join,
@@ -253,6 +254,7 @@ def build_lower(
     R2_TABLE), which g_value asks before anything is built.
     """
     expect = g_value(target, k, r2)
+    _check_k(k)  # before the towers, whose inner k would be the one named
     cid = canonical_id(target)
     # any triangle-free color class is h10-free, and from k=3 on the
     # triangle parameters give the larger tower
@@ -305,6 +307,7 @@ def build_mixed(k: int, s: int, certify: bool = True) -> EdgeColoring:
         raise RangeViolationError(f"need k >= 1, got {k}")
     if not 0 <= s <= k:
         raise RangeViolationError(f"need 0 <= s <= k, got s={s}")
+    _check_k(k)
     c = _mixed(k, s)
     expect = w_value(k, s)
     if c.n != expect:

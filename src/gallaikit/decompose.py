@@ -23,9 +23,9 @@ parts are the maximal strong modules, the unique coarsest valid partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Union
 
+from ._record import Record
 from .coloring import EdgeColoring
 from .detect import (
     DecompositionError,
@@ -58,8 +58,7 @@ class InvalidPartitionError(DecompositionError):
         self.pair = pair
 
 
-@dataclass(frozen=True)
-class GallaiPartition:
+class GallaiPartition(Record):
     parts: tuple[tuple[int, ...], ...]
     quotient: EdgeColoring
 

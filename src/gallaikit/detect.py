@@ -45,11 +45,11 @@ is what keeps certifying them cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Mapping, Optional
 
+from ._record import Record
 from .coloring import EdgeColoring, row_bounds
 from .patterns import Pattern, TooLargeError, canonical_id, independence_number, resolve
 
@@ -62,31 +62,27 @@ class DecompositionInvariantError(DecompositionError):
     """Internal consistency failure; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Record):
     """Injective pattern-to-host vertex map witnessing a monochromatic copy."""
 
     color: int
     map: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CheckStats:
+class CheckStats(Record):
     pairs_scanned: int
     embedding_nodes: int
     patterns_checked: int
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     passed: bool
     rainbow_witness: Optional[tuple[int, int, int]]
     mono_witnesses: tuple[Embedding, ...]
     stats: CheckStats
 
 
-@dataclass(frozen=True)
-class AvoidanceSpec:
+class AvoidanceSpec(Record):
     """What a coloring must avoid: per-color patterns, optional gallai check.
 
     forbids holds (color, pattern id) pairs sorted by color; colors without

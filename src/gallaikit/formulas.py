@@ -10,8 +10,7 @@ colors forbid path(3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .patterns import _split_id, canonical_id
 
 
@@ -52,8 +51,7 @@ MIXED_R2_TABLE: dict[tuple[str, str], int] = {
     ("kipas(4)", "path(3)"): 5,
 }
 
-@dataclass(frozen=True)
-class GrValue:
+class GrValue(Record):
     value: int
     case_tag: str
 

@@ -9,8 +9,9 @@ Aliases: p3 = path(3), k3 = complete(3).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+
+from ._record import Record
 
 
 class PatternError(Exception):
@@ -33,8 +34,7 @@ PARAM_CAP = 16  # keeps family patterns within search range
 ISO_CAP = 10
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(Record):
     """Graph on vertices 0..m-1 with a normalized (i < j) edge set."""
 
     m: int

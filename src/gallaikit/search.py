@@ -17,10 +17,10 @@ blocked iff some mask's bit survives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
+from ._record import Record
 from .coloring import EdgeColoring, edge_count, edge_index
 from .detect import AvoidanceSpec, enumerate_pattern_images, verify
 from .patterns import canonical_id, resolve
@@ -37,8 +37,7 @@ class ScopeExceededError(SearchError):
     pass
 
 
-@dataclass(frozen=True)
-class SearchProblem:
+class SearchProblem(Record):
     """Forbidden pattern per color (None = unconstrained) on K_n."""
 
     n: int
@@ -86,8 +85,7 @@ class SearchProblem:
                 for x, y, z in combinations(range(n), 3)]
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
     kind: str  # "witness" or "exhausted"
     witness: Optional[EdgeColoring]
     nodes_explored: int

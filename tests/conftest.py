@@ -5,10 +5,41 @@ The oracles here deliberately re-derive everything from first principles
 library is evidence, not circularity.
 """
 
+import dataclasses
 import random
 from itertools import combinations, permutations
 
+from gallaikit.cnf import CnfDocument
 from gallaikit.coloring import EdgeColoring, edge_index, make_coloring
+from gallaikit.decompose import GallaiPartition
+from gallaikit.detect import AvoidanceSpec, CheckStats, Embedding, VerificationReport
+from gallaikit.formulas import GrValue
+from gallaikit.patterns import Pattern
+from gallaikit.search import SearchOutcome, SearchProblem
+
+# Frozen dataclass twins of the library's value records: the same field
+# names and defaults, written out here, and no __post_init__.  What a
+# frozen dataclass does with a field tuple (construction, equality,
+# hashing, repr, immutability) is the oracle for gallaikit._record.Record.
+RECORD_TWINS = {
+    cls: dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+    for cls, fields in (
+        (EdgeColoring, ["n", "k", "colors"]),
+        (Pattern, ["m", "edges", "label"]),
+        (Embedding, ["color", "map"]),
+        (CheckStats, ["pairs_scanned", "embedding_nodes", "patterns_checked"]),
+        (VerificationReport, ["passed", "rainbow_witness", "mono_witnesses", "stats"]),
+        (AvoidanceSpec,
+         ["forbids", ("require_gallai", bool, dataclasses.field(default=True))]),
+        (SearchProblem,
+         ["n", "per_color", ("require_gallai", bool, dataclasses.field(default=False)),
+          ("mode", str, dataclasses.field(default="first"))]),
+        (SearchOutcome, ["kind", "witness", "nodes_explored", "symmetry_reduced"]),
+        (CnfDocument, ["n", "k", "num_vars", "clauses"]),
+        (GallaiPartition, ["parts", "quotient"]),
+        (GrValue, ["value", "case_tag"]),
+    )
+}
 
 
 def naive_mono(c: EdgeColoring, pattern, color: int) -> bool:

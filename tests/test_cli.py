@@ -265,6 +265,28 @@ def test_build_verify_pipeline_every_target(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_build_names_the_k_it_was_given(capsys, tmp_path):
+    # the towers recurse on k - 2, so a late check would name k=298
+    out_path = tmp_path / "o.grc"
+    for argv in (("build", "--target", "h10", "--k", "300"),
+                 ("build-mixed", "--k", "300", "--s", "150")):
+        code, out, err = run(capsys, *argv, "--out", str(out_path))
+        assert code == 2 and out == "", argv
+        assert err == "error: k=300 exceeds 255, the most colors a byte holds\n", argv
+        assert not out_path.exists()
+
+
+def test_negative_node_budget_is_usage_error(capsys):
+    code, out, err = run(capsys, "search", "--n", "5", "--per-color", "k3,k3",
+                         "--max-nodes", "-1")
+    assert code == 2 and out == ""
+    assert "argument --max-nodes: must be >= 0, got -1" in err
+    # a budget of 0 is legal; the search runs out of it at the first node
+    code, _, err = run(capsys, "search", "--n", "5", "--per-color", "k3,k3",
+                       "--max-nodes", "0")
+    assert code == 2 and err == "error: node budget 0 exhausted\n"
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["build", "--target", "h10"]) == 2
 
@@ -351,17 +373,37 @@ def _child(*argv, cwd=None, code=_AS_MAIN):
 def test_subcommands_import_only_their_modules(tmp_path):
     assert main(["build", "--target", "h10", "--k", "3", "--out", str(tmp_path / "c.grc"),
                  "--no-certify"]) == 0
-    unused = {
+    assert main(["encode", "--n", "4", "--per-color", "path(3),kipas(4)", "--gallai",
+                 "--out", str(tmp_path / "f.cnf")]) == 0
+    (tmp_path / "model.out").write_text("SAT\n1 -2 -3 4 -5 6 -7 8 -9 10 11 -12 0\n",
+                                        encoding="ascii")
+    # the library modules each subcommand may load; no subcommand loads
+    # dataclasses or inspect, which the value records do without
+    may_load = {
+        ("build", "--target", "h10", "--k", "3"):
+            {"coloring", "patterns", "detect", "formulas", "construct"},
+        ("build-mixed", "--k", "3", "--s", "1"):
+            {"coloring", "patterns", "detect", "formulas", "construct"},
         ("verify", "c.grc", "--gallai", "--forbid-all", "h10"):
-            {"search", "cnf", "construct", "formulas", "decompose"},
-        ("search", "--n", "5", "--per-color", "k3,k3"): {"cnf", "construct", "decompose"},
+            {"coloring", "patterns", "detect"},
+        ("partition", "c.grc"): {"coloring", "patterns", "detect", "decompose"},
+        ("formula", "--target", "h10", "--k", "3"): {"patterns", "formulas"},
+        ("search", "--n", "5", "--per-color", "k3,k3"):
+            {"coloring", "patterns", "detect", "search"},
+        ("encode", "--n", "5", "--per-color", "k3,k3", "--out", "g.cnf"):
+            {"coloring", "patterns", "detect", "search", "cnf"},
+        ("decode", "--cnf", "f.cnf", "--model", "model.out", "--n", "4", "--k", "2"):
+            {"coloring", "cnf"},
+        ("catalog",): {"patterns"},
     }
-    for argv, modules in unused.items():
+    assert {argv[0] for argv in may_load} == set(cli._USES)
+    for argv, modules in may_load.items():
         child = _child(*argv, cwd=tmp_path)
         assert child.returncode == 0, child.stderr
         loaded = set(child.stderr.rpartition("modules:")[2].split())
-        assert "gallaikit.detect" in loaded
-        assert not loaded & {f"gallaikit.{m}" for m in modules}, argv
+        library = {m.partition(".")[2] for m in loaded if m.startswith("gallaikit.")}
+        assert set(cli._USES[argv[0]]) <= library - {"_record"} <= modules, argv
+        assert not loaded & {"dataclasses", "inspect"}, argv
 
 
 def test_bad_input_exits_two_in_a_fresh_interpreter(tmp_path):
