@@ -14,63 +14,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import import_module
 
-# the library names the handlers look up in this module, by defining module;
-# each is bound on first use, so a subcommand loads only the modules it uses
-_LAZY = {
-    "read_grc": "coloring", "write_grc": "coloring",
-    "canonical_id": "patterns", "catalog": "patterns", "chromatic_number": "patterns",
-    "AvoidanceSpec": "detect", "verify": "detect",
-    "RainbowTriangleError": "decompose", "gallai_partition": "decompose",
-    "build_lower": "construct", "build_mixed": "construct",
-    "conjecture_kipas": "formulas", "fan_param": "formulas",
-    "gr_mixed_value": "formulas", "gr_value": "formulas",
-    "SearchProblem": "search", "exhaustive_check": "search",
-    "CnfDocument": "cnf", "CnfError": "cnf", "assignment_satisfies": "cnf",
-    "decode_assignment": "cnf", "encode_cnf": "cnf", "parse_dimacs": "cnf",
-    "parse_model": "cnf",
-}
+from . import _MODULE_OF
 
-# the modules each subcommand's handler uses
-_USES = {
-    "build": ("construct", "coloring"),
-    "build-mixed": ("construct", "coloring"),
-    "verify": ("coloring", "patterns", "detect"),
-    "partition": ("coloring", "decompose"),
-    "formula": ("formulas", "patterns"),
-    "search": ("search", "coloring"),
-    "encode": ("search", "cnf"),
-    "decode": ("cnf", "coloring"),
-    "catalog": ("patterns",),
-}
-
-# the domain error of each module
-_ERROR_OF = {
-    "coloring": "ColoringError", "patterns": "PatternError", "formulas": "FormulaError",
-    "construct": "ConstructionError", "search": "SearchError", "cnf": "CnfError",
-    "decompose": "DecompositionError",
-}
+# the handlers look library names up here, through __getattr__, so each is
+# imported on first use and a wrapper patched onto this module is the one called
+_lib = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
+    if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __package__), name)
+    value = getattr(sys.modules[__package__], name)
     globals()[name] = value
     return value
-
-
-def _domain_errors() -> tuple[type[Exception], ...]:
-    """OSError and the domain errors of the modules loaded so far, which are
-    the only modules that can have raised."""
-    errors: list[type[Exception]] = [OSError]
-    for module, error in _ERROR_OF.items():
-        mod = sys.modules.get(f"{__package__}.{module}")
-        if mod is not None:
-            errors.append(getattr(mod, error))
-    return tuple(errors)
 
 
 _R2_HELP = ("two-color Ramsey number; only for a fan; must match R2_TABLE, "
@@ -118,7 +75,7 @@ def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
 
 def _write_if_requested(args: argparse.Namespace, coloring) -> None:
     if getattr(args, "out", None):
-        write_grc(coloring, args.out)
+        _lib.write_grc(coloring, args.out)
 
 
 def _emit_built(args: argparse.Namespace, c) -> int:
@@ -131,27 +88,27 @@ def _emit_built(args: argparse.Namespace, c) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     return _emit_built(
-        args, build_lower(args.target, args.k, r2=args.r2, certify=not args.no_certify)
+        args, _lib.build_lower(args.target, args.k, r2=args.r2, certify=not args.no_certify)
     )
 
 
 def _cmd_build_mixed(args: argparse.Namespace) -> int:
-    return _emit_built(args, build_mixed(args.k, args.s, certify=not args.no_certify))
+    return _emit_built(args, _lib.build_mixed(args.k, args.s, certify=not args.no_certify))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    c = read_grc(args.file)
+    c = _lib.read_grc(args.file)
     per_color: dict[int, str] = {}
     if args.forbid_all is not None:
-        pid = canonical_id(args.forbid_all)
+        pid = _lib.canonical_id(args.forbid_all)
         per_color = {color: pid for color in range(1, c.k + 1)}
     for color, pid in args.forbid or []:
         if pid == "none":
             per_color.pop(color, None)
         else:
-            per_color[color] = canonical_id(pid)
-    spec = AvoidanceSpec.from_map(per_color, require_gallai=args.gallai)
-    report = verify(c, spec)
+            per_color[color] = _lib.canonical_id(pid)
+    spec = _lib.AvoidanceSpec.from_map(per_color, require_gallai=args.gallai)
+    report = _lib.verify(c, spec)
     payload = {
         "passed": report.passed,
         "rainbow_witness": list(report.rainbow_witness) if report.rainbow_witness else None,
@@ -178,10 +135,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    c = read_grc(args.file)
+    c = _lib.read_grc(args.file)
     try:
-        gp = gallai_partition(c)
-    except RainbowTriangleError as exc:
+        gp = _lib.gallai_partition(c)
+    except _lib.RainbowTriangleError as exc:
         payload = {"rainbow_witness": list(exc.witness)}
         _emit(args, payload, f"rainbow triangle {exc.witness}")
         return 1
@@ -199,23 +156,18 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 def _cmd_formula(args: argparse.Namespace) -> int:
     if args.r2 is not None and not args.conjecture:
-        print("error: --r2 applies only with --conjecture", file=sys.stderr)
-        return 2
+        raise _lib.FormulaError("--r2 applies only with --conjecture")
     if args.conjecture:
-        m = fan_param(args.target)
+        m = _lib.fan_param(args.target)
         if m is None:
-            print(f"error: --conjecture needs a kipas target, got {args.target!r}",
-                  file=sys.stderr)
-            return 2
-        gv = conjecture_kipas(m, args.k, r2=args.r2)
+            raise _lib.FormulaError(f"--conjecture needs a kipas target, got {args.target!r}")
+        gv = _lib.conjecture_kipas(m, args.k, r2=args.r2)
     elif args.s is not None:
-        if fan_param(canonical_id(args.target)) != 4:
-            print("error: --s selects the mixed family; target must be kipas(4)",
-                  file=sys.stderr)
-            return 2
-        gv = gr_mixed_value(args.k, args.s)
+        if _lib.fan_param(_lib.canonical_id(args.target)) != 4:
+            raise _lib.FormulaError("--s selects the mixed family; target must be kipas(4)")
+        gv = _lib.gr_mixed_value(args.k, args.s)
     else:
-        gv = gr_value(args.target, args.k)
+        gv = _lib.gr_value(args.target, args.k)
     payload = {
         "value": gv.value,
         "branch": gv.case_tag,
@@ -227,10 +179,10 @@ def _cmd_formula(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    problem = SearchProblem(
+    problem = _lib.SearchProblem(
         args.n, args.per_color, require_gallai=args.gallai, mode=args.mode
     )
-    outcome = exhaustive_check(problem, max_nodes=args.max_nodes)
+    outcome = _lib.exhaustive_check(problem, max_nodes=args.max_nodes)
     payload = {
         "kind": outcome.kind,
         "nodes_explored": outcome.nodes_explored,
@@ -239,7 +191,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if outcome.kind == "witness":
         payload["witness_colors"] = list(outcome.witness.colors)
         if args.out:
-            write_grc(outcome.witness, args.out)
+            _lib.write_grc(outcome.witness, args.out)
             payload["out"] = args.out
         _emit(args, payload,
               f"witness after {outcome.nodes_explored} nodes"
@@ -252,11 +204,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_encode(args: argparse.Namespace) -> int:
     k = len(args.per_color)
     if args.k is not None and args.k != k:
-        print(f"error: --k {args.k} disagrees with --per-color arity {k}",
-              file=sys.stderr)
-        return 2
-    problem = SearchProblem(args.n, args.per_color, require_gallai=args.gallai)
-    doc = encode_cnf(problem)
+        raise _lib.CnfError(f"--k {args.k} disagrees with --per-color arity {k}")
+    problem = _lib.SearchProblem(args.n, args.per_color, require_gallai=args.gallai)
+    doc = _lib.encode_cnf(problem)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(doc.to_dimacs())
     payload = {
@@ -276,19 +226,19 @@ def _read_ascii(path: str) -> str:
         with open(path, encoding="ascii") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise CnfError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+        raise _lib.CnfError(f"{path}: non-ASCII byte at offset {exc.start}") from None
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    num_vars, clauses = parse_dimacs(_read_ascii(args.cnf))
-    doc = CnfDocument(args.n, args.k, num_vars, tuple(clauses))
-    model = parse_model(_read_ascii(args.model))
+    num_vars, clauses = _lib.parse_dimacs(_read_ascii(args.cnf))
+    doc = _lib.CnfDocument(args.n, args.k, num_vars, tuple(clauses))
+    model = _lib.parse_model(_read_ascii(args.model))
     if model is None:
         _emit(args, {"kind": "unsat"}, "UNSAT claim, nothing to decode")
         return 1
-    c = decode_assignment(doc, model, n=args.n, k=args.k)
-    if not assignment_satisfies(doc, model):
-        raise CnfError("model does not satisfy the formula it came with")
+    c = _lib.decode_assignment(doc, model, n=args.n, k=args.k)
+    if not _lib.assignment_satisfies(doc, model):
+        raise _lib.CnfError("model does not satisfy the formula it came with")
     _write_if_requested(args, c)
     payload = {"kind": "sat", "n": c.n, "k": c.k, "colors": list(c.colors)}
     if args.out:
@@ -301,12 +251,12 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     rows = []
-    for cid, pattern in catalog():
+    for cid, pattern in _lib.catalog():
         rows.append({
             "id": cid,
             "vertices": pattern.m,
             "edges": [list(e) for e in sorted(pattern.edges)],
-            "chromatic_number": chromatic_number(pattern),
+            "chromatic_number": _lib.chromatic_number(pattern),
         })
     if args.json:
         print(json.dumps(rows))
@@ -316,10 +266,6 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             print(f"{row['id']}: {row['vertices']} vertices, "
                   f"chi {row['chromatic_number']}, edges {edges}")
     return 0
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -336,7 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the coloring to this GRC file")
     p.add_argument("--no-certify", action="store_true",
                    help="skip the avoidance re-check (sizes still validated)")
-    _add_common(p)
     p.set_defaults(func=_cmd_build)
 
     p = subparsers.add_parser("build-mixed",
@@ -347,7 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the coloring to this GRC file")
     p.add_argument("--no-certify", action="store_true",
                    help="skip the avoidance re-check (sizes still validated)")
-    _add_common(p)
     p.set_defaults(func=_cmd_build_mixed)
 
     p = subparsers.add_parser("verify", help="check a GRC file against avoidance flags")
@@ -356,12 +300,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbid", type=_forbid_pair, action="append", metavar="C=ID",
                    help="forbid pattern ID in color C (repeatable; ID 'none' unsets)")
     p.add_argument("--forbid-all", metavar="ID", help="forbid pattern ID in every color")
-    _add_common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = subparsers.add_parser("partition", help="compute a Gallai partition of a GRC file")
     p.add_argument("file", help="GRC input")
-    _add_common(p)
     p.set_defaults(func=_cmd_partition)
 
     p = subparsers.add_parser("formula", help="evaluate a Gallai-Ramsey closed form")
@@ -372,7 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r2", type=int, help=_R2_HELP + " (with --conjecture)")
     p.add_argument("--conjecture", action="store_true",
                    help="evaluate the general kipas conjecture instead of a theorem")
-    _add_common(p)
     p.set_defaults(func=_cmd_formula)
 
     p = subparsers.add_parser("search", help="backtracking search for an avoiding coloring")
@@ -384,7 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="stop at first witness, or prove none exists")
     p.add_argument("--max-nodes", type=_node_budget, help="abort after this many search nodes")
     p.add_argument("--out", help="write a found witness to this GRC file")
-    _add_common(p)
     p.set_defaults(func=_cmd_search)
 
     p = subparsers.add_parser("encode", help="emit a DIMACS CNF for the same question")
@@ -394,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="pattern per color; 'none' or '-' leaves a color free")
     p.add_argument("--gallai", action="store_true", help="also forbid rainbow triangles")
     p.add_argument("--out", required=True, help="DIMACS output file")
-    _add_common(p)
     p.set_defaults(func=_cmd_encode)
 
     p = subparsers.add_parser("decode", help="turn a solver model back into a GRC file")
@@ -403,13 +342,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="host vertices")
     p.add_argument("--k", type=int, required=True, help="number of colors")
     p.add_argument("--out", help="write the decoded coloring to this GRC file")
-    _add_common(p)
     p.set_defaults(func=_cmd_decode)
 
     p = subparsers.add_parser("catalog", help="list the five-vertex pattern catalog")
-    _add_common(p)
     p.set_defaults(func=_cmd_catalog)
 
+    for p in subparsers.choices.values():
+        p.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 
@@ -419,13 +358,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits itself on usage errors and --help
         return int(exc.code or 0)
-    uses = _USES[args.command]
-    for name, module in _LAZY.items():
-        if module in uses and name not in globals():
-            __getattr__(name)  # a name patched in beforehand stays as it is
     try:
         return args.func(args)
-    except _domain_errors() as exc:  # evaluated only once something raised
+    except Exception as exc:
+        # a bad file or a library error is the input's fault; anything else is a bug
+        if not (isinstance(exc, OSError) or type(exc).__module__.startswith("gallaikit.")):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,6 +24,9 @@ from .patterns import canonical_id, resolve
 # node budget for extremal searches; generous for n <= 9 hosts
 _SEARCH_NODE_CAP = 20_000_000
 
+# the most vertices a builder materializes; a tower over it fails closed
+VERTEX_BUDGET = 1 << 13
+
 
 class ConstructionError(Exception):
     pass
@@ -45,6 +48,13 @@ class CertificationError(ConstructionError):
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
+
+
+def _check_size(n: int, label: str) -> None:
+    if n > VERTEX_BUDGET:
+        raise RangeViolationError(
+            f"{label} would have {n} vertices, over the budget of {VERTEX_BUDGET}"
+        )
 
 
 def _certify(c: EdgeColoring, spec: AvoidanceSpec, label: str) -> None:
@@ -202,8 +212,10 @@ def build_kipas_aux(
         raise ParityViolationError(f"need even k >= 4, got {k}")
     if top_color not in (k - 1, k):
         raise RangeViolationError(f"top color must be {k - 1} or {k}, got {top_color}")
+    expect = (m // 2) * 5 ** ((k - 2) // 2)
+    _check_size(expect, f"build_kipas_aux({m}, {k})")
     c = _aux(m, k, top_color)
-    if c.n != (m // 2) * 5 ** ((k - 2) // 2):
+    if c.n != expect:
         raise ConstructionError("auxiliary tower size drifted")
     if certify:
         if not _clique_cover_ok(c, top_color, m // 2):
@@ -256,6 +268,7 @@ def build_lower(
     expect = g_value(target, k, r2)
     _check_k(k)  # before the towers, whose inner k would be the one named
     cid = canonical_id(target)
+    _check_size(expect, f"build_lower({cid}, {k})")
     # any triangle-free color class is h10-free, and from k=3 on the
     # triangle parameters give the larger tower
     c = _tower("kipas(2)" if cid == "h10" and k >= 3 else cid, k, r2)
@@ -308,8 +321,9 @@ def build_mixed(k: int, s: int, certify: bool = True) -> EdgeColoring:
     if not 0 <= s <= k:
         raise RangeViolationError(f"need 0 <= s <= k, got s={s}")
     _check_k(k)
-    c = _mixed(k, s)
     expect = w_value(k, s)
+    _check_size(expect, f"build_mixed({k}, {s})")
+    c = _mixed(k, s)
     if c.n != expect:
         raise ConstructionError(f"built {c.n} vertices for s={s}, k={k}; want {expect}")
     if certify:

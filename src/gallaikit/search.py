@@ -152,6 +152,8 @@ def exhaustive_check(
     1 (any witness can be recolored to one of that form), and the outcome
     records that the traversal used the reduction.
     """
+    if max_nodes is not None and max_nodes < 0:
+        raise SearchError(f"node budget must be >= 0, got {max_nodes}")
     n, k = problem.n, problem.k
     e_total = edge_count(n)
     if problem.mode == "exhaust" and k**e_total > EXHAUST_BUDGET:

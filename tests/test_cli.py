@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -12,6 +13,7 @@ import gallaikit
 from gallaikit import cli
 from gallaikit.cli import main
 from gallaikit.coloring import read_grc
+from gallaikit.detect import DecompositionInvariantError
 from gallaikit.formulas import R2_TABLE
 
 
@@ -377,9 +379,9 @@ def test_subcommands_import_only_their_modules(tmp_path):
                  "--out", str(tmp_path / "f.cnf")]) == 0
     (tmp_path / "model.out").write_text("SAT\n1 -2 -3 4 -5 6 -7 8 -9 10 11 -12 0\n",
                                         encoding="ascii")
-    # the library modules each subcommand may load; no subcommand loads
-    # dataclasses or inspect, which the value records do without
-    may_load = {
+    # the library modules each subcommand loads, exactly; no subcommand
+    # loads dataclasses or inspect, which the value records do without
+    loads = {
         ("build", "--target", "h10", "--k", "3"):
             {"coloring", "patterns", "detect", "formulas", "construct"},
         ("build-mixed", "--k", "3", "--s", "1"):
@@ -396,13 +398,15 @@ def test_subcommands_import_only_their_modules(tmp_path):
             {"coloring", "cnf"},
         ("catalog",): {"patterns"},
     }
-    assert {argv[0] for argv in may_load} == set(cli._USES)
-    for argv, modules in may_load.items():
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert {argv[0] for argv in loads} == set(subparsers.choices)
+    for argv, modules in loads.items():
         child = _child(*argv, cwd=tmp_path)
         assert child.returncode == 0, child.stderr
         loaded = set(child.stderr.rpartition("modules:")[2].split())
         library = {m.partition(".")[2] for m in loaded if m.startswith("gallaikit.")}
-        assert set(cli._USES[argv[0]]) <= library - {"_record"} <= modules, argv
+        assert library - {"_record"} == modules, argv
         assert not loaded & {"dataclasses", "inspect"}, argv
 
 
@@ -416,6 +420,44 @@ def test_bad_input_exits_two_in_a_fresh_interpreter(tmp_path):
         child = _child(*argv, cwd=tmp_path)
         assert child.returncode == 2 and child.stdout == "", argv
         assert child.stderr.startswith("error: ") and "Traceback" not in child.stderr, argv
+    # usage errors that argparse cannot see, each with its one stderr line
+    usage = {
+        ("formula", "--target", "h10", "--k", "3", "--r2", "9"):
+            "error: --r2 applies only with --conjecture",
+        ("formula", "--target", "h10", "--k", "3", "--conjecture"):
+            "error: --conjecture needs a kipas target, got 'h10'",
+        ("formula", "--target", "h10", "--k", "3", "--s", "1"):
+            "error: --s selects the mixed family; target must be kipas(4)",
+        ("encode", "--n", "3", "--k", "3", "--per-color", "k3,k3", "--out", "f.cnf"):
+            "error: --k 3 disagrees with --per-color arity 2",
+    }
+    for argv, line in usage.items():
+        child = _child(*argv, cwd=tmp_path)
+        assert child.returncode == 2 and child.stdout == "", argv
+        assert child.stderr.partition("modules:")[0] == line + "\n", argv
+    assert not (tmp_path / "f.cnf").exists()
+
+
+def test_only_library_and_os_errors_exit_two(capsys, tmp_path, monkeypatch):
+    grc = str(tmp_path / "c.grc")
+    assert main(["build", "--target", "h10", "--k", "2", "--out", grc]) == 0
+    capsys.readouterr()
+
+    def fails(exc):
+        def call(*args, **kwargs):
+            raise exc
+        return call
+
+    # a file that cannot be read, or an error class of any library module,
+    # is the input's fault
+    code, out, err = run(capsys, "verify", str(tmp_path / "missing.grc"))
+    assert (code, out) == (2, "") and err.startswith("error: [Errno 2] No such file")
+    monkeypatch.setattr(cli, "verify", fails(DecompositionInvariantError("walk")))
+    assert run(capsys, "verify", grc) == (2, "", "error: walk\n")
+    # anything else is a bug and keeps its traceback
+    monkeypatch.setattr(cli, "verify", fails(RuntimeError("bug")))
+    with pytest.raises(RuntimeError, match="bug"):
+        main(["verify", grc])
 
 
 def test_package_names_resolve():

@@ -1,7 +1,9 @@
 import pytest
 
+import gallaikit.construct as construct_module
 from gallaikit.coloring import join, parse, serialize
 from gallaikit.construct import (
+    VERTEX_BUDGET,
     EqualColorsError,
     ParityViolationError,
     _clique_cover_ok,
@@ -251,3 +253,20 @@ def test_build_mixed_rejects_s_outside_range():
         build_mixed(3, -1)
     with pytest.raises(RangeViolationError):
         build_mixed(3, 4)
+
+
+def test_builders_refuse_sizes_over_the_vertex_budget(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a coloring over the budget was started")
+
+    monkeypatch.setattr(construct_module, "_tower", no_build)
+    monkeypatch.setattr(construct_module, "_mixed", no_build)
+    monkeypatch.setattr(construct_module, "_aux", no_build)
+    with pytest.raises(RangeViolationError, match="125000 vertices.* 8192"):
+        build_lower("h1", 14)
+    with pytest.raises(RangeViolationError, match="12500 vertices"):
+        build_mixed(11, 11)
+    with pytest.raises(RangeViolationError, match="312500 vertices"):
+        build_kipas_aux(200, 12, 12)
+    # the largest towers that are meant to be built still fit
+    assert g_value("h1", 10) == 5000 and g_value("kipas(4)", 10) == 6249 < VERTEX_BUDGET

@@ -11,6 +11,7 @@ from gallaikit.patterns import catalog, resolve
 import gallaikit.search as search_module
 from gallaikit.search import (
     ScopeExceededError,
+    SearchError,
     SearchProblem,
     _completion_tables,
     exhaustive_check,
@@ -134,6 +135,16 @@ def test_max_nodes_cuts_off_first_search():
         exhaustive_check(
             SearchProblem(9, ("kipas(4)", "kipas(4)"), mode="first"), max_nodes=10
         )
+
+
+def test_negative_node_budget_is_refused_before_any_table(monkeypatch):
+    def no_tables(problem):
+        raise AssertionError("tables built for a refused budget")
+
+    monkeypatch.setattr(search_module, "_completion_tables", no_tables)
+    with pytest.raises(SearchError, match="got -1") as info:
+        exhaustive_check(SearchProblem(5, ("k3", "k3")), max_nodes=-1)
+    assert type(info.value) is SearchError  # not a budget that ran out
 
 
 def test_symmetry_reduction_recorded_only_when_identical():
