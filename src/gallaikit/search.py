@@ -2,10 +2,15 @@
 
 Edges are assigned in lexicographic order, colors in increasing order, so
 the first witness found is the lexicographically least valid coloring.
-Pruning is incremental: coloring an edge only re-checks pattern images and
-triangles whose last edge (in assignment order) is that edge.  Both this
-search and cnf.encode_cnf read the images and triangles from one compile
-step, SearchProblem.forbidden_images() and rainbow_triangles().
+That coloring is also the least member of its orbit under vertex
+permutations (and color permutations, when every color forbids the same
+pattern), so the DFS skips every prefix that provably is not, by the two
+lex-leader rules described at exhaustive_check (Crawford et al., KR 1996;
+Codish et al., Constraints 2016).  Pruning is incremental: coloring an
+edge only re-checks pattern images and triangles whose last edge (in
+assignment order) is that edge.  Both this search and cnf.encode_cnf read
+the images and triangles from one compile step,
+SearchProblem.forbidden_images() and rainbow_triangles().
 
 The image check is bit-parallel and byte-sliced.  _completion_tables gives
 each completion mask of an (edge, color) one bit of an int and, for each
@@ -147,10 +152,19 @@ def exhaustive_check(
     """First lexicographic witness, or proof by traversal that none exists.
 
     Mode "exhaust" insists the whole state space fits under EXHAUST_BUDGET
-    before starting; mode "first" has no such cap and may run long.  When
-    every color forbids the same pattern, the first edge is pinned to color
-    1 (any witness can be recolored to one of that form), and the outcome
-    records that the traversal used the reduction.
+    before starting; mode "first" has no such cap and may run long.
+
+    The traversal skips every partial coloring that cannot be the least
+    member of its orbit.  Vertex transposition (t, t+1) swaps the edge
+    pairs (x,t)-(x,t+1) and (t,y)-(t+1,y); while every earlier pair is
+    tied, the later edge b of a pair may not take a smaller color than its
+    partner a.  When every color forbids the same pattern, a color may
+    also exceed the largest one used so far by at most 1 (which pins the
+    first edge to color 1), and the outcome records that the traversal
+    used color symmetry.  The least valid coloring is the least member of
+    its orbit, so the witness and the kind are those of the plain
+    traversal; only nodes_explored counts fewer nodes, and a color below
+    the transpositions' bound or above the color bound is not a node.
     """
     if max_nodes is not None and max_nodes < 0:
         raise SearchError(f"node budget must be >= 0, got {max_nodes}")
@@ -170,6 +184,18 @@ def exhaustive_check(
     for xy, xz, yz in problem.rainbow_triangles():
         tri[yz].append((xy, xz))
 
+    # lex[b] = (t, a) for each edge pair a < b that the vertex transposition
+    # (t, t+1) swaps; split[t] = the b at which it first differs, or any
+    # value >= pos while it is still tied on the placed prefix
+    lex: list[list[tuple[int, int]]] = [[] for _ in range(e_total)]
+    for t in range(n - 1):
+        for x in range(t):
+            lex[edge_index(n, x, t + 1)].append((t, edge_index(n, x, t)))
+        for y in range(t + 2, n):
+            lex[edge_index(n, t + 1, y)].append((t, edge_index(n, t, y)))
+    split = [e_total] * (n - 1)
+    top = [0] * (e_total + 1)  # top[pos] = largest color before pos
+
     choice = [0] * e_total  # 0 = not placed
     col_mask = [0] * (k + 1)
     pos = 0
@@ -177,8 +203,13 @@ def exhaustive_check(
     while True:
         if choice[pos]:
             col_mask[choice[pos]] ^= 1 << pos
-        limit = 1 if pos == 0 and symmetric else k
-        color = choice[pos] + 1
+            color = choice[pos] + 1
+        else:
+            color = 1
+            for t, a in lex[pos]:
+                if split[t] >= pos and choice[a] > color:
+                    color = choice[a]
+        limit = min(k, top[pos] + 1) if symmetric else k
         while color <= limit:
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
@@ -203,7 +234,11 @@ def exhaustive_check(
         if color <= limit:
             choice[pos] = color
             col_mask[color] = cm | (1 << pos)
+            for t, a in lex[pos]:
+                if split[t] >= pos:
+                    split[t] = pos if color > choice[a] else e_total
             pos += 1
+            top[pos] = max(top[pos - 1], color)
             if pos == e_total:
                 witness = EdgeColoring(n, k, tuple(choice))
                 report = verify(witness, problem.spec)

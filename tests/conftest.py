@@ -413,15 +413,25 @@ def plant_rainbow(rng: random.Random, c: EdgeColoring) -> EdgeColoring:
     return make_coloring(c.n, c.k, cmap)
 
 
-def plain_exhaustive_check(problem, max_nodes: int | None = None):
+def plain_exhaustive_check(problem, max_nodes: int | None = None, lex_leader: bool = True):
     """search.exhaustive_check with the completion test as a list scan.
 
     The library's former DFS, kept as its oracle: per (edge, color) a plain
     list of completion masks, built from naive_images with inline edge
     indices, and at every node a Python loop asking whether some mask lies
-    inside the color's edge set.  Same edge and color order, same first-edge
-    pin and same node counting, so kind, nodes_explored, symmetry_reduced,
-    the witness and the node at which max_nodes cuts off must all agree.
+    inside the color's edge set.  Same edge and color order and same node
+    counting, so kind, nodes_explored, symmetry_reduced, the witness and
+    the node at which max_nodes cuts off must all agree.
+
+    With lex_leader, the library's symmetry breaking, written out from its
+    definition: a color is skipped, and is not a node, when some adjacent
+    vertex transposition maps the placed prefix plus that color to one that
+    is already lexicographically smaller (found by scanning both in edge
+    order up to the first position that differs or is not yet placed), or,
+    when every color forbids the same pattern, when it exceeds the largest
+    color placed so far by more than 1.  Without it, the unpruned
+    traversal: in that symmetric case only the first edge is pinned to
+    color 1.
     """
     from gallaikit.patterns import resolve
     from gallaikit.search import (
@@ -456,6 +466,25 @@ def plain_exhaustive_check(problem, max_nodes: int | None = None):
         for y, z in combinations(range(n), 2):
             for x in range(y):
                 tri[idx(y, z)].append((idx(x, y), idx(x, z)))
+    # swapped[t][p] = the edge that position p becomes under (t, t+1)
+    swapped = []
+    for t in range(n - 1):
+        relabel = list(range(n))
+        relabel[t], relabel[t + 1] = t + 1, t
+        swapped.append([idx(min(relabel[u], relabel[v]), max(relabel[u], relabel[v]))
+                        for u, v in combinations(range(n), 2)])
+
+    def lex_smaller(prefix):
+        """Does some adjacent transposition provably make prefix smaller?"""
+        for perm in swapped:
+            for p, q in enumerate(perm):
+                if p >= len(prefix) or q >= len(prefix):
+                    break
+                if prefix[q] != prefix[p]:
+                    if prefix[q] < prefix[p]:
+                        return True
+                    break
+        return False
 
     choice = [0] * e_total
     col_mask = [0] * (k + 1)
@@ -463,9 +492,16 @@ def plain_exhaustive_check(problem, max_nodes: int | None = None):
     while True:
         if choice[pos]:
             col_mask[choice[pos]] ^= 1 << pos
-        limit = 1 if pos == 0 and symmetric else k
-        color = choice[pos] + 1
-        while color <= limit:
+        if not symmetric:
+            limit = k
+        elif lex_leader:
+            limit = min(k, max(choice[:pos], default=0) + 1)
+        else:
+            limit = 1 if pos == 0 else k
+        placed = 0
+        for color in range(choice[pos] + 1, limit + 1):
+            if lex_leader and lex_smaller(choice[:pos] + [color]):
+                continue
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
                 raise ScopeExceededError(f"node budget {max_nodes} exhausted")
@@ -475,11 +511,11 @@ def plain_exhaustive_check(problem, max_nodes: int | None = None):
                 for e1, e2 in tri[pos]
             )
             if ok:
+                placed = color
                 break
-            color += 1
-        if color <= limit:
-            choice[pos] = color
-            col_mask[color] |= 1 << pos
+        if placed:
+            choice[pos] = placed
+            col_mask[placed] |= 1 << pos
             pos += 1
             if pos == e_total:
                 witness = EdgeColoring(n, k, tuple(choice))

@@ -1,11 +1,10 @@
 import random
 import tracemalloc
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from conftest import naive_images, plain_exhaustive_check
-from gallaikit.coloring import edge_count, edge_list, make_coloring
 from gallaikit.detect import AvoidanceSpec, verify
 from gallaikit.patterns import catalog, resolve
 import gallaikit.search as search_module
@@ -18,17 +17,36 @@ from gallaikit.search import (
 )
 
 
-def brute_force(problem: SearchProblem):
-    """Try every coloring in lexicographic order; first pass wins."""
-    n, k = problem.n, len(problem.per_color)
-    per_color = {
-        i + 1: pid for i, pid in enumerate(problem.per_color) if pid is not None
-    }
-    spec = AvoidanceSpec.from_map(per_color, require_gallai=problem.require_gallai)
-    for colors in product(range(1, k + 1), repeat=edge_count(n)):
-        c = make_coloring(n, k, dict(zip(edge_list(n), colors)))
-        if verify(c, spec).passed:
-            return c
+def first_by_enumeration(problem: SearchProblem):
+    """The first valid coloring among all k^E in edge order, or None.
+
+    Shares no code with either DFS: the edges come from combinations (the
+    row-major edge order), every copy of a pattern from permutations of
+    host vertices, and the triangles and the checks from plain loops.
+    """
+    n, k = problem.n, problem.k
+    edges = list(combinations(range(n), 2))
+    bit = {edge: 1 << i for i, edge in enumerate(edges)}
+    copies = []
+    for color, pid in enumerate(problem.per_color, start=1):
+        if pid is not None:
+            pattern = resolve(pid)
+            copies += [(color, sum(bit[min(f[a], f[b]), max(f[a], f[b])]
+                                   for a, b in pattern.edges))
+                       for f in permutations(range(n), pattern.m)]
+    triangles = []
+    if problem.require_gallai and k >= 3:
+        triangles = [(edges.index((x, y)), edges.index((x, z)), edges.index((y, z)))
+                     for x, y, z in combinations(range(n), 3)]
+    for colors in product(range(1, k + 1), repeat=len(edges)):
+        in_color = [0] * (k + 1)
+        for i, color in enumerate(colors):
+            in_color[color] |= 1 << i
+        if any(mask & in_color[color] == mask for color, mask in copies):
+            continue
+        if any(len({colors[a], colors[b], colors[c]}) == 3 for a, b, c in triangles):
+            continue
+        return colors
     return None
 
 
@@ -86,10 +104,10 @@ def test_witness_is_lexicographically_first():
         for n in (3, 4):
             problem = SearchProblem(n, per_color, mode="first")
             got = exhaustive_check(problem)
-            want = brute_force(problem)
+            want = first_by_enumeration(problem)
             assert (got.kind == "witness") == (want is not None)
             if want is not None:
-                assert got.witness == want
+                assert got.witness.colors == want
 
 
 def test_exhaust_agrees_with_brute_force_tiny():
@@ -103,7 +121,7 @@ def test_exhaust_agrees_with_brute_force_tiny():
     for n, per_color, gallai in cases:
         problem = SearchProblem(n, per_color, require_gallai=gallai, mode="exhaust")
         got = exhaustive_check(problem)
-        want = brute_force(problem)
+        want = first_by_enumeration(problem)
         assert (got.kind == "witness") == (want is not None), (n, per_color)
 
 
@@ -169,17 +187,16 @@ def _same(problem, max_nodes=None):
     return got
 
 
-def test_transposed_check_matches_list_scan_two_colors():
+def two_color_problems():
     # every catalog id and kipas(2..4), both colors forbidding it, n <= 8
     ids = [pid for pid, _ in catalog()] + ["kipas(2)", "kipas(3)", "kipas(4)"]
-    kinds = {_same(SearchProblem(n, (pid, pid)))[0] for pid in ids for n in range(2, 9)}
-    assert kinds == {"witness", "exhausted"}
+    return [SearchProblem(n, (pid, pid)) for pid in ids for n in range(2, 9)]
 
 
-def test_transposed_check_matches_list_scan_mixed_and_gallai():
+def mixed_and_gallai_problems():
     # None slots, a one-edge pattern (its completion mask is empty), different
     # patterns per color, and k = 3 with the rainbow-triangle check; exhaust
-    # mode also compares the state budget guard (3^15 > 2^21 refuses n=6)
+    # mode also meets the state budget guard (3^15 > 2^21 refuses n=6)
     cases = [
         (n, per_color, False)
         for n in range(2, 8)
@@ -192,21 +209,53 @@ def test_transposed_check_matches_list_scan_mixed_and_gallai():
         for per_color in [("k3", "k3", "k3"), ("h10", "h10", "h10"),
                           ("path(3)", None, "kipas(3)"), (None, None, None)]
     ]
+    return [SearchProblem(n, per_color, require_gallai=gallai, mode=mode)
+            for n, per_color, gallai in cases for mode in ("first", "exhaust")]
+
+
+CUTOFF_PROBLEMS = [SearchProblem(7, ("h10", "h10"), mode="exhaust"),
+                   SearchProblem(6, ("k3", "k3", "k3"), require_gallai=True)]
+
+
+def test_transposed_check_matches_list_scan_two_colors():
+    kinds = {_same(problem)[0] for problem in two_color_problems()}
+    assert kinds == {"witness", "exhausted"}
+
+
+def test_transposed_check_matches_list_scan_mixed_and_gallai():
     seen = set()
-    for n, per_color, gallai in cases:
-        for mode in ("first", "exhaust"):
-            got = _same(SearchProblem(n, per_color, require_gallai=gallai, mode=mode))
-            seen.add(got if got == "scope exceeded" else got[0])
+    for problem in mixed_and_gallai_problems():
+        got = _same(problem)
+        seen.add(got if got == "scope exceeded" else got[0])
     assert seen == {"witness", "exhausted", "scope exceeded"}
 
 
 def test_max_nodes_cuts_off_at_the_same_node():
-    for problem in [SearchProblem(7, ("h10", "h10"), mode="exhaust"),
-                    SearchProblem(6, ("k3", "k3", "k3"), require_gallai=True)]:
+    for problem in CUTOFF_PROBLEMS:
         full = _same(problem)[1]
         assert _same(problem, max_nodes=full)[1] == full
         for budget in (0, 1, full // 3, full - 1):
             assert _same(problem, max_nodes=budget) == "scope exceeded"
+
+
+def test_lex_leader_keeps_kind_and_witness_of_the_unpruned_traversal():
+    # symmetry breaking only drops nodes: on every problem of the three tests
+    # above, kind, witness and symmetry_reduced are those of the traversal
+    # without it, which never visits fewer nodes
+    def unpruned(problem, max_nodes):
+        return plain_exhaustive_check(problem, max_nodes, lex_leader=False)
+
+    fewer = 0
+    for problem in two_color_problems() + mixed_and_gallai_problems() + CUTOFF_PROBLEMS:
+        got = _outcome(exhaustive_check, problem, None)
+        want = _outcome(unpruned, problem, None)
+        if got == "scope exceeded" or want == "scope exceeded":
+            assert got == want, problem
+            continue
+        assert (got[0], got[2], got[3]) == (want[0], want[2], want[3]), problem
+        assert got[1] <= want[1], problem
+        fewer += got[1] < want[1]
+    assert fewer > 0
 
 
 KIPAS4_N9 = (1, 1, 1, 1, 1, 2, 2, 2, 1, 1, 2, 2, 1, 2, 2, 2, 2, 2,
@@ -216,16 +265,17 @@ H5_N9 = (1, 1, 1, 1, 2, 2, 2, 2, 1, 2, 2, 1, 1, 2, 2, 2, 2, 2,
 
 
 def test_anchor_traversals_pinned():
-    # the searches of the benchmark's anchors workload: node counts and the
-    # witnesses are the lexicographic DFS's, whatever its completion test
+    # the searches of the benchmark's anchors workload: node counts are the
+    # lex-leader DFS's, whatever its completion test, and the witnesses the
+    # lexicographic DFS's, with or without symmetry breaking
     pins = [
-        ("h1", 9, "first", 221129, None),
-        ("h2", 9, "first", 71917, None),
-        ("h3", 9, "first", 72869, None),
-        ("kipas(4)", 9, "first", 221234, KIPAS4_N9),
-        ("h5", 9, "first", 160068, H5_N9),
-        ("h10", 7, "exhaust", 12595, None),
-        ("k3", 6, "exhaust", 987, None),
+        ("h1", 9, "first", 1425, None),
+        ("h2", 9, "first", 705, None),
+        ("h3", 9, "first", 756, None),
+        ("kipas(4)", 9, "first", 2871, KIPAS4_N9),
+        ("h5", 9, "first", 1219, H5_N9),
+        ("h10", 7, "exhaust", 448, None),
+        ("k3", 6, "exhaust", 108, None),
     ]
     for pid, n, mode, nodes, colors in pins:
         out = exhaustive_check(SearchProblem(n, (pid, pid), mode=mode))
@@ -299,3 +349,27 @@ def test_forbidden_images_memory_peak():
         tracemalloc.stop()
     assert len(out[0][1]) == 332640
     assert peak < 80 * 2**20, peak
+
+
+def test_symmetry_breaking_is_sound_against_full_enumeration():
+    # n <= 5, k = 2 and 3, Gallai on and off, None slots and mixed patterns:
+    # the pruned DFS's kind and witness are those of trying every coloring
+    per_colors = [("k3", "k3"), ("path(3)", "path(3)"), ("path(4)", "path(4)"),
+                  ("h10", "h10"), ("kipas(3)", "kipas(3)"), (None, "k3"), ("k3", None),
+                  ("path(3)", "kipas(4)"), ("path(4)", "k3"), (None, None),
+                  ("k3", "k3", "k3"), ("path(3)", "path(3)", "path(3)"),
+                  ("path(2)", "k3", "path(3)"), (None, None, None), ("k3", None, "path(3)"),
+                  ("path(3)", "path(3)", None)]
+    kinds = set()
+    for per_color in per_colors:
+        for gallai in (False, True):
+            for n in range(1, 6):
+                problem = SearchProblem(n, per_color, require_gallai=gallai)
+                out = exhaustive_check(problem)
+                want = first_by_enumeration(problem)
+                assert out.kind == ("exhausted" if want is None else "witness"), problem
+                if want is not None:
+                    assert out.witness.colors == want, problem
+                kinds.add((out.kind, problem.k, gallai))
+    assert {("witness", 2, False), ("exhausted", 2, False),
+            ("witness", 3, True), ("exhausted", 3, True), ("exhausted", 3, False)} <= kinds
