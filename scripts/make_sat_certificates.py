@@ -1,7 +1,7 @@
 """Emit DIMACS certificates for the two solver-scale Ramsey anchors.
 
-The in-package backtracking search certifies the small anchors directly,
-but two tight values sit just past its enumeration budget:
+The in-package backtracking search certifies every anchor in process;
+these two, the largest, can also be certified by an external solver:
 
   * two colors, both forbidding kipas(4), on 10 vertices (UNSAT would
     certify the two-color Ramsey number 10),

@@ -47,16 +47,6 @@ def _forbid_pair(text: str) -> tuple[int, str]:
     return c, pid
 
 
-def _node_budget(text: str) -> int:
-    try:
-        budget = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if budget < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {budget}")
-    return budget
-
-
 def _per_color_list(text: str) -> tuple[str | None, ...]:
     # "h10,h10" -> ("h10","h10"); "none" or "-" leaves a color unconstrained
     out: list[str | None] = []
@@ -179,9 +169,7 @@ def _cmd_formula(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    problem = _lib.SearchProblem(
-        args.n, args.per_color, require_gallai=args.gallai, mode=args.mode
-    )
+    problem = _lib.SearchProblem(args.n, args.per_color, require_gallai=args.gallai)
     outcome = _lib.exhaustive_check(problem, max_nodes=args.max_nodes)
     payload = {
         "kind": outcome.kind,
@@ -322,8 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="pattern per color; 'none' or '-' leaves a color free")
     p.add_argument("--gallai", action="store_true", help="also forbid rainbow triangles")
     p.add_argument("--mode", choices=("first", "exhaust"), default="first",
-                   help="stop at first witness, or prove none exists")
-    p.add_argument("--max-nodes", type=_node_budget, help="abort after this many search nodes")
+                   help="ignored: both values run the same search; kept for existing scripts")
+    p.add_argument("--max-nodes", type=int, help="abort after this many search nodes")
     p.add_argument("--out", help="write a found witness to this GRC file")
     p.set_defaults(func=_cmd_search)
 

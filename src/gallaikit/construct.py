@@ -133,14 +133,11 @@ _SEEDS = {
 }
 
 
-def _searched_extremal(cid: str, n: int, max_nodes: int) -> EdgeColoring:
+def _searched_extremal(cid: str, n: int) -> EdgeColoring:
     from .search import ScopeExceededError, SearchProblem, exhaustive_check
 
-    problem = SearchProblem(
-        n=n, per_color=(cid, cid), require_gallai=False, mode="first"
-    )
     try:
-        outcome = exhaustive_check(problem, max_nodes=max_nodes)
+        outcome = exhaustive_check(SearchProblem(n, (cid, cid)), max_nodes=_SEARCH_NODE_CAP)
     except ScopeExceededError as exc:
         raise NoFixtureAndSearchFailedError(
             f"extremal search for {cid} on {n} vertices ran out of budget"
@@ -164,7 +161,7 @@ def extremal_two_coloring(
     cid = canonical_id(target)
     n = ramsey_two(cid, r2) - 1
     maker = _SEEDS.get(cid)
-    c = maker() if maker is not None else _searched_extremal(cid, n, _SEARCH_NODE_CAP)
+    c = maker() if maker is not None else _searched_extremal(cid, n)
     if c.n != n:
         raise ConstructionError(f"extremal for {cid} has {c.n} vertices, want {n}")
     if certify:

@@ -30,9 +30,6 @@ from .coloring import EdgeColoring, edge_count, edge_index
 from .detect import AvoidanceSpec, enumerate_pattern_images, verify
 from .patterns import canonical_id, resolve
 
-# full-enumeration cap: k^(edge count) states
-EXHAUST_BUDGET = 1 << 21
-
 
 class SearchError(Exception):
     pass
@@ -48,15 +45,12 @@ class SearchProblem(Record):
     n: int
     per_color: tuple[Optional[str], ...]
     require_gallai: bool = False
-    mode: str = "first"
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise SearchError(f"need n >= 1, got {self.n}")
         if not self.per_color:
             raise SearchError("per_color must list at least one color")
-        if self.mode not in ("first", "exhaust"):
-            raise SearchError(f"mode must be first or exhaust, got {self.mode!r}")
         canon = tuple(None if pid is None else canonical_id(pid) for pid in self.per_color)
         object.__setattr__(self, "per_color", canon)
 
@@ -151,8 +145,8 @@ def exhaustive_check(
 ) -> SearchOutcome:
     """First lexicographic witness, or proof by traversal that none exists.
 
-    Mode "exhaust" insists the whole state space fits under EXHAUST_BUDGET
-    before starting; mode "first" has no such cap and may run long.
+    max_nodes is the only limit: the search raises ScopeExceededError when
+    it would count node max_nodes + 1, and with None it may run long.
 
     The traversal skips every partial coloring that cannot be the least
     member of its orbit.  Vertex transposition (t, t+1) swaps the edge
@@ -170,10 +164,6 @@ def exhaustive_check(
         raise SearchError(f"node budget must be >= 0, got {max_nodes}")
     n, k = problem.n, problem.k
     e_total = edge_count(n)
-    if problem.mode == "exhaust" and k**e_total > EXHAUST_BUDGET:
-        raise ScopeExceededError(
-            f"{k}^{e_total} states exceeds the enumeration budget"
-        )
     symmetric = k >= 2 and len(set(problem.per_color)) == 1
     if e_total == 0:
         witness = EdgeColoring(n, k, ())

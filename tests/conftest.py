@@ -32,8 +32,7 @@ RECORD_TWINS = {
         (AvoidanceSpec,
          ["forbids", ("require_gallai", bool, dataclasses.field(default=True))]),
         (SearchProblem,
-         ["n", "per_color", ("require_gallai", bool, dataclasses.field(default=False)),
-          ("mode", str, dataclasses.field(default="first"))]),
+         ["n", "per_color", ("require_gallai", bool, dataclasses.field(default=False))]),
         (SearchOutcome, ["kind", "witness", "nodes_explored", "symmetry_reduced"]),
         (CnfDocument, ["n", "k", "num_vars", "clauses"]),
         (GallaiPartition, ["parts", "quotient"]),
@@ -434,11 +433,7 @@ def plain_exhaustive_check(problem, max_nodes: int | None = None, lex_leader: bo
     color 1.
     """
     from gallaikit.patterns import resolve
-    from gallaikit.search import (
-        EXHAUST_BUDGET,
-        ScopeExceededError,
-        SearchOutcome,
-    )
+    from gallaikit.search import ScopeExceededError, SearchOutcome
 
     n, k = problem.n, problem.k
     e_total = n * (n - 1) // 2
@@ -446,8 +441,6 @@ def plain_exhaustive_check(problem, max_nodes: int | None = None, lex_leader: bo
     def idx(u, v):
         return u * (2 * n - u - 1) // 2 + (v - u - 1)
 
-    if problem.mode == "exhaust" and k**e_total > EXHAUST_BUDGET:
-        raise ScopeExceededError(f"{k}^{e_total} states exceeds the enumeration budget")
     symmetric = k >= 2 and len(set(problem.per_color)) == 1
     if e_total == 0:
         return SearchOutcome("witness", EdgeColoring(n, k, ()), 0, False)

@@ -63,10 +63,10 @@ def test_criterion_1_catalog_validity():
 
 def test_criterion_2_ramsey_anchor_h10():
     t0 = time.perf_counter()
-    out = exhaustive_check(SearchProblem(7, ("h10", "h10"), mode="exhaust"))
+    out = exhaustive_check(SearchProblem(7, ("h10", "h10")))
     assert out.kind == "exhausted"
     assert out.symmetry_reduced
-    low = exhaustive_check(SearchProblem(6, ("h10", "h10"), mode="first"))
+    low = exhaustive_check(SearchProblem(6, ("h10", "h10")))
     assert low.kind == "witness"
     assert verify(low.witness, AvoidanceSpec.forbid_all("h10", 2)).passed
     assert ramsey_two("h10") == 7
@@ -75,10 +75,9 @@ def test_criterion_2_ramsey_anchor_h10():
 
 def test_criterion_3_ramsey_anchor_path_fan():
     t0 = time.perf_counter()
-    out = exhaustive_check(
-        SearchProblem(5, ("path(3)", "kipas(4)"), mode="exhaust"))
+    out = exhaustive_check(SearchProblem(5, ("path(3)", "kipas(4)")))
     assert out.kind == "exhausted"
-    low = exhaustive_check(SearchProblem(4, ("path(3)", "kipas(4)"), mode="first"))
+    low = exhaustive_check(SearchProblem(4, ("path(3)", "kipas(4)")))
     assert low.kind == "witness"
     spec = AvoidanceSpec.from_map({1: "path(3)", 2: "kipas(4)"},
                                   require_gallai=False)

@@ -82,7 +82,7 @@ def _random_args(cls, rng: random.Random) -> tuple:
                 rng.random() < 0.5)
     if cls is SearchProblem:
         return (rng.randint(1, 6), tuple(rng.choice(_IDS) for _ in range(rng.randint(1, 2))),
-                rng.random() < 0.5, rng.choice(("first", "exhaust")))
+                rng.random() < 0.5)
     if cls is SearchOutcome:
         witness = _coloring(rng) if rng.random() < 0.5 else None
         return (rng.choice(("witness", "exhausted")), witness, rng.randint(0, 3),
@@ -111,7 +111,7 @@ def _edge_args(cls) -> list[tuple]:
         VerificationReport: [(True, None, (), CheckStats(0, 0, 0)),
                              (1, None, (), CheckStats(False, 0, 0))],
         AvoidanceSpec: [((), True), ((), 1), (((1, "k3"),), False)],
-        SearchProblem: [(1, (None,), False, "first"), (1, (None,), 0, "first")],
+        SearchProblem: [(1, (None,), False), (1, (None,), 0)],
         SearchOutcome: [("exhausted", None, 0, False), ("exhausted", None, 0, 0),
                         ("witness", EdgeColoring(1, 1, ()), nan, True)],
         CnfDocument: [(1, 1, 0, ()), (2, 1, 1, ((1,), (-1,))), (2, 1, 1, ((True,),))],
@@ -280,8 +280,6 @@ def test_copies_and_pickles_are_equal(cls):
     (lambda: Pattern(2, frozenset({(1, 0)}), "x"), PatternError, r"bad edge \(1, 0\) for m=2"),
     (lambda: SearchProblem(0, ("k3",)), SearchError, "need n >= 1, got 0"),
     (lambda: SearchProblem(3, ()), SearchError, "per_color must list at least one color"),
-    (lambda: SearchProblem(3, ("k3",), mode="all"), SearchError,
-     "mode must be first or exhaust, got 'all'"),
     (lambda: CnfDocument(2, 1, 2, ()), CnfError, "num_vars must be edge_count \\* k"),
     (lambda: CnfDocument(2, 1, 1, ((1,), ())), CnfError, "empty clause"),
     (lambda: CnfDocument(2, 1, 1, ((2,),)), CnfError, "literal 2 out of range"),

@@ -55,8 +55,6 @@ def test_problem_validation():
         SearchProblem(0, ("k3",))
     with pytest.raises(Exception):
         SearchProblem(3, ())
-    with pytest.raises(Exception):
-        SearchProblem(3, ("k3",), mode="all")
 
 
 def test_spec_is_the_avoidance_spec_of_per_color():
@@ -78,22 +76,22 @@ def test_edgeless_host_yields_trivial_witness():
 
 
 def test_triangle_anchor_n5_witness():
-    out = exhaustive_check(SearchProblem(5, ("k3", "k3"), mode="first"))
+    out = exhaustive_check(SearchProblem(5, ("k3", "k3")))
     assert out.kind == "witness"
     rep = verify(out.witness, AvoidanceSpec.forbid_all("k3", 2))
     assert rep.passed
 
 
 def test_triangle_anchor_n6_exhausted():
-    out = exhaustive_check(SearchProblem(6, ("k3", "k3"), mode="exhaust"))
+    out = exhaustive_check(SearchProblem(6, ("k3", "k3")))
     assert out.kind == "exhausted"
     assert out.symmetry_reduced
 
 
 def test_path_fan_anchor():
-    out = exhaustive_check(SearchProblem(4, ("path(3)", "kipas(4)"), mode="first"))
+    out = exhaustive_check(SearchProblem(4, ("path(3)", "kipas(4)")))
     assert out.kind == "witness"
-    out = exhaustive_check(SearchProblem(5, ("path(3)", "kipas(4)"), mode="exhaust"))
+    out = exhaustive_check(SearchProblem(5, ("path(3)", "kipas(4)")))
     assert out.kind == "exhausted"
     assert not out.symmetry_reduced
 
@@ -102,7 +100,7 @@ def test_witness_is_lexicographically_first():
     # deterministic order: the found witness equals brute force's first hit
     for per_color in [("k3", "k3"), ("path(3)", "path(4)"), ("path(4)", "k3")]:
         for n in (3, 4):
-            problem = SearchProblem(n, per_color, mode="first")
+            problem = SearchProblem(n, per_color)
             got = exhaustive_check(problem)
             want = first_by_enumeration(problem)
             assert (got.kind == "witness") == (want is not None)
@@ -119,23 +117,21 @@ def test_exhaust_agrees_with_brute_force_tiny():
         (3, ("path(3)", "path(3)", "path(3)"), True),
     ]
     for n, per_color, gallai in cases:
-        problem = SearchProblem(n, per_color, require_gallai=gallai, mode="exhaust")
+        problem = SearchProblem(n, per_color, require_gallai=gallai)
         got = exhaustive_check(problem)
         want = first_by_enumeration(problem)
         assert (got.kind == "witness") == (want is not None), (n, per_color)
 
 
 def test_unconstrained_color_slot():
-    out = exhaustive_check(SearchProblem(5, (None, "k3"), mode="first"))
+    out = exhaustive_check(SearchProblem(5, (None, "k3")))
     assert out.kind == "witness"
     # nothing forbidden in color 1, so all-1 is the lexicographic minimum
     assert set(out.witness.colors) == {1}
 
 
 def test_gallai_flag_excludes_rainbows():
-    out = exhaustive_check(
-        SearchProblem(3, (None, None, None), require_gallai=True, mode="exhaust")
-    )
+    out = exhaustive_check(SearchProblem(3, (None, None, None), require_gallai=True))
     # plenty of gallai colorings exist; the first witness has no rainbow
     assert out.kind == "witness"
     from gallaikit.detect import find_rainbow_triangle
@@ -143,16 +139,21 @@ def test_gallai_flag_excludes_rainbows():
     assert find_rainbow_triangle(out.witness) is None
 
 
-def test_budget_guard_refuses_oversized_exhaust():
-    with pytest.raises(ScopeExceededError):
-        exhaustive_check(SearchProblem(8, ("h10", "h10"), mode="exhaust"))
+def test_problems_past_the_old_state_budget_pinned():
+    # each has k^E > 2^21 colorings; the node count is what bounds the work
+    out = exhaustive_check(SearchProblem(10, ("kipas(4)", "kipas(4)")))
+    assert (out.kind, out.nodes_explored) == ("exhausted", 99256)
+    out = exhaustive_check(SearchProblem(8, ("h10", "h10")))
+    assert (out.kind, out.nodes_explored) == ("exhausted", 788)
+    problem = SearchProblem(6, ("k3", "k3", "k3"), require_gallai=True)
+    out = exhaustive_check(problem)
+    assert (out.kind, out.nodes_explored) == ("witness", 53)
+    assert verify(out.witness, problem.spec).passed
 
 
 def test_max_nodes_cuts_off_first_search():
     with pytest.raises(ScopeExceededError):
-        exhaustive_check(
-            SearchProblem(9, ("kipas(4)", "kipas(4)"), mode="first"), max_nodes=10
-        )
+        exhaustive_check(SearchProblem(9, ("kipas(4)", "kipas(4)")), max_nodes=10)
 
 
 def test_negative_node_budget_is_refused_before_any_table(monkeypatch):
@@ -166,8 +167,8 @@ def test_negative_node_budget_is_refused_before_any_table(monkeypatch):
 
 
 def test_symmetry_reduction_recorded_only_when_identical():
-    sym = exhaustive_check(SearchProblem(4, ("k3", "k3"), mode="exhaust"))
-    asym = exhaustive_check(SearchProblem(4, ("k3", "path(3)"), mode="exhaust"))
+    sym = exhaustive_check(SearchProblem(4, ("k3", "k3")))
+    asym = exhaustive_check(SearchProblem(4, ("k3", "path(3)")))
     assert sym.symmetry_reduced
     assert not asym.symmetry_reduced
 
@@ -195,8 +196,7 @@ def two_color_problems():
 
 def mixed_and_gallai_problems():
     # None slots, a one-edge pattern (its completion mask is empty), different
-    # patterns per color, and k = 3 with the rainbow-triangle check; exhaust
-    # mode also meets the state budget guard (3^15 > 2^21 refuses n=6)
+    # patterns per color, and k = 3 with the rainbow-triangle check
     cases = [
         (n, per_color, False)
         for n in range(2, 8)
@@ -209,11 +209,11 @@ def mixed_and_gallai_problems():
         for per_color in [("k3", "k3", "k3"), ("h10", "h10", "h10"),
                           ("path(3)", None, "kipas(3)"), (None, None, None)]
     ]
-    return [SearchProblem(n, per_color, require_gallai=gallai, mode=mode)
-            for n, per_color, gallai in cases for mode in ("first", "exhaust")]
+    return [SearchProblem(n, per_color, require_gallai=gallai)
+            for n, per_color, gallai in cases]
 
 
-CUTOFF_PROBLEMS = [SearchProblem(7, ("h10", "h10"), mode="exhaust"),
+CUTOFF_PROBLEMS = [SearchProblem(7, ("h10", "h10")),
                    SearchProblem(6, ("k3", "k3", "k3"), require_gallai=True)]
 
 
@@ -226,8 +226,8 @@ def test_transposed_check_matches_list_scan_mixed_and_gallai():
     seen = set()
     for problem in mixed_and_gallai_problems():
         got = _same(problem)
-        seen.add(got if got == "scope exceeded" else got[0])
-    assert seen == {"witness", "exhausted", "scope exceeded"}
+        seen.add(got[0])
+    assert seen == {"witness", "exhausted"}
 
 
 def test_max_nodes_cuts_off_at_the_same_node():
@@ -249,9 +249,6 @@ def test_lex_leader_keeps_kind_and_witness_of_the_unpruned_traversal():
     for problem in two_color_problems() + mixed_and_gallai_problems() + CUTOFF_PROBLEMS:
         got = _outcome(exhaustive_check, problem, None)
         want = _outcome(unpruned, problem, None)
-        if got == "scope exceeded" or want == "scope exceeded":
-            assert got == want, problem
-            continue
         assert (got[0], got[2], got[3]) == (want[0], want[2], want[3]), problem
         assert got[1] <= want[1], problem
         fewer += got[1] < want[1]
@@ -269,16 +266,16 @@ def test_anchor_traversals_pinned():
     # lex-leader DFS's, whatever its completion test, and the witnesses the
     # lexicographic DFS's, with or without symmetry breaking
     pins = [
-        ("h1", 9, "first", 1425, None),
-        ("h2", 9, "first", 705, None),
-        ("h3", 9, "first", 756, None),
-        ("kipas(4)", 9, "first", 2871, KIPAS4_N9),
-        ("h5", 9, "first", 1219, H5_N9),
-        ("h10", 7, "exhaust", 448, None),
-        ("k3", 6, "exhaust", 108, None),
+        ("h1", 9, 1425, None),
+        ("h2", 9, 705, None),
+        ("h3", 9, 756, None),
+        ("kipas(4)", 9, 2871, KIPAS4_N9),
+        ("h5", 9, 1219, H5_N9),
+        ("h10", 7, 448, None),
+        ("k3", 6, 108, None),
     ]
-    for pid, n, mode, nodes, colors in pins:
-        out = exhaustive_check(SearchProblem(n, (pid, pid), mode=mode))
+    for pid, n, nodes, colors in pins:
+        out = exhaustive_check(SearchProblem(n, (pid, pid)))
         assert out.nodes_explored == nodes, pid
         assert out.symmetry_reduced
         assert out.kind == ("witness" if colors else "exhausted"), pid
