@@ -19,10 +19,12 @@ EdgeColoring(...), the CNF decoder).
 The text format ("grc") mirrors that layout.  Line 1 is the header
 ``grc 1 <n> <k>``; line i+1 (for i = 0 .. n-2) lists the colors of the edges
 (i,i+1), (i,i+2), ..., (i,n-1) separated by single spaces.  serialize always
-emits exactly that shape; parse tolerates extra whitespace but checks every
-count against the header.  Every number in the text (n, k and each color) is
-a token of ASCII digits [0-9]+; a sign, an underscore or any other digit
-character is a GrcSyntaxError.
+emits exactly that shape.  parse accepts any run of whitespace between and
+around the tokens (spaces, tabs) and leading zeros, but checks every count
+against the header; rows in serialize's shape with one-digit colors skip the
+tokenizer and are read by slicing.  Every number in the text (n, k and each
+color) is a token of ASCII digits [0-9]+; a sign, an underscore or any other
+digit character is a GrcSyntaxError.
 """
 
 from __future__ import annotations
@@ -279,10 +281,15 @@ def _reject_row(toks: list[str], k: int, i: int) -> NoReturn:
 def parse(text: str) -> EdgeColoring:
     """Inverse of serialize; raises on any structural inconsistency.
 
-    Each row's tokens are counted, joined and checked as one ASCII digit
-    string; when each is one digit (always for k <= 9) str.translate turns
-    the row into bytes, otherwise int() does, token by token.  The first bad
-    token in reading order is the one reported.
+    A row exactly as serialize writes it for k <= 9 (cnt single ASCII
+    digits joined by single spaces) is read in bulk: its even positions are
+    the digits, and str.translate turns them into bytes.  Any other row
+    (runs of spaces, tabs, leading zeros, two-digit colors, a bad token) is
+    split into tokens, which are counted, joined and checked as one ASCII
+    digit string, then translated when each is one digit or converted by
+    int() token by token.  Both give the same colors, and a row that fails
+    a check is reported by the tokens: the first bad token in reading order
+    is the one named.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -309,25 +316,32 @@ def parse(text: str) -> EdgeColoring:
     palette = bytes(range(1, k + 1))
     chunks = []
     for i, row in enumerate(rows):
-        toks = row.split()
-        if len(toks) != n - 1 - i:
-            raise GrcHeaderError(
-                f"row {i} should list {n - 1 - i} colors, got {len(toks)}"
-            )
-        digits = "".join(toks)
-        if not _decimal(digits):
-            _reject_row(toks, k, i)
-        if len(digits) == len(toks):
+        cnt = n - 1 - i
+        digits = row[::2]
+        if len(row) == 2 * cnt - 1 and row[1::2] == " " * (cnt - 1) and _decimal(digits):
             vals = digits.encode("ascii").translate(_DIGIT_VALUES)
         else:
-            try:
-                vals = bytes(map(int, toks))
-            except ValueError:  # a value above 255
-                _reject_row(toks, k, i)
+            vals = _tokenized_row(row, cnt, k, i)
         if vals.translate(None, palette):
-            _reject_row(toks, k, i)
+            _reject_row(row.split(), k, i)
         chunks.append(vals)
     return EdgeColoring(n, k, b"".join(chunks))
+
+
+def _tokenized_row(row: str, cnt: int, k: int, i: int) -> bytes:
+    """The color bytes of row i, which must hold cnt tokens, read token by token."""
+    toks = row.split()
+    if len(toks) != cnt:
+        raise GrcHeaderError(f"row {i} should list {cnt} colors, got {len(toks)}")
+    digits = "".join(toks)
+    if not _decimal(digits):
+        _reject_row(toks, k, i)
+    if len(digits) == len(toks):
+        return digits.encode("ascii").translate(_DIGIT_VALUES)
+    try:
+        return bytes(map(int, toks))
+    except ValueError:  # a value above 255
+        _reject_row(toks, k, i)
 
 
 def read_grc(path) -> EdgeColoring:

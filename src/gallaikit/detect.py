@@ -19,7 +19,11 @@ inside S ends the walk; this keeps rainbow inputs fast) and splits S at the
 top of its decomposition: partition refinement from v0 gives the maximal
 modules of S without v0, and set closures grow the part through v0 into the
 maximal strong module through it (Ehrenfeucht, Gabow, McConnell and
-Sullivan, J. Algorithms 1994).  A two-part split is a degenerate node of
+Sullivan, J. Algorithms 1994).  The refinement starts from the color classes
+of v0 and asks each part for a splitter, a vertex of S outside it that sees
+it in two colors: XORing each member's rows with those of the least member,
+masked to the outside, finds one in a few big-int operations, and a part
+without one is final.  A two-part split is a degenerate node of
 some color d, and the walk replaces it by all components of the non-d graph
 inside S, so a join of many small blocks splits once.  Any other split is
 prime, and by Gallai's theorem a prime quotient is rainbow-free exactly when
@@ -192,11 +196,18 @@ def _rainbow_scan(c: EdgeColoring, nbr) -> tuple[Optional[tuple[int, int, int]],
 
 
 def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending.
+
+    bin(mask) reversed has bit i at index i; str.find jumps from one set
+    bit to the next in C, so this takes one Python step per set bit and no
+    big-int arithmetic, on sparse masks as on dense ones.
+    """
+    text = bin(mask)[:1:-1]
     out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
+    at = text.find("1")
+    while at >= 0:
+        out.append(at)
+        at = text.find("1", at + 1)
     return out
 
 
@@ -212,32 +223,43 @@ def _split(part: int, nbr, w: int) -> list[int]:
     return pieces
 
 
+def _splitter(nbr, s: int, part: int) -> int:
+    """A vertex of s outside part that sees part in two colors, or -1.
+
+    Such a vertex z tells some member w from the least member u: z lies in
+    (nbr[d][w] ^ nbr[d][u]) & outside for the colors d of (z, w) and (z, u).
+    """
+    outside = s & ~part
+    members = _bits(part)
+    u = members[0]
+    for w in members[1:]:
+        for row in nbr:
+            diff = (row[w] ^ row[u]) & outside
+            if diff:
+                return (diff & -diff).bit_length() - 1
+    return -1
+
+
 def _modules_avoiding(nbr, s: int, v0: int) -> list[int]:
     """P(v0): the maximal modules of s without its vertex v0, by refinement.
 
-    Split s - {v0} by color to v0, then every part by each vertex of s outside
-    it.  A vertex must split again once its own part splits, so the vertices
-    of every part that splits go back on the work list.  A single vertex
-    never splits, so singletons leave the refinement at once.
+    Split s - {v0} by color to v0, then split any part that some vertex z
+    of s outside it sees in two colors by color to z, until no part has
+    such a splitter.  Every module of s without v0 stays inside one part
+    (z is outside it, so sees it in one color), and the final parts are
+    modules, so they are the maximal ones; this coarsest stable refinement
+    is unique, whatever splitter each step takes.  Singletons never split.
     """
-    queued = s & ~(1 << v0)
-    parts: list[int] = [queued]
+    work = _split(s & ~(1 << v0), nbr, v0)
     done: list[int] = []
-    pending = _bits(queued)[::-1] + [v0]  # v0 first, then ascending
-    while pending and parts:
-        w = pending.pop()
-        bit = 1 << w
-        queued &= ~bit
-        refined = []
-        for part in parts:
-            pieces = [part] if part & bit else _split(part, nbr, w)
-            if len(pieces) > 1:
-                pending.extend(_bits(part & ~queued))
-                queued |= part
-            for piece in pieces:
-                (refined if piece & (piece - 1) else done).append(piece)
-        parts = refined
-    return parts + done
+    while work:
+        part = work.pop()
+        z = _splitter(nbr, s, part) if part & (part - 1) else -1
+        if z < 0:
+            done.append(part)
+        else:
+            work.extend(_split(part, nbr, z))
+    return done
 
 
 def _closure(nbr, s: int, full: int) -> int:

@@ -242,6 +242,54 @@ def pair_closure_parts(c: EdgeColoring):
     return tuple(parts), quotient
 
 
+def plain_bits(mask: int) -> list[int]:
+    """Set bit positions, ascending, by clearing the lowest bit each step."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return out
+
+
+def plain_modules_avoiding(nbr, s: int, v0: int) -> list[int]:
+    """detect._modules_avoiding as pivot refinement: the library's former loop.
+
+    Split s - {v0} by color to v0, then every part by each vertex of s
+    outside it.  A vertex must split again once its own part splits, so the
+    vertices of every part that splits go back on the work list; singletons
+    leave the refinement at once.
+    """
+    def split(part, w):
+        pieces = []
+        for row in nbr:
+            piece = part & row[w]
+            if piece == part:
+                return [part]
+            if piece:
+                pieces.append(piece)
+        return pieces
+
+    queued = s & ~(1 << v0)
+    parts = [queued]
+    done = []
+    pending = plain_bits(queued)[::-1] + [v0]  # v0 first, then ascending
+    while pending and parts:
+        w = pending.pop()
+        bit = 1 << w
+        queued &= ~bit
+        refined = []
+        for part in parts:
+            pieces = [part] if part & bit else split(part, w)
+            if len(pieces) > 1:
+                pending.extend(plain_bits(part & ~queued))
+                queued |= part
+            for piece in pieces:
+                (refined if piece & (piece - 1) else done).append(piece)
+        parts = refined
+    return parts + done
+
+
 def _set_partitions(items):
     if not items:
         yield []

@@ -232,9 +232,12 @@ def test_blowup_matches_per_pair_oracle():
         assert blowup(base, parts) == plain_blowup(base, parts)
 
 
-@pytest.mark.parametrize("token", ["+1", "1_0", "\u0661", "-1", "1.0", "0x1", "\u00b2", "1e1"])
+# int() reads several of these (+1 as 1, 1_0 as 10, an Arabic-Indic one as 1)
+NON_DECIMAL_TOKENS = ["+1", "1_0", "\u0661", "-1", "1.0", "0x1", "\u00b2", "1e1"]
+
+
+@pytest.mark.parametrize("token", NON_DECIMAL_TOKENS)
 def test_parse_accepts_only_ascii_decimal_color_tokens(token):
-    # int() reads several of these (+1 as 1, 1_0 as 10, an Arabic-Indic one as 1)
     with pytest.raises(GrcSyntaxError):
         parse(f"grc 1 3 10\n{token} 1\n2\n")
     with pytest.raises(GrcSyntaxError):
@@ -258,6 +261,66 @@ def test_parse_reports_the_first_bad_token_in_reading_order():
         parse("grc 1 3 10\n1 256\n2\n")
     with pytest.raises(ColorRangeError, match="outside 1..10"):
         parse("grc 1 3 10\n1 " + "9" * 5000 + "\n2\n")
+
+
+@pytest.mark.parametrize("row, k, colors", [
+    ("1  2 3", 9, (1, 2, 3)),
+    ("1\t2 3", 9, (1, 2, 3)),
+    ("1 2 3 ", 9, (1, 2, 3)),
+    (" 1 2 3", 9, (1, 2, 3)),
+    ("01 2 3", 9, (1, 2, 3)),
+    ("1 007 3", 9, (1, 7, 3)),
+    ("12 1 10", 12, (12, 1, 10)),
+])
+def test_parse_reads_each_row_form_as_its_canonical_twin(row, k, colors):
+    # only serialize's own shape at k <= 9 is read by slicing; every other
+    # row form goes through the tokenizer and must give the same coloring
+    twin = EdgeColoring(4, k, colors + (4, 5, 6))
+    assert parse(f"grc 1 4 {k}\n{row}\n4 5\n6\n") == twin
+    assert parse(serialize(twin)) == twin
+
+
+def test_parse_reads_whitespace_variants_of_a_whole_file():
+    c = random_coloring(random.Random(31), 30, 5)
+    text = serialize(c)
+    for variant in (text.replace(" ", "  "), text.replace(" ", "\t"),
+                    text.replace("\n", " \n"), text.replace("\n", "\r\n")):
+        assert parse(variant) == c
+
+
+@pytest.mark.parametrize("token", NON_DECIMAL_TOKENS + ["x", "0", "000", "11", "256", "9" * 5000])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_bad_token_in_a_canonical_row_is_reported_as_by_the_tokenizer(token, at):
+    # the row is serialize's shape but for the bad token; widened to double
+    # spaces, the same row skips the bulk read, so both errors must agree
+    toks = ["1"] * 5
+    toks[at] = token
+    rest = "1 1 1 1\n1 1 1\n1 1\n1\n"
+    want = ColorRangeError if token.isascii() and token.isdigit() else GrcSyntaxError
+    with pytest.raises(want) as fast:
+        parse(f"grc 1 6 10\n{' '.join(toks)}\n{rest}")
+    with pytest.raises(want) as slow:
+        parse(f"grc 1 6 10\n{'  '.join(toks)}\n{rest}")
+    assert str(fast.value) == str(slow.value)
+    if want is GrcSyntaxError:
+        assert str(fast.value) == f"bad color token {token!r} in row 0"
+    elif len(token) < 5:
+        assert str(fast.value) == f"color {int(token)} outside 1..10 in row 0"
+
+
+def test_first_bad_token_of_a_canonical_row_is_the_one_reported():
+    with pytest.raises(GrcSyntaxError, match="'x' in row 0"):
+        parse("grc 1 4 10\n1 x 0\n1 1\n1\n")
+    with pytest.raises(ColorRangeError, match="color 0 outside 1..10 in row 0"):
+        parse("grc 1 4 10\n1 0 x\n1 1\n1\n")
+    with pytest.raises(ColorRangeError, match="color 7 outside 1..3 in row 1"):
+        parse("grc 1 4 3\n1 1 1\n2 7\n1\n")
+
+
+def test_a_row_of_canonical_length_is_still_split_at_whitespace_only():
+    # even positions are digits and the length is 2 * 3 - 1, but "1,2" is one token
+    with pytest.raises(GrcHeaderError, match="row 0 should list 3 colors, got 2"):
+        parse("grc 1 4 9\n1,2 3\n1 1\n1\n")
 
 
 def test_palette_is_capped_at_255_colors():

@@ -10,8 +10,10 @@ from conftest import (
     naive_images,
     naive_mono,
     naive_rainbow,
+    plain_bits,
     plain_embed,
     plain_masks,
+    plain_modules_avoiding,
     plant_rainbow,
     random_coloring,
     random_gallai_blowup,
@@ -177,6 +179,78 @@ def test_walk_and_scan_disagreement_is_an_invariant_error(monkeypatch):
     monkeypatch.setattr(detect, "_module_walk", lambda c, nbr: (True, None))
     with pytest.raises(DecompositionInvariantError):
         verify(mono_complete(5, 1, k=3), AvoidanceSpec((), True))
+
+
+@pytest.fixture
+def refinements_agree(monkeypatch):
+    """check(c, v0s): the splitter refinement gives the same parts as the
+    pivot oracle on V from each v0 in v0s, and on every module the walk
+    splits from the vertex it splits it from; returns how many the walk split."""
+    engine = detect._modules_avoiding
+    calls = []
+    monkeypatch.setattr(detect, "_modules_avoiding",
+                        lambda nbr, s, v0: calls.append((s, v0)) or engine(nbr, s, v0))
+
+    def check(c, v0s):
+        nbr = detect.color_neighbor_masks(c)
+        calls.clear()
+        detect._module_walk(c, nbr)
+        full = (1 << c.n) - 1
+        for s, v0 in calls + [(full, v0) for v0 in v0s]:
+            got = engine(nbr, s, v0)
+            assert sorted(got) == sorted(plain_modules_avoiding(nbr, s, v0)), (c, s, v0)
+        return len(calls)
+
+    return check
+
+
+def test_refinement_matches_pivot_oracle_on_random_colorings(refinements_agree):
+    rng = random.Random(1994)
+    for _ in range(60):
+        c = random_coloring(rng, rng.randint(2, 30), rng.randint(1, 5))
+        refinements_agree(c, range(c.n))
+    for _ in range(30):
+        c = random_gallai_blowup(rng, rng.randint(3, 30), rng.randint(3, 6))
+        refinements_agree(c, range(c.n))
+        refinements_agree(plant_rainbow(rng, c), range(c.n))
+
+
+def test_refinement_matches_pivot_oracle_on_substitution_trees(refinements_agree):
+    rng = random.Random(1967)
+    for _ in range(15):
+        k = rng.randint(3, 6)
+        cyc, chord = rng.sample(range(1, k + 1), 2)
+        pentagon = blowup(base_pentagon(cyc, chord), [
+            random_gallai_blowup(rng, rng.randint(1, 20), k) for _ in range(5)])
+        refinements_agree(pentagon, range(pentagon.n))
+        joined = join(random_gallai_blowup(rng, rng.randint(1, 40), k),
+                      random_gallai_blowup(rng, rng.randint(1, 40), k), rng.randint(1, k))
+        refinements_agree(joined, range(joined.n))
+
+
+def test_refinement_matches_pivot_oracle_on_towers_and_a_prime_top(refinements_agree):
+    for cid, k in (("h1", 6), ("kipas(4)", 6)):
+        c = build_lower(cid, k, certify=False)
+        assert refinements_agree(c, range(c.n)) > 1
+    c = build_lower("h10", 8, certify=False)
+    assert refinements_agree(c, range(0, c.n, 25)) > 1
+    # a random 2-coloring of 600 vertices with vertex 0 blown up into a
+    # color-3 triangle: the top of the walk is a 600-part prime quotient
+    rng = random.Random(602)
+    base = EdgeColoring(600, 3, bytes(rng.randint(1, 2) for _ in range(600 * 599 // 2)))
+    c = blowup(base, [mono_complete(3, 3, k=3)] + [EdgeColoring(1, 3, ())] * 599)
+    assert refinements_agree(c, range(0, c.n, 43)) == 1
+
+
+def test_bits_matches_lowest_bit_loop():
+    rng = random.Random(3000)
+    masks = [0] + [1 << i for i in (0, 1, 7, 63, 64, 999, 2999, 3000)]
+    masks += [(1 << n) - 1 for n in (1, 2, 8, 64, 65, 1000, 3000)]  # dense
+    masks += [rng.getrandbits(n) for n in (10, 100, 1000, 3000)]
+    masks += [sum(1 << rng.randrange(3001) for _ in range(rng.randint(1, 6)))
+              for _ in range(30)]  # sparse
+    for mask in masks:
+        assert detect._bits(mask) == plain_bits(mask), mask
 
 
 def test_verify_report_consistency():
