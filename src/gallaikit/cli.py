@@ -12,6 +12,7 @@ malformed or non-ASCII GRC, DIMACS and model files.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -357,7 +358,16 @@ def main(argv=None) -> int:
 
 
 def cli_main() -> None:
-    sys.exit(main(sys.argv[1:]))
+    """Entry point of a short-lived process: `python -m gallaikit.cli` and the
+    console script.  The cyclic garbage collector would only walk what the
+    imports built, in young passes during the run and again in the collection
+    at interpreter shutdown, so it stays off and the heap is frozen (moved out
+    of its sight) before exit.  main() leaves the collector alone, for callers
+    that run it in process."""
+    gc.disable()
+    code = main(sys.argv[1:])
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

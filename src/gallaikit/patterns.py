@@ -3,13 +3,17 @@
 Twelve fixed five-vertex patterns (ids h1 .. h12) plus three parametric
 families: kipas(m), the fan with hub 0 joined to the path 1-2-...-m;
 path(t), the path on t vertices; complete(t), the clique on t vertices.
-Aliases: p3 = path(3), k3 = complete(3).
+Aliases: p3 = path(3), k3 = complete(3).  enumerate_pattern_images lists
+the edge sets a copy of a pattern can occupy in K_n, which the search and
+the CNF encoder both forbid.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import combinations
+from math import comb
 
 from ._record import Record
 
@@ -32,6 +36,7 @@ class TooLargeError(PatternError):
 
 PARAM_CAP = 16  # keeps family patterns within search range
 ISO_CAP = 10
+IMAGE_BUDGET = 1 << 19  # every five-vertex pattern up to n=16, kipas(5) at n=12
 
 
 class Pattern(Record):
@@ -232,3 +237,56 @@ def chromatic_number(p: Pattern) -> int:
         if colorable(limit, 0, 0):
             return limit
     return p.m
+
+
+def enumerate_pattern_images(pattern: Pattern, n: int) -> tuple[tuple[int, ...], ...]:
+    """Every distinct edge set an injective copy of pattern can occupy in K_n,
+    as ascending tuples of lexicographic edge indices (coloring.edge_index).
+
+    The pattern's non-isolated vertices, relabelled 0..m'-1, give one edge
+    set (shape) per coset of its automorphism group, grown as the orbit
+    under the transpositions (t-1 t); each is placed on every m'-subset of
+    range(n) in increasing order.  Without isolated vertices an image spans
+    exactly its subset, so images on different subsets never collide.
+    Isolated vertices only need room: pattern.m <= n.  Once |shapes| *
+    C(n, m') exceeds IMAGE_BUDGET the orbit stops and TooLargeError names
+    that count (a lower bound) and the budget, before any image is built.
+
+    No image is sorted on its own.  A shape is kept as the ascending
+    positions (picks) of its pairs among the C(m', 2) local pairs in
+    lexicographic order; placing it on an increasing subset keeps that
+    order, and edge_index is monotone in it, so mapping the picks through
+    the subset's row of edge indices gives an ascending tuple.  The one
+    final sort puts the images in the order of the sorted vertex-pair
+    images, for the same reason, so the CNF clause order is fixed.
+    """
+    from .coloring import row_bounds  # formula and catalog need only this module
+
+    if pattern.m > n:
+        return ()
+    spine = sorted({v for e in pattern.edges for v in e})
+    pos = {v: t for t, v in enumerate(spine)}
+    subsets = comb(n, len(spine))
+    swaps = [(*range(t - 1), t, t - 1, *range(t + 1, len(spine))) for t in range(1, len(spine))]
+    todo = [frozenset((pos[a], pos[b]) for a, b in pattern.edges)]
+    shapes = set(todo)
+    while todo and len(shapes) * subsets <= IMAGE_BUDGET:
+        shape = todo.pop()
+        for per in swaps:  # in a fixed order, so the count at a stop is too
+            moved = frozenset((min(per[a], per[b]), max(per[a], per[b])) for a, b in shape)
+            if moved not in shapes:
+                shapes.add(moved)
+                todo.append(moved)
+    count = len(shapes) * subsets
+    if count > IMAGE_BUDGET:
+        raise TooLargeError(f"{pattern.label} on {n} vertices has at least {count} images, "
+                            f"over the image budget of {IMAGE_BUDGET}")
+    local = {pair: t for t, pair in enumerate(combinations(range(len(spine)), 2))}
+    picks = [tuple(sorted(map(local.__getitem__, shape))) for shape in shapes]
+    first = [start for start, _ in row_bounds(n)]
+    images: list[tuple[int, ...]] = []
+    for sub in combinations(range(n), len(spine)):
+        row = [first[i] + j - i - 1 for i, j in combinations(sub, 2)].__getitem__
+        images += [tuple(map(row, pick)) for pick in picks]
+    images.sort()
+    return tuple(images)

@@ -23,12 +23,14 @@ blocked iff some mask's bit survives.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ._record import Record
 from .coloring import EdgeColoring, edge_count, edge_index
-from .detect import AvoidanceSpec, enumerate_pattern_images, verify
-from .patterns import canonical_id, resolve
+from .patterns import canonical_id, enumerate_pattern_images, resolve
+
+if TYPE_CHECKING:  # only a witness is checked, so an exhausted search never loads detect
+    from .detect import AvoidanceSpec
 
 
 class SearchError(Exception):
@@ -61,6 +63,8 @@ class SearchProblem(Record):
     @property
     def spec(self) -> AvoidanceSpec:
         """What verify checks a witness against; None slots forbid nothing."""
+        from .detect import AvoidanceSpec
+
         return AvoidanceSpec.from_map(dict(enumerate(self.per_color, 1)), self.require_gallai)
 
     def forbidden_images(self) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
@@ -230,6 +234,8 @@ def exhaustive_check(
             pos += 1
             top[pos] = max(top[pos - 1], color)
             if pos == e_total:
+                from .detect import verify
+
                 witness = EdgeColoring(n, k, tuple(choice))
                 report = verify(witness, problem.spec)
                 if not report.passed:

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import re
@@ -392,10 +393,12 @@ def test_subcommands_import_only_their_modules(tmp_path):
             {"coloring", "patterns", "detect"},
         ("partition", "c.grc"): {"coloring", "patterns", "detect", "decompose"},
         ("formula", "--target", "h10", "--k", "3"): {"patterns", "formulas"},
+        # a witness is certified by verify; an exhausted search has nothing to check
         ("search", "--n", "5", "--per-color", "k3,k3"):
             {"coloring", "patterns", "detect", "search"},
+        ("search", "--n", "6", "--per-color", "k3,k3"): {"coloring", "patterns", "search"},
         ("encode", "--n", "5", "--per-color", "k3,k3", "--out", "g.cnf"):
-            {"coloring", "patterns", "detect", "search", "cnf"},
+            {"coloring", "patterns", "search", "cnf"},
         ("decode", "--cnf", "f.cnf", "--model", "model.out", "--n", "4", "--k", "2"):
             {"coloring", "cnf"},
         ("catalog",): {"patterns"},
@@ -405,11 +408,34 @@ def test_subcommands_import_only_their_modules(tmp_path):
     assert {argv[0] for argv in loads} == set(subparsers.choices)
     for argv, modules in loads.items():
         child = _child(*argv, cwd=tmp_path)
-        assert child.returncode == 0, child.stderr
+        exhausted = argv[:3] == ("search", "--n", "6")
+        assert child.returncode == (1 if exhausted else 0), child.stderr
         loaded = set(child.stderr.rpartition("modules:")[2].split())
         library = {m.partition(".")[2] for m in loaded if m.startswith("gallaikit.")}
         assert library - {"_record"} == modules, argv
         assert not loaded & {"dataclasses", "inspect"}, argv
+
+
+# the CLI again, with the collector's state printed by the last atexit handler
+_GC_AT_EXIT = """import atexit, gc, runpy, sys
+atexit.register(lambda: print("gc:", gc.isenabled(), gc.get_freeze_count() > 0,
+                              file=sys.stderr))
+runpy.run_module("gallaikit.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_cli_process_runs_without_the_collector_and_exits_frozen(tmp_path):
+    for argv, code in ((("catalog", "--json"), 0),
+                       (("search", "--n", "6", "--per-color", "k3,k3", "--json"), 1)):
+        child = _child(*argv, cwd=tmp_path, code=_GC_AT_EXIT)
+        assert child.returncode == code, child.stderr
+        assert child.stdout.endswith("\n") and json.loads(child.stdout), argv
+        assert child.stderr.splitlines()[-1] == "gc: False True", argv
+    # in process, main() leaves the collector as it found it
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(["search", "--n", "6", "--per-color", "k3,k3", "--json"]) == 1
+    assert main(["catalog"]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
 def test_bad_input_exits_two_in_a_fresh_interpreter(tmp_path):

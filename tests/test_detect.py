@@ -31,12 +31,17 @@ from gallaikit.detect import (
     AvoidanceSpec,
     Embedding,
     check_embedding,
-    enumerate_pattern_images,
     find_mono_embedding,
     find_rainbow_triangle,
     verify,
 )
-from gallaikit.patterns import TooLargeError, catalog, make_pattern, resolve
+from gallaikit.patterns import (
+    TooLargeError,
+    catalog,
+    enumerate_pattern_images,
+    make_pattern,
+    resolve,
+)
 
 
 def test_rainbow_found_on_rainbow_k3():
