@@ -148,6 +148,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 def _cmd_formula(args: argparse.Namespace) -> int:
     if args.r2 is not None and not args.conjecture:
         raise _lib.FormulaError("--r2 applies only with --conjecture")
+    if args.s is not None and args.conjecture:
+        raise _lib.FormulaError("--s selects the mixed family, not the conjecture")
     if args.conjecture:
         m = _lib.fan_param(args.target)
         if m is None:

@@ -18,7 +18,7 @@ from .coloring import (
     relabel_colors,
 )
 from .detect import AvoidanceSpec, color_neighbor_masks, verify
-from .formulas import RangeViolationError, fan_param, g_value, ramsey_two, w_value
+from .formulas import RangeViolationError, _tower_seed, fan_param, g_value, ramsey_two, w_value
 from .patterns import canonical_id, resolve
 
 # node budget for extremal searches; generous for n <= 9 hosts
@@ -94,9 +94,7 @@ def base_pentagon(cycle_color: int, chord_color: int) -> EdgeColoring:
 
 def _two_blocks() -> EdgeColoring:
     # color 1: two disjoint K4 blocks; color 2: the complete bipartite rest
-    return EdgeColoring(
-        8, 2, tuple(1 if i // 4 == j // 4 else 2 for i, j in edge_list(8))
-    )
+    return join(mono_complete(4), mono_complete(4), 2)
 
 
 def _rook_grid() -> EdgeColoring:
@@ -112,9 +110,7 @@ def _rook_grid() -> EdgeColoring:
 def _k4_plus_cone() -> EdgeColoring:
     # color 1: K4 on {0..3}; color 2: everything meeting {4,5}.  Color 2's
     # triangles all use both 4 and 5, leaving no disjoint same-color edge.
-    return EdgeColoring(
-        6, 2, tuple(1 if j < 4 else 2 for i, j in edge_list(6))
-    )
+    return join(mono_complete(4), mono_complete(2, 2), 2)
 
 
 _SEEDS = {
@@ -195,6 +191,13 @@ def _clique_cover_ok(c: EdgeColoring, color: int, order: int) -> bool:
     return True
 
 
+def _check_even_fan(m: int, k: int) -> None:
+    if m < 2 or m % 2:
+        raise ParityViolationError(f"need even m >= 2, got {m}")
+    if k < 4 or k % 2:
+        raise ParityViolationError(f"need even k >= 4, got {k}")
+
+
 def build_kipas_aux(
     m: int, k: int, top_color: int, certify: bool = True
 ) -> EdgeColoring:
@@ -203,10 +206,7 @@ def build_kipas_aux(
     (m/2) * 5^((k-2)/2) vertices; the top_color class is a disjoint union of
     K_{m/2} cliques, and no other color holds a monochromatic kipas(m).
     """
-    if m < 2 or m % 2:
-        raise ParityViolationError(f"need even m >= 2, got {m}")
-    if k < 4 or k % 2:
-        raise ParityViolationError(f"need even k >= 4, got {k}")
+    _check_even_fan(m, k)
     if top_color not in (k - 1, k):
         raise RangeViolationError(f"top color must be {k - 1} or {k}, got {top_color}")
     expect = (m // 2) * 5 ** ((k - 2) // 2)
@@ -232,14 +232,12 @@ def _tower(seed_id: str, k: int, r2: int | None) -> EdgeColoring:
         return mono_complete(h - 1, 1)
     if k == 2:
         return extremal_two_coloring(seed_id, certify=False, r2=r2)
+    m = fan_param(seed_id)
     if k % 2:
         if 2 * (ramsey_two(seed_id, r2) - 1) >= 5 * (h - 1):
             side = _tower(seed_id, k - 1, r2)
             return join(side, side, k)
-        part = _tower(seed_id, k - 2, r2)
-        return blowup(base_pentagon(k - 1, k), [part] * 5)
-    m = fan_param(seed_id)
-    if m is not None and m % 2 == 0:
+    elif m is not None and m % 2 == 0:
         # five-part assembly: the two color-k towers sit on a chord, the
         # two color-(k-1) towers sit adjacent on the cycle
         hi = _aux(m, k, k)
@@ -266,9 +264,7 @@ def build_lower(
     _check_k(k)  # before the towers, whose inner k would be the one named
     cid = canonical_id(target)
     _check_size(expect, f"build_lower({cid}, {k})")
-    # any triangle-free color class is h10-free, and from k=3 on the
-    # triangle parameters give the larger tower
-    c = _tower("kipas(2)" if cid == "h10" and k >= 3 else cid, k, r2)
+    c = _tower(_tower_seed(cid, k), k, r2)
     if c.n != expect:
         raise ConstructionError(f"built {c.n} vertices for {cid}, k={k}; want {expect}")
     if certify:
@@ -286,10 +282,7 @@ def assemble_case3(
     towers at cycle distance two, two top-color-(k-1) towers adjacent on
     the cycle, one k-2 tower in the last slot).
     """
-    if m < 2 or m % 2:
-        raise ParityViolationError(f"need even m >= 2, got {m}")
-    if k < 4 or k % 2:
-        raise ParityViolationError(f"need even k >= 4, got {k}")
+    _check_even_fan(m, k)
     return build_lower(f"kipas({m})", k, r2=r2, certify=certify)
 
 
@@ -313,12 +306,8 @@ def _mixed(k: int, s: int) -> EdgeColoring:
 
 def build_mixed(k: int, s: int, certify: bool = True) -> EdgeColoring:
     """Coloring with no kipas(4) in colors 1..s and no P3 in colors s+1..k."""
-    if k < 1:
-        raise RangeViolationError(f"need k >= 1, got {k}")
-    if not 0 <= s <= k:
-        raise RangeViolationError(f"need 0 <= s <= k, got s={s}")
+    expect = w_value(k, s)  # checks k and s
     _check_k(k)
-    expect = w_value(k, s)
     _check_size(expect, f"build_mixed({k}, {s})")
     c = _mixed(k, s)
     if c.n != expect:

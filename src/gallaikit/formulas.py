@@ -3,7 +3,9 @@ and Gallai-Ramsey values for the supported patterns.
 
 g_value(target, k) is the number of vertices of the best known k-coloring
 avoiding a monochromatic target (the builders in construct reproduce these
-sizes exactly); gr_value is that plus one.  w_value / gr_mixed_value cover
+sizes exactly); gr_value is that plus one.  It is one closed form, the
+general lower bound for chi(H) = 3 in |H|, R2 and whether H is an even fan;
+h10 takes the kipas(2) tower from k = 3 on.  w_value / gr_mixed_value cover
 the mixed family where colors 1..s forbid the fan kipas(4) and the remaining
 colors forbid path(3).
 """
@@ -11,7 +13,7 @@ colors forbid path(3).
 from __future__ import annotations
 
 from ._record import Record
-from .patterns import _split_id, canonical_id
+from .patterns import _split_id, canonical_id, resolve
 
 
 class FormulaError(Exception):
@@ -115,38 +117,35 @@ def ramsey_mixed(target_a: str, target_b: str) -> int:
     return MIXED_R2_TABLE[key]
 
 
-def _fan_size(m: int, k: int, r2v: int) -> int:
-    """Lower-construction size for kipas(m), any m >= 2, given R2 = r2v."""
+def _tower_seed(cid: str, k: int) -> str:
+    """The target whose tower gives the lower bound for cid at k colors.
+
+    Any triangle-free color class is h10-free, and from k = 3 on the
+    triangle (kipas(2)) tower is the larger one.
+    """
+    return "kipas(2)" if cid == "h10" and k >= 3 else cid
+
+
+def _size(h: int, even_fan: bool, k: int, r2v: int) -> int:
+    """General lower bound for chi(H) = 3, with h = |H| - 1 and R2 = r2v."""
     if k == 1:
-        return m
-    if k % 2 == 0:
-        if m % 2:
-            return (r2v - 1) * 5 ** ((k - 2) // 2)
-        return r2v + (m // 2) * (5 ** (k // 2) - 5) - 1
-    return max(2 * (r2v - 1), 5 * m) * 5 ** ((k - 3) // 2)
+        return h
+    if k % 2:
+        return max(2 * (r2v - 1), 5 * h) * 5 ** ((k - 3) // 2)
+    if even_fan:
+        return r2v - 1 + (h // 2) * (5 ** (k // 2) - 5)
+    return (r2v - 1) * 5 ** ((k - 2) // 2)
 
 
 def g_value(target: str, k: int, r2: int | None = None) -> int:
     """Vertex count of the largest known k-coloring avoiding the target."""
     _check_k(k)
     cid = canonical_id(target)
-    r2v = ramsey_two(cid, r2)  # also rejects an r2 the target does not take
-    if cid == "h10":
-        if k == 1:
-            return 4
-        if k == 2:
-            return 6
-        if k % 2 == 0:
-            return 5 ** (k // 2)
-        return 2 * 5 ** ((k - 1) // 2)
-    m = fan_param(cid)
-    if m is not None:
-        return _fan_size(m, k, r2v)
-    if k == 1:
-        return 4
-    if k % 2 == 0:
-        return (r2v - 1) * 5 ** ((k - 2) // 2)
-    return 4 * 5 ** ((k - 1) // 2)
+    ramsey_two(cid, r2)  # rejects an r2 the target does not take
+    seed = _tower_seed(cid, k)
+    m = fan_param(seed)
+    h = resolve(seed).m - 1 if m is None else m
+    return _size(h, m is not None and m % 2 == 0, k, ramsey_two(seed, r2))
 
 
 def w_value(k: int, s: int) -> int:
@@ -172,7 +171,7 @@ def gr_value(target: str, k: int) -> GrValue:
         family = "h10"
     elif m is not None:
         family = f"fan(m={m})"
-        if f"kipas({m})" not in R2_TABLE and cid != "h12":
+        if f"kipas({m})" not in R2_TABLE:
             raise UnsupportedTargetError(
                 f"only conjectured for {cid}; use conjecture_kipas with r2"
             )
@@ -219,7 +218,7 @@ def conjecture_kipas(m: int, k: int, r2: int | None = None) -> GrValue:
         tag = "odd-k"
     else:
         tag = "even-k,odd-m" if m % 2 else "even-k,even-m"
-    size = _fan_size(m, k, ramsey_two(f"kipas({m})", r2))
+    size = _size(m, m % 2 == 0, k, ramsey_two(f"kipas({m})", r2))
     return GrValue(size + 1, f"conjecture:{tag}")
 
 

@@ -456,6 +456,8 @@ def test_bad_input_exits_two_in_a_fresh_interpreter(tmp_path):
             "error: --conjecture needs a kipas target, got 'h10'",
         ("formula", "--target", "h10", "--k", "3", "--s", "1"):
             "error: --s selects the mixed family; target must be kipas(4)",
+        ("formula", "--target", "kipas(4)", "--k", "3", "--conjecture", "--s", "1"):
+            "error: --s selects the mixed family, not the conjecture",
         ("encode", "--n", "3", "--k", "3", "--per-color", "k3,k3", "--out", "f.cnf"):
             "error: --k 3 disagrees with --per-color arity 2",
     }

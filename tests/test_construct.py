@@ -1,7 +1,7 @@
 import pytest
 
 import gallaikit.construct as construct_module
-from gallaikit.coloring import join, parse, serialize
+from gallaikit.coloring import EdgeColoring, edge_list, join, parse, serialize
 from gallaikit.construct import (
     VERTEX_BUDGET,
     EqualColorsError,
@@ -76,6 +76,24 @@ def test_extremal_search_fallback_unavailable_scope():
     # an unknown target id fails before any search can run
     with pytest.raises(Exception):
         extremal_two_coloring("h13")
+
+
+def test_extremal_search_fallback_finds_a_certified_witness():
+    # kipas(5) has no seed, so R2 = 11 sends it to the first-witness search
+    c = extremal_two_coloring("kipas(5)", r2=11)
+    assert (c.n, c.k) == (10, 2)
+    assert verify(c, AvoidanceSpec.forbid_all("kipas(5)", 2)).passed
+    assert build_lower("kipas(5)", 2, r2=11) == c
+
+
+def test_joined_seeds_match_their_definitions():
+    # h1..h4: two color-1 K4 blocks; h10: a color-1 K4 plus two vertices
+    # whose every edge has color 2
+    blocks = EdgeColoring(8, 2, tuple(1 if i // 4 == j // 4 else 2 for i, j in edge_list(8)))
+    cone = EdgeColoring(6, 2, tuple(1 if j < 4 else 2 for i, j in edge_list(6)))
+    for cid in ("h1", "h2", "h3", "h4"):
+        assert extremal_two_coloring(cid, certify=False) == blocks, cid
+    assert extremal_two_coloring("h10", certify=False) == cone
 
 
 def test_build_kipas_aux_sizes_and_purity():

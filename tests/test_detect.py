@@ -92,6 +92,24 @@ def test_check_embedding_rejects_wrong_color():
     assert not check_embedding(c, resolve("k3"), emb)
 
 
+def test_check_embedding_rejects_a_bad_map_or_color():
+    # an edgeless pattern has no edge to refute a map, so each rejection
+    # below is the one that decides; on k3 a repeated or outside vertex
+    # would otherwise reach color(), which raises
+    c = mono_complete(5, 2)
+    for pattern in (make_pattern(3, ()), resolve("k3")):
+        assert check_embedding(c, pattern, Embedding(2, (0, 1, 4)))
+        bad = (
+            Embedding(2, (0, 1, 0)),  # a repeated host vertex
+            Embedding(2, (0, 1, 5)),  # a vertex outside 0..n-1
+            Embedding(2, (-1, 1, 2)),
+            Embedding(0, (0, 1, 2)),  # a color outside 1..k
+            Embedding(3, (0, 1, 2)),
+        )
+        for emb in bad:
+            assert not check_embedding(c, pattern, emb), (pattern.label, emb)
+
+
 def test_detection_agrees_with_naive_oracle_small():
     rng = random.Random(99)
     for _ in range(30):

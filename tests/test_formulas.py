@@ -134,6 +134,40 @@ def test_g_value_with_user_supplied_r2():
         g_value("kipas(6)", 3)
 
 
+def _three_closed_forms(cid, k, r2v):
+    # one closed form per family (h10, fans, five-vertex targets): the
+    # oracle for g_value's one general bound
+    m = fan_param(cid)
+    if cid == "h10":
+        if k <= 2:
+            return (4, 6)[k - 1]
+        return 5 ** (k // 2) if k % 2 == 0 else 2 * 5 ** ((k - 1) // 2)
+    if m is not None:
+        if k == 1:
+            return m
+        if k % 2 == 0:
+            if m % 2:
+                return (r2v - 1) * 5 ** ((k - 2) // 2)
+            return r2v + (m // 2) * (5 ** (k // 2) - 5) - 1
+        return max(2 * (r2v - 1), 5 * m) * 5 ** ((k - 3) // 2)
+    if k == 1:
+        return 4
+    if k % 2 == 0:
+        return (r2v - 1) * 5 ** ((k - 2) // 2)
+    return 4 * 5 ** ((k - 1) // 2)
+
+
+def test_g_value_matches_the_three_closed_forms():
+    for cid, r2v in R2_TABLE.items():
+        for k in range(1, 13):
+            assert g_value(cid, k) == _three_closed_forms(cid, k, r2v), (cid, k)
+    for m in range(5, 9):
+        for r2 in range(2 * m + 1, 2 * (m * m - m + 1) + 1):
+            for k in range(1, 13):
+                want = _three_closed_forms(f"kipas({m})", k, r2)
+                assert g_value(f"kipas({m})", k, r2) == want, (m, r2, k)
+
+
 def test_w_values_small_grid():
     assert w_value(3, 0) == 2
     assert w_value(3, 1) == 4
