@@ -131,7 +131,7 @@ def decode_assignment(
                 f"edge ({i},{j}) has {len(picked)} colors set"
             )
         colors.append(picked[0])
-    return EdgeColoring(doc.n, doc.k, tuple(colors))
+    return EdgeColoring(doc.n, doc.k, colors)
 
 
 def assignment_satisfies(doc: CnfDocument, assignment: Iterable[int]) -> bool:

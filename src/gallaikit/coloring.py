@@ -5,15 +5,15 @@ n labeled vertices.  Colors are stored densely over the upper triangle in
 lexicographic edge order: (0,1), (0,2), ..., (0,n-1), (1,2), ...  That order
 is a run of rows: row i holds the colors of (i,i+1), ..., (i,n-1).
 
-Each coloring keeps that upper triangle twice: as the public tuple colors
-and as one bytes buffer, one byte per edge in the same order.  The layers
-that touch every edge work on the buffer in C rather than loop over the
-tuple in Python: the color range check, parse (which builds the buffer from
-the row text), serialize (which translates buffer rows back to text), blowup
-(which assembles rows from buffer slices) and the per-color neighbor masks
-in detect (built once per coloring from an n x n byte matrix and cached on
-it).  A byte caps the palette: k is at most MAX_COLORS = 255, and a larger k
-raises ColorRangeError everywhere a coloring is made (parse,
+Each coloring keeps that upper triangle once, as the bytes object colors,
+one byte per edge in that order.  The layers that touch every edge work on
+those bytes in C rather than loop over them in Python: the color range
+check, parse (which builds the bytes from the row text), serialize (which
+translates byte rows back to text), blowup (which assembles rows from byte
+slices), relabel_colors (one bytes.translate) and the per-color neighbor
+masks in detect (built once per coloring from an n x n byte matrix and
+cached on it).  A byte caps the palette: k is at most MAX_COLORS = 255, and
+a larger k raises ColorRangeError everywhere a coloring is made (parse,
 EdgeColoring(...), the CNF decoder).
 
 The text format ("grc") mirrors that layout.  Line 1 is the header
@@ -113,15 +113,15 @@ class EdgeColoring(Record):
 
     Immutable; equality and hashing are structural.  k is declared, not
     inferred, so a coloring may use fewer colors than it reserves, and at
-    most MAX_COLORS.  colors may be given as any sequence of ints or as a
-    bytes buffer; it is stored as a tuple, and the attribute buffer holds
-    the same colors as bytes (module docstring).  Derived data such as
-    detect's neighbor masks is cached on the instance, outside the fields.
+    most MAX_COLORS.  colors may be given as any sequence of ints and is
+    stored as bytes (module docstring), whose items are ints; a mutable input
+    is copied.  Derived data such as detect's neighbor masks is cached on
+    the instance, outside the fields.
     """
 
     n: int
     k: int
-    colors: tuple[int, ...]
+    colors: bytes
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -132,16 +132,14 @@ class EdgeColoring(Record):
                 f"n={self.n} needs {edge_count(self.n)} colors, got {len(self.colors)}"
             )
         try:
-            buf = bytes(self.colors)
+            buf = bytes(self.colors)  # a bytes input comes back as the same object
         except (TypeError, ValueError):  # a color that is no int in 0..255
             buf = None
         if buf is None or buf.translate(None, bytes(range(1, self.k + 1))):
             bad = next(c for c in self.colors
                        if not (isinstance(c, int) and 1 <= c <= self.k))
             raise ColorRangeError(f"color {bad} outside 1..{self.k}")
-        if type(self.colors) is not tuple:
-            object.__setattr__(self, "colors", tuple(buf))
-        object.__setattr__(self, "buffer", buf)
+        object.__setattr__(self, "colors", buf)
 
     def color(self, i: int, j: int) -> int:
         return self.colors[edge_index(self.n, i, j)]
@@ -182,7 +180,7 @@ def make_coloring(n: int, k: int, entries: EntrySpec) -> EdgeColoring:
     for idx, c in enumerate(slots):
         if c is None:
             raise MissingEdgeError(f"edge {edge_list(n)[idx]} has no color")
-    return EdgeColoring(n, k, tuple(slots))  # type: ignore[arg-type]
+    return EdgeColoring(n, k, slots)  # type: ignore[arg-type]
 
 
 def join(left: EdgeColoring, right: EdgeColoring, bridge_color: int) -> EdgeColoring:
@@ -213,7 +211,7 @@ def blowup(base: EdgeColoring, parts: Sequence[EdgeColoring]) -> EdgeColoring:
         tail = b"".join(bytes((base.color(p_id, q),)) * parts[q].n
                         for q in range(p_id + 1, base.n))
         for start, stop in row_bounds(part.n):
-            chunks.append(part.buffer[start:stop])
+            chunks.append(part.colors[start:stop])
             chunks.append(tail)
     return EdgeColoring(n, k, b"".join(chunks))
 
@@ -228,18 +226,19 @@ def relabel_colors(
     """
     if new_k < 1:
         raise ColorRangeError(f"need new_k >= 1, got {new_k}")
+    _check_k(new_k)
     used = sorted(set(c.colors))
     for old in used:
         if old not in mapping:
             raise UnmappedColorError(f"color {old} is used but not mapped")
     targets = [mapping[old] for old in used]
     for t in targets:
-        if not 1 <= t <= new_k:
+        if not (isinstance(t, int) and 1 <= t <= new_k):
             raise ColorRangeError(f"relabel target {t} outside 1..{new_k}")
     if len(set(targets)) != len(targets):
         raise NonInjectiveMapError("two used colors map to the same target")
-    lookup = {old: mapping[old] for old in used}
-    return EdgeColoring(c.n, new_k, tuple(lookup[x] for x in c.colors))
+    table = bytes.maketrans(bytes(used), bytes(targets))
+    return EdgeColoring(c.n, new_k, c.colors.translate(table))
 
 
 # str.translate table: code point v (a color byte read as latin-1) -> "v "
@@ -249,11 +248,11 @@ _COLOR_WORDS = tuple(f"{v} " for v in range(MAX_COLORS + 1))
 def serialize(c: EdgeColoring) -> str:
     """Canonical grc text: header, then one row per leading vertex.
 
-    Each row is its slice of the buffer read as latin-1 (one code point per
+    Each row is its slice of colors read as latin-1 (one code point per
     color) and translated to decimal words, whatever k is.
     """
     lines = [f"grc 1 {c.n} {c.k}"]
-    buf = c.buffer
+    buf = c.colors
     for start, stop in islice(row_bounds(c.n), c.n - 1):
         lines.append(buf[start:stop].decode("latin-1").translate(_COLOR_WORDS)[:-1])
     return "\n".join(lines) + "\n"

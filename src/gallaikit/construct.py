@@ -89,7 +89,7 @@ def base_pentagon(cycle_color: int, chord_color: int) -> EdgeColoring:
     for i, j in edge_list(5):
         on_cycle = (j - i) % 5 in (1, 4)
         out.append(cycle_color if on_cycle else chord_color)
-    return EdgeColoring(5, k, tuple(out))
+    return EdgeColoring(5, k, out)
 
 
 def _two_blocks() -> EdgeColoring:

@@ -118,7 +118,7 @@ def _quotient_of(
                     pair=(a, b),
                 )
             colors.append(col)
-    return EdgeColoring(ell, c.k, tuple(colors))
+    return EdgeColoring(ell, c.k, colors)
 
 
 PartitionLike = Union[GallaiPartition, Sequence[Sequence[int]]]

@@ -128,9 +128,9 @@ def color_neighbor_masks(c: EdgeColoring) -> tuple[tuple[int, ...], ...]:
 
 
 def _build_masks(c: EdgeColoring) -> tuple[tuple[int, ...], ...]:
-    """The masks from c.buffer by way of an n x n byte matrix.
+    """The masks from c.colors by way of an n x n byte matrix.
 
-    Row i of the matrix gets row i of the buffer right of the diagonal, and
+    Row i of the matrix gets row i of colors right of the diagonal, and
     each column is copied below it with one strided slice.  Reversed, the
     matrix lists row v from vertex n-1 down to vertex 0, so translating the
     bytes of color d to "1" and all others to "0" spells each mask in
@@ -139,7 +139,7 @@ def _build_masks(c: EdgeColoring) -> tuple[tuple[int, ...], ...]:
     n = c.n
     mat = bytearray(n * n)
     for i, (start, stop) in enumerate(row_bounds(n)):
-        mat[i * n + i + 1:(i + 1) * n] = c.buffer[start:stop]
+        mat[i * n + i + 1:(i + 1) * n] = c.colors[start:stop]
     for j in range(1, n):
         mat[j * n:j * n + j] = mat[j:j * n:n]
     rev = mat[::-1]

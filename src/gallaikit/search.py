@@ -236,7 +236,7 @@ def exhaustive_check(
             if pos == e_total:
                 from .detect import verify
 
-                witness = EdgeColoring(n, k, tuple(choice))
+                witness = EdgeColoring(n, k, choice)
                 report = verify(witness, problem.spec)
                 if not report.passed:
                     raise SearchError("witness failed its own certification")

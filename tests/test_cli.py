@@ -201,7 +201,7 @@ def test_search_witness_and_exhaust_codes(capsys, tmp_path):
         capsys, "search", "--n", "4", "--per-color", "path(3),kipas(4)",
         "--gallai", "--out", str(out_path))
     assert code == 0 and payload["kind"] == "witness"
-    assert read_grc(out_path).colors == tuple(payload["witness_colors"])
+    assert read_grc(out_path).colors == bytes(payload["witness_colors"])
     code, payload, _ = run_json(
         capsys, "search", "--n", "5", "--per-color", "path(3),kipas(4)",
         "--gallai", "--mode", "exhaust")
@@ -230,7 +230,7 @@ def test_encode_decode_pipeline(capsys, tmp_path):
         capsys, "decode", "--cnf", str(cnf), "--model", str(model),
         "--n", "4", "--k", "2", "--out", str(decoded))
     assert code == 0 and payload["kind"] == "sat"
-    assert read_grc(decoded).colors == (1, 2, 2, 2, 2, 1)
+    assert tuple(read_grc(decoded).colors) == (1, 2, 2, 2, 2, 1)
 
 
 def test_decode_unsat_exits_one(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -172,13 +173,13 @@ def test_blowup_rejects_arity_mismatch():
 def test_relabel_permutes_colors():
     c = make_coloring(3, 2, {(0, 1): 1, (0, 2): 2, (1, 2): 1})
     swapped = relabel_colors(c, {1: 2, 2: 1}, 2)
-    assert swapped.colors == (2, 1, 2)
+    assert tuple(swapped.colors) == (2, 1, 2)
 
 
 def test_relabel_can_grow_palette():
     c = make_coloring(2, 1, {(0, 1): 1})
     lifted = relabel_colors(c, {1: 4}, 4)
-    assert lifted.k == 4 and lifted.colors == (4,)
+    assert lifted.k == 4 and tuple(lifted.colors) == (4,)
 
 
 def test_relabel_rejects_collisions_and_gaps():
@@ -189,13 +190,60 @@ def test_relabel_rejects_collisions_and_gaps():
         relabel_colors(c, {1: 2}, 2)
 
 
+def test_relabel_refuses_non_int_targets_and_palettes_above_a_byte():
+    c = make_coloring(3, 2, {(0, 1): 1, (0, 2): 2, (1, 2): 1})
+    with pytest.raises(ColorRangeError, match="relabel target 1.5 outside 1..2"):
+        relabel_colors(c, {1: 1.5, 2: 2}, 2)
+    with pytest.raises(ColorRangeError, match="k=256 exceeds 255"):
+        relabel_colors(c, {1: 1, 2: 256}, 256)
+
+
+def _relabel_oracle(c, mapping, new_k):
+    # one dict lookup per edge
+    return EdgeColoring(c.n, new_k, tuple(mapping[x] for x in c.colors))
+
+
+def test_relabel_matches_per_edge_dict_oracle():
+    # the identity (which leaves a declared but unused color unmapped), an
+    # injective map into a palette grown to 255, and a permutation of the
+    # used colors onto 1..len(used)
+    rng = random.Random(21)
+    for c in buffer_inputs():
+        used = sorted(set(c.colors))
+        maps = [
+            ({v: v for v in used}, c.k),
+            (dict(zip(used, rng.sample(range(1, MAX_COLORS + 1), len(used)))), MAX_COLORS),
+            (dict(zip(used, rng.sample(range(1, len(used) + 1), len(used)))), max(len(used), 1)),
+        ]
+        for mapping, new_k in maps:
+            got = relabel_colors(c, mapping, new_k)
+            assert got == _relabel_oracle(c, mapping, new_k), (c.n, c.k, mapping)
+            assert type(got.colors) is bytes
+
+
 def test_buffer_round_trip_on_differential_inputs():
     for c in buffer_inputs():
-        assert c.buffer == bytes(c.colors)
+        assert c.colors == bytes(c.colors)
         text = serialize(c)
         back = parse(text)
-        assert back == c and back.buffer == c.buffer, (c.n, c.k)
+        assert back == c and back.colors == c.colors, (c.n, c.k)
         assert serialize(back) == text
+
+
+def test_parsed_coloring_retains_at_most_two_bytes_per_edge():
+    # one byte per edge is the storage; a tuple of ints would cost 8 more
+    n = 1000
+    rng = random.Random(2500)
+    text = serialize(EdgeColoring(n, 9, [rng.randint(1, 9) for _ in range(edge_count(n))]))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        back = parse(text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert back.n == n and len(back.colors) == edge_count(n)
+    assert held <= 2 * edge_count(n), held / edge_count(n)
 
 
 def test_serialize_matches_str_join_oracle():
@@ -223,7 +271,7 @@ def test_blowup_matches_per_pair_oracle():
                  for _ in range(base.n)]
         got = blowup(base, parts)
         assert got == plain_blowup(base, parts)
-        assert got.buffer == bytes(got.colors)
+        assert got.colors == bytes(got.colors)
     for c in buffer_inputs()[50:72]:
         assert join(c, c, 7) == plain_blowup(EdgeColoring(2, 7, (7,)), [c, c])
     parts = [random_gallai_blowup(rng, s, 3) for s in (1, 9, 4, 12, 2)]
@@ -247,7 +295,7 @@ def test_parse_accepts_only_ascii_decimal_color_tokens(token):
 
 
 def test_parse_reads_leading_zeros_and_two_digit_colors():
-    assert parse("grc 1 3 12\n01 12\n007\n").colors == (1, 12, 7)
+    assert tuple(parse("grc 1 3 12\n01 12\n007\n").colors) == (1, 12, 7)
 
 
 def test_parse_reports_the_first_bad_token_in_reading_order():
@@ -327,7 +375,7 @@ def test_palette_is_capped_at_255_colors():
     assert MAX_COLORS == 255
     top = EdgeColoring(3, 255, (255, 1, 200))
     assert parse(serialize(top)) == top
-    assert make_coloring(2, 255, {(0, 1): 255}).colors == (255,)
+    assert tuple(make_coloring(2, 255, {(0, 1): 255}).colors) == (255,)
     assert join(top, top, 255).k == 255
     with pytest.raises(ColorRangeError, match="k=256 exceeds 255"):
         EdgeColoring(2, 256, (1,))
@@ -347,5 +395,5 @@ def test_edge_coloring_range_check_names_the_first_bad_color():
         with pytest.raises(ColorRangeError, match=f"color {bad} outside 1..4"):
             EdgeColoring(3, 4, colors)
     c = EdgeColoring(3, 4, b"\x01\x04\x02")
-    assert c.colors == (1, 4, 2) and type(c.colors) is tuple
+    assert tuple(c.colors) == (1, 4, 2) and type(c.colors) is bytes
     assert c == EdgeColoring(3, 4, [1, 4, 2])

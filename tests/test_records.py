@@ -2,7 +2,7 @@
 
 Each library record is built from random and edge-case field values; its
 twin is built from the values the record stored, so __post_init__'s
-normalization (colors to a tuple, pattern ids to canonical form) is not
+normalization (colors to bytes, pattern ids to canonical form) is not
 what is compared.  Construction, equality, hashing, repr, immutability,
 copying and pickling must all agree with what the dataclass does.
 """
@@ -292,9 +292,22 @@ def test_post_init_errors_are_raised_as_before(make, error, message):
 
 def test_post_init_normalizes_the_stored_fields():
     c = EdgeColoring(3, 2, b"\x01\x02\x01")
-    assert c.colors == (1, 2, 1) and type(c.colors) is tuple and c.buffer == b"\x01\x02\x01"
+    assert tuple(c.colors) == (1, 2, 1) and type(c.colors) is bytes and c.colors == b"\x01\x02\x01"
     assert c == EdgeColoring(3, 2, [1, 2, 1]) == EdgeColoring(n=3, k=2, colors=(1, 2, 1))
     assert SearchProblem(4, ("k3", None)).per_color == ("complete(3)", None)
+    # every int sequence is stored as one bytes object, equal and hash-equal
+    raw = bytearray(b"\x01\x02\x01")
+    made = [EdgeColoring(3, 2, colors) for colors in
+            ((1, 2, 1), [1, 2, 1], b"\x01\x02\x01", raw, memoryview(b"\x01\x02\x01"))]
+    for other in made:
+        assert type(other.colors) is bytes and other.colors == b"\x01\x02\x01"
+        assert other == c and hash(other) == hash(c)
+        assert repr(other) == repr(RECORD_TWINS[EdgeColoring](3, 2, other.colors))
+    # a mutable input is copied, never aliased
+    from_raw = made[3]
+    before = hash(from_raw)
+    raw[0] = 2
+    assert from_raw == c and hash(from_raw) == before and from_raw.colors[0] == 1
 
 
 def test_cached_masks_stay_outside_eq_hash_and_repr():

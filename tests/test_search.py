@@ -105,7 +105,7 @@ def test_witness_is_lexicographically_first():
             want = first_by_enumeration(problem)
             assert (got.kind == "witness") == (want is not None)
             if want is not None:
-                assert got.witness.colors == want
+                assert tuple(got.witness.colors) == want
 
 
 def test_exhaust_agrees_with_brute_force_tiny():
@@ -280,7 +280,7 @@ def test_anchor_traversals_pinned():
         assert out.symmetry_reduced
         assert out.kind == ("witness" if colors else "exhausted"), pid
         if colors:
-            assert out.witness.colors == colors
+            assert tuple(out.witness.colors) == colors
 
 
 def test_byte_sliced_tables_match_subset_scan():
@@ -366,7 +366,7 @@ def test_symmetry_breaking_is_sound_against_full_enumeration():
                 want = first_by_enumeration(problem)
                 assert out.kind == ("exhausted" if want is None else "witness"), problem
                 if want is not None:
-                    assert out.witness.colors == want, problem
+                    assert tuple(out.witness.colors) == want, problem
                 kinds.add((out.kind, problem.k, gallai))
     assert {("witness", 2, False), ("exhausted", 2, False),
             ("witness", 3, True), ("exhausted", 3, True), ("exhausted", 3, False)} <= kinds
