@@ -1,18 +1,19 @@
 """Emit DIMACS certificates for the two solver-scale Ramsey anchors.
 
-The in-package backtracking search certifies every anchor in process;
-these two, the largest, can also be certified by an external solver:
+The in-package backtracking search certifies every formulas.ANCHORS entry
+in process; the two largest, named in EXPORTED, can also be certified by
+an external solver on as many vertices as the ledger's value:
 
-  * two colors, both forbidding kipas(4), on 10 vertices (UNSAT would
-    certify the two-color Ramsey number 10),
-  * three colors, all forbidding h10, rainbow-triangle-free, on 11
-    vertices (UNSAT would certify the three-color Gallai-Ramsey value 11).
+  * two colors, both forbidding kipas(4) (UNSAT would certify the
+    two-color Ramsey number),
+  * three colors, all forbidding h10, rainbow-triangle-free (UNSAT would
+    certify the three-color Gallai-Ramsey value).
 
 This script writes the CNF files; hand them to any DIMACS solver.  With
 --run it looks for a solver on PATH, runs it, and checks the outcome:
 an UNSAT answer is the certificate, a SAT answer is decoded and
 re-verified (and would be a genuine refutation).  Sanity companions at
-one vertex below each bound are emitted too; those must come back SAT.
+one vertex below each value are emitted too; those must come back SAT.
 """
 
 import argparse
@@ -23,20 +24,31 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from gallaikit import formulas
 from gallaikit.cnf import decode_assignment, encode_cnf, parse_model
 from gallaikit.detect import verify
 from gallaikit.search import SearchProblem
 
 SOLVERS = ("kissat", "cadical", "cryptominisat5", "minisat", "glucose")
 
-JOBS = (
-    ("ramsey_kipas4_n9_sat", SearchProblem(9, ("kipas(4)", "kipas(4)")), "sat"),
-    ("ramsey_kipas4_n10_unsat", SearchProblem(10, ("kipas(4)", "kipas(4)")), "unsat"),
-    ("gallai_h10_n10_sat",
-     SearchProblem(10, ("h10", "h10", "h10"), require_gallai=True), "sat"),
-    ("gallai_h10_n11_unsat",
-     SearchProblem(11, ("h10", "h10", "h10"), require_gallai=True), "unsat"),
-)
+# the formulas.ANCHORS entries written out, by their per-color patterns
+EXPORTED = (("kipas(4)",) * 2, ("h10",) * 3)
+
+
+def jobs() -> list[tuple[str, SearchProblem, str]]:
+    """(file stem, problem, expected outcome): SAT one vertex below each
+    exported entry's value and UNSAT at it, in ledger order.  A stem reads
+    gallai_ or ramsey_, the pattern id without parentheses, _n<n>_ and the
+    outcome."""
+    out = []
+    for per_color, gallai, value in formulas.ANCHORS:
+        if per_color not in EXPORTED:
+            continue
+        pid = per_color[0].replace("(", "").replace(")", "")
+        for n, expected in ((value - 1, "sat"), (value, "unsat")):
+            name = f"{'gallai' if gallai else 'ramsey'}_{pid}_n{n}_{expected}"
+            out.append((name, SearchProblem(n, per_color, require_gallai=gallai), expected))
+    return out
 
 
 def find_solver() -> str | None:
@@ -68,7 +80,7 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     docs = {}
-    for name, problem, expected in JOBS:
+    for name, problem, expected in jobs():
         doc = encode_cnf(problem)
         path = out_dir / f"{name}.cnf"
         path.write_text(doc.to_dimacs(), encoding="ascii")
@@ -77,7 +89,7 @@ def main() -> int:
               f" (expected {expected.upper()})")
 
     if not args.run:
-        print("\nrun e.g.:  kissat", out_dir / "ramsey_kipas4_n10_unsat.cnf")
+        print(f"\nhand the .cnf files in {out_dir} to a DIMACS solver, e.g. kissat")
         return 0
 
     solver = find_solver()

@@ -227,7 +227,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     if model is None:
         _emit(args, {"kind": "unsat"}, "UNSAT claim, nothing to decode")
         return 1
-    c = _lib.decode_assignment(doc, model, n=args.n, k=args.k)
+    c = _lib.decode_assignment(doc, model)
     if not _lib.assignment_satisfies(doc, model):
         raise _lib.CnfError("model does not satisfy the formula it came with")
     _write_if_requested(args, c)

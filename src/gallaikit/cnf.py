@@ -111,17 +111,8 @@ def _true_set(doc: CnfDocument, assignment: Iterable[int]) -> set[int]:
     return true_vars
 
 
-def decode_assignment(
-    doc: CnfDocument,
-    assignment: Iterable[int],
-    n: int | None = None,
-    k: int | None = None,
-) -> EdgeColoring:
+def decode_assignment(doc: CnfDocument, assignment: Iterable[int]) -> EdgeColoring:
     """Coloring selected by the positive literals of a total assignment."""
-    if n is not None and n != doc.n:
-        raise CnfError(f"n={n} disagrees with the document's {doc.n}")
-    if k is not None and k != doc.k:
-        raise CnfError(f"k={k} disagrees with the document's {doc.k}")
     true_vars = _true_set(doc, assignment)
     colors = []
     for e, (i, j) in enumerate(edge_list(doc.n)):

@@ -115,7 +115,8 @@ class EdgeColoring(Record):
     inferred, so a coloring may use fewer colors than it reserves, and at
     most MAX_COLORS.  colors may be given as any sequence of ints and is
     stored as bytes (module docstring), whose items are ints; a mutable input
-    is copied.  Derived data such as detect's neighbor masks is cached on
+    is copied, and a buffer of items wider than a byte (array('i')) is read
+    item by item.  Derived data such as detect's neighbor masks is cached on
     the instance, outside the fields.
     """
 
@@ -133,6 +134,8 @@ class EdgeColoring(Record):
             )
         try:
             buf = bytes(self.colors)  # a bytes input comes back as the same object
+            if len(buf) != len(self.colors):  # a buffer of items wider than a byte
+                buf = bytes(iter(self.colors))
         except (TypeError, ValueError):  # a color that is no int in 0..255
             buf = None
         if buf is None or buf.translate(None, bytes(range(1, self.k + 1))):
@@ -224,8 +227,6 @@ def relabel_colors(
     The map must cover every color the coloring actually uses, be injective
     on those, and land inside 1..new_k.  Unused colors may be left unmapped.
     """
-    if new_k < 1:
-        raise ColorRangeError(f"need new_k >= 1, got {new_k}")
     _check_k(new_k)
     used = sorted(set(c.colors))
     for old in used:

@@ -53,6 +53,18 @@ MIXED_R2_TABLE: dict[tuple[str, str], int] = {
     ("kipas(4)", "path(3)"): 5,
 }
 
+# the values certified by exhaustion, as (per_color, require_gallai, value):
+# no valid coloring of K_value exists, and one of K_(value-1) does.  Every
+# R2 and mixed R2 value, then GR_3(h10) = GR_3(K_3) = 11 (kipas(2) is K_3).
+# Acceptance criterion 9, CI's extremal step and the SAT script read this.
+ANCHORS: tuple[tuple[tuple[str, ...], bool, int], ...] = (
+    *(((cid, cid), False, r2) for cid, r2 in R2_TABLE.items()),
+    *((pair, False, r2) for pair, r2 in MIXED_R2_TABLE.items()),
+    (("h10",) * 3, True, 11),
+    (("kipas(2)",) * 3, True, 11),
+)
+
+
 class GrValue(Record):
     value: int
     case_tag: str

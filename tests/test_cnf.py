@@ -204,14 +204,6 @@ def test_decode_requires_exactly_one_color_per_edge():
         decode_assignment(doc, {1, 2, 3, 5})
 
 
-def test_decode_checks_host_agreement():
-    doc = encode_cnf(SearchProblem(3, ("k3", "k3")))
-    with pytest.raises(CnfError):
-        decode_assignment(doc, {1, 3, 5}, n=4)
-    with pytest.raises(CnfError):
-        decode_assignment(doc, {1, 3, 5}, k=3)
-
-
 def test_document_validation():
     with pytest.raises(CnfError):
         CnfDocument(3, 2, 5, ((1, 2),))  # wrong var count

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given
@@ -196,6 +197,8 @@ def test_relabel_refuses_non_int_targets_and_palettes_above_a_byte():
         relabel_colors(c, {1: 1.5, 2: 2}, 2)
     with pytest.raises(ColorRangeError, match="k=256 exceeds 255"):
         relabel_colors(c, {1: 1, 2: 256}, 256)
+    with pytest.raises(ColorRangeError, match="^need k >= 1, got k=0$"):
+        relabel_colors(c, {1: 1, 2: 2}, 0)
 
 
 def _relabel_oracle(c, mapping, new_k):
@@ -390,8 +393,11 @@ def test_palette_is_capped_at_255_colors():
 
 
 def test_edge_coloring_range_check_names_the_first_bad_color():
+    # buffers of wider items are read by item (16843009 is four bytes of 1)
     for colors, bad in (((1, 5, 0), "5"), ((1, 0, 5), "0"), ((300, 1, 1), "300"),
-                        ((1, -1, 1), "-1"), ((1, 1.5, 1), "1.5")):
+                        ((1, -1, 1), "-1"), ((1, 1.5, 1), "1.5"),
+                        (array("i", [1, 300, 1]), "300"), (memoryview(array("H", [1, 5, 1])), "5"),
+                        (array("i", [16843009, 1, 1]), "16843009")):
         with pytest.raises(ColorRangeError, match=f"color {bad} outside 1..4"):
             EdgeColoring(3, 4, colors)
     c = EdgeColoring(3, 4, b"\x01\x04\x02")

@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import pickle
 import random
+from array import array
 from itertools import combinations
 
 import pytest
@@ -298,7 +299,8 @@ def test_post_init_normalizes_the_stored_fields():
     # every int sequence is stored as one bytes object, equal and hash-equal
     raw = bytearray(b"\x01\x02\x01")
     made = [EdgeColoring(3, 2, colors) for colors in
-            ((1, 2, 1), [1, 2, 1], b"\x01\x02\x01", raw, memoryview(b"\x01\x02\x01"))]
+            ((1, 2, 1), [1, 2, 1], b"\x01\x02\x01", raw, memoryview(b"\x01\x02\x01"),
+             array("i", [1, 2, 1]), memoryview(array("H", [1, 2, 1])))]
     for other in made:
         assert type(other.colors) is bytes and other.colors == b"\x01\x02\x01"
         assert other == c and hash(other) == hash(c)
