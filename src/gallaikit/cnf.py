@@ -142,7 +142,7 @@ def _dimacs_ints(tokens: list[str]) -> list[int]:
 
 def parse_dimacs(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(num_vars, clauses) from DIMACS text; comments are skipped."""
-    num_vars: Optional[int] = None
+    header: Optional[list[int]] = None
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
     for raw in text.splitlines():
@@ -151,10 +151,12 @@ def parse_dimacs(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
             continue
         if line.startswith("p"):
             fields = line.split()
-            if len(fields) != 4 or fields[1] != "cnf":
-                raise CnfError(f"bad problem line {line!r}")
-            num_vars = _dimacs_ints(fields[2:3])[0]
+            if len(fields) != 4 or fields[1] != "cnf" or header is not None:
+                raise CnfError(f"bad or repeated problem line {line!r}")
+            header = _dimacs_ints(fields[2:])
             continue
+        if header is None:
+            raise CnfError("clause before the problem line")
         for lit in _dimacs_ints(line.split()):
             if lit == 0:
                 if pending:
@@ -164,15 +166,17 @@ def parse_dimacs(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
                 pending.append(lit)
     if pending:
         clauses.append(tuple(pending))
-    if num_vars is None:
+    if header is None:
         raise CnfError("missing problem line")
-    return num_vars, tuple(clauses)
+    if header[1] != len(clauses):
+        raise CnfError(f"problem line declares {header[1]} clauses, found {len(clauses)}")
+    return header[0], tuple(clauses)
 
 
 def parse_model(text: str) -> Optional[set[int]]:
     """True variables from solver output, or None for an UNSAT result."""
     true_vars: set[int] = set()
-    saw_lits = False
+    false_vars: set[int] = set()  # 0, which ends a clause, lands here too
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -193,9 +197,9 @@ def parse_model(text: str) -> Optional[set[int]]:
                 lit = int(tok)
             except ValueError:
                 break
-            saw_lits = True
-            if lit > 0:
-                true_vars.add(lit)
-    if not saw_lits:
+            (true_vars if lit > 0 else false_vars).add(abs(lit))
+    if not true_vars | false_vars:
         raise CnfError("no literals found in model text")
+    if true_vars & false_vars:
+        raise CnfError(f"variable {min(true_vars & false_vars)} is given both signs")
     return true_vars

@@ -11,7 +11,7 @@ those bytes in C rather than loop over them in Python: the color range
 check, parse (which builds the bytes from the row text), serialize (which
 translates byte rows back to text), blowup (which assembles rows from byte
 slices), relabel_colors (one bytes.translate) and the per-color neighbor
-masks in detect (built once per coloring from an n x n byte matrix and
+masks in detect (built once per coloring from a byte matrix in 8 lanes and
 cached on it).  A byte caps the palette: k is at most MAX_COLORS = 255, and
 a larger k raises ColorRangeError everywhere a coloring is made (parse,
 EdgeColoring(...), the CNF decoder).

@@ -7,13 +7,13 @@ among those, the smallest part through vertex 0.  It is the top split of the
 modular decomposition, which the rainbow walk in detect computes first:
 partition refinement gives P(0), the maximal modules without vertex 0, and
 the part through 0 is {0} plus every part X of P(0) whose closure with 0 (the
-smallest module containing 0 and X) is not the whole vertex set; the rest of
-P(0) are the other parts.  The walk goes on down the module tree and reports
-rainbow-free only when every quotient on it uses at most two colors.  That is
-exact: a triangle with two vertices in one module is never rainbow, and a
-prime quotient with three colors has a rainbow triangle (Gallai's theorem;
-details in detect).  Only a walk that finds a rainbow runs the scan that
-names the lexicographically first witness.
+smallest module containing 0 and X) is not the whole vertex set; the parts
+are modules, so that closure is made of whole parts.  The rest of P(0) are
+the other parts.  The walk goes on down the module tree and reports
+rainbow-free only when every quotient on it uses at most two colors, which
+is exact (Gallai's theorem; details in detect), so below V it checks no
+rows.  Only a walk that finds a rainbow runs the scan that names the
+lexicographically first witness.
 
 If for some color d the edges avoiding d form a disconnected graph, this is
 the split (component of 0, rest): any union of components through 0 would

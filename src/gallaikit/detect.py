@@ -14,24 +14,20 @@ two vertices in one module is never rainbow, so a module split into modules
 is rainbow-free exactly when the quotient on one representative per part is
 and every part is.  The walk keeps a stack of modules, starting from V, and
 skips a module S with fewer than 3 vertices or at most 2 colors inside.
-Otherwise it checks the row of the least vertex v0 of S (a rainbow (v0, y, z)
-inside S ends the walk; this keeps rainbow inputs fast) and splits S at the
-top of its decomposition: partition refinement from v0 gives the maximal
-modules of S without v0, and set closures grow the part through v0 into the
-maximal strong module through it (Ehrenfeucht, Gabow, McConnell and
-Sullivan, J. Algorithms 1994).  The refinement starts from the color classes
-of v0 and asks each part for a splitter, a vertex of S outside it that sees
-it in two colors: XORing each member's rows with those of the least member,
-masked to the outside, finds one in a few big-int operations, and a part
-without one is final.  A two-part split is a degenerate node of
-some color d, and the walk replaces it by all components of the non-d graph
-inside S, so a join of many small blocks splits once.  Any other split is
-prime, and by Gallai's theorem a prime quotient is rainbow-free exactly when
-it uses at most 2 colors; with more, its rainbow triangle lifts to S through
-the representatives and the walk stops.  The walk reports rainbow-free only
-when every module on it passed, which is the proof above.  Only a walk that
-found a rainbow runs the O(n^2 k) scan, whose witness is the answer; a walk
-that finds one the scan does not is an internal error.
+Otherwise it splits S at the top of its decomposition: refinement from the
+least vertex v0 gives P(v0), the maximal modules of S without v0, and
+closures grow the part through v0 into the maximal strong module through it
+(Ehrenfeucht, Gabow, McConnell and Sullivan, J. Algorithms 1994).  The parts
+of P(v0) are modules, so a closure of v0 and whole parts grows by whole
+parts, one member deciding for each.  A two-part split is a degenerate node
+of some color d, which the walk replaces by all components of the non-d
+graph inside S; any other split is prime, and by Gallai's theorem a prime
+quotient is rainbow-free exactly when it uses at most 2 colors (with more,
+its rainbow lifts to S through the representatives).  So the quotients alone
+decide; at V the walk first checks the row of vertex 0, which ends most
+inputs with a rainbow at once.  Only a walk that found a rainbow runs the
+O(n^2 k) scan, whose witness is the answer; a walk that finds one the scan
+does not is an internal error.
 
 The embedding search runs on a twin-class kernel of the color class.  False
 twins (vertices with the same open neighborhood in that color) are
@@ -128,28 +124,33 @@ def color_neighbor_masks(c: EdgeColoring) -> tuple[tuple[int, ...], ...]:
 
 
 def _build_masks(c: EdgeColoring) -> tuple[tuple[int, ...], ...]:
-    """The masks from c.colors by way of an n x n byte matrix.
+    """The masks from c.colors by way of an n x w byte matrix, w = n rounded up to 8.
 
-    Row i of the matrix gets row i of colors right of the diagonal, and
-    each column is copied below it with one strided slice.  Reversed, the
-    matrix lists row v from vertex n-1 down to vertex 0, so translating the
-    bytes of color d to "1" and all others to "0" spells each mask in
-    binary for int(_, 2).  Color 0 (the diagonal) gets empty masks.
+    Row i gets row i of colors right of the diagonal, and each column is
+    copied below it with one strided slice.  Lane j (bytes j, j+8, ...) with
+    the bytes of color d translated to 1 << j, all others to 0, and read
+    little-endian has byte p at bit p, so the 8 lanes ORed hold vertex v's
+    mask in bytes v*w/8 .. (v+1)*w/8.  Color 0 (diagonal, padding) is empty.
     """
     n = c.n
-    mat = bytearray(n * n)
+    r = -(-n // 8)
+    w = 8 * r
+    mat = bytearray(n * w)
     for i, (start, stop) in enumerate(row_bounds(n)):
-        mat[i * n + i + 1:(i + 1) * n] = c.colors[start:stop]
+        mat[i * w + i + 1:i * w + n] = c.colors[start:stop]
     for j in range(1, n):
-        mat[j * n:j * n + j] = mat[j:j * n:n]
-    rev = mat[::-1]
+        mat[j * w:j * w + j] = mat[j:j * w:w]
+    lanes = [mat[j::8] for j in range(8)]
     del mat
-    zeros = b"0" * 256
+    zeros = bytes(256)
     nbr = [(0,) * n]
     for d in range(1, c.k + 1):
-        bits = rev.translate(zeros[:d] + b"1" + zeros[d + 1:])
-        # row v of the matrix is rev[(n-1-v)*n : (n-v)*n], reversed
-        nbr.append(tuple(int(bits[(n - 1 - v) * n:(n - v) * n], 2) for v in range(n)))
+        whole = 0
+        for j, lane in enumerate(lanes):
+            hits = lane.translate(zeros[:d] + bytes([1 << j]) + zeros[d + 1:])
+            whole |= int.from_bytes(hits, "little")
+        rows = memoryview(whole.to_bytes(n * r, "little"))
+        nbr.append(tuple(int.from_bytes(rows[v * r:v * r + r], "little") for v in range(n)))
     return tuple(nbr)
 
 
@@ -160,19 +161,17 @@ def _class_masks(
     return nbr[color] if color <= c.k else (0,) * c.n
 
 
-def _rainbow_row(
-    c: EdgeColoring, nbr, x: int, ys, within: int
-) -> tuple[Optional[tuple[int, int, int]], int]:
-    """First rainbow (x, y, z) for y in ys (ascending), z in within above y."""
-    k = c.k
+def _rainbow_row(c: EdgeColoring, nbr, x: int) -> tuple[Optional[tuple[int, int, int]], int]:
+    """The first rainbow (x, y, z) with x < y < z, and the pairs (x, y) tried."""
+    full = (1 << c.n) - 1
     pairs = 0
-    for y in ys:
+    for y in range(x + 1, c.n - 1):
         pairs += 1
         cxy = c.color(x, y)
         same = 0
-        for d in range(1, k + 1):
-            same |= nbr[d][x] & nbr[d][y]
-        above = (within >> (y + 1)) << (y + 1)
+        for row in nbr:
+            same |= row[x] & row[y]
+        above = (full >> (y + 1)) << (y + 1)
         cand = above & ~(nbr[cxy][x] | nbr[cxy][y]) & ~same
         if cand:
             z = (cand & -cand).bit_length() - 1
@@ -182,11 +181,9 @@ def _rainbow_row(
 
 def _rainbow_scan(c: EdgeColoring, nbr) -> tuple[Optional[tuple[int, int, int]], int]:
     """The lexicographically first rainbow triple, and the pairs scanned."""
-    n = c.n
-    full = (1 << n) - 1
     pairs = 0
-    for x in range(n - 2):
-        witness, row_pairs = _rainbow_row(c, nbr, x, range(x + 1, n - 1), full)
+    for x in range(c.n - 2):
+        witness, row_pairs = _rainbow_row(c, nbr, x)
         pairs += row_pairs
         if witness is not None:
             return witness, pairs
@@ -260,21 +257,6 @@ def _modules_avoiding(nbr, s: int, v0: int) -> list[int]:
     return done
 
 
-def _closure(nbr, s: int, full: int) -> int:
-    """Smallest module of full containing s: add what sees s in two colors."""
-    anchor = (s & -s).bit_length() - 1
-    while s != full:
-        add = 0
-        for row in nbr:
-            for w in _bits(row[anchor] & full & ~s):
-                if s & ~row[w]:
-                    add |= 1 << w
-        if not add:
-            break
-        s |= add
-    return s
-
-
 def _root_split(c: EdgeColoring, nbr, s: int) -> list[int]:
     """Top of the decomposition of the module s (two or more vertices).
 
@@ -288,12 +270,26 @@ def _root_split(c: EdgeColoring, nbr, s: int) -> list[int]:
     """
     v0 = (s & -s).bit_length() - 1
     outside = _modules_avoiding(nbr, s, v0)
-    top = 1 << v0
+    tell = {}  # part: what its least member w sees in a color other than (v0, w)'s
     for part in outside:
-        if part & ~top:
-            grown = _closure(nbr, top | part, s)
-            if grown != s:
-                top = grown
+        w = (part & -part).bit_length() - 1
+        tell[part] = s & ~nbr[c.color(v0, w)][w]
+    top, out = 1 << v0, 0  # out: parts outside M0, so a closure taking one in is s
+    for part in outside:
+        if part & top:
+            continue
+        grown, last = top | part, 0
+        while grown != last and not grown & out:
+            last = grown
+            for p, t in tell.items():
+                if grown & t:
+                    grown |= p
+                    if p & out:
+                        break
+        if grown == s or grown & out:
+            out |= part
+        else:
+            top = grown
     return [top] + [p for p in outside if not p & top]
 
 
@@ -342,7 +338,7 @@ def _module_walk(c: EdgeColoring, nbr) -> tuple[bool, Optional[list[int]]]:
         if len(members) < 3 or _colors_within(c, nbr, s, members) <= 2:
             continue
         v0 = members[0]
-        if _rainbow_row(c, nbr, v0, members[1:], s)[0] is not None:
+        if s == full and _rainbow_row(c, nbr, v0)[0] is not None:
             return True, None
         parts = _root_split(c, nbr, s)
         if s == full:

@@ -290,6 +290,37 @@ def plain_modules_avoiding(nbr, s: int, v0: int) -> list[int]:
     return parts + done
 
 
+def plain_closure(nbr, s: int, full: int) -> int:
+    """Smallest module of full containing s, grown one vertex at a time.
+
+    The library's former detect._closure, kept as the oracle of the closure
+    over whole parts in detect._root_split: each round adds every vertex of
+    full outside s that sees s in two colors, until a round adds none.
+    """
+    anchor = (s & -s).bit_length() - 1
+    while s != full:
+        add = 0
+        for row in nbr:
+            for w in plain_bits(row[anchor] & full & ~s):
+                if s & ~row[w]:
+                    add |= 1 << w
+        if not add:
+            break
+        s |= add
+    return s
+
+
+def prime_top() -> EdgeColoring:
+    """A random 2-coloring of 600 vertices from random.Random(602), with
+    vertex 0 blown up into a color-3 triangle: 602 vertices, rainbow-free,
+    whose top is a 600-part prime quotient."""
+    from gallaikit.coloring import blowup
+
+    rng = random.Random(602)
+    base = EdgeColoring(600, 3, bytes(rng.randint(1, 2) for _ in range(600 * 599 // 2)))
+    return blowup(base, [EdgeColoring(3, 3, (3, 3, 3))] + [EdgeColoring(1, 3, ())] * 599)
+
+
 def _set_partitions(items):
     if not items:
         yield []

@@ -304,12 +304,22 @@ def test_unknown_pattern_is_domain_error(capsys):
 def test_decode_non_integer_dimacs_is_domain_error(capsys, tmp_path):
     model = tmp_path / "model.out"
     model.write_text("SAT\n1 -2 -3 0\n", encoding="ascii")
-    for text in ("p cnf x 3\n1 2 3 0\n", "p cnf 3 1\n1 two 0\n"):
+    for text in ("p cnf x 3\n1 2 3 0\n", "p cnf 3 1\n1 two 0\n", "p cnf 3 abc\n1 2 3 0\n",
+                 "p cnf 3 7\n1 2 3 0\n", "p cnf 3 1\n1 2 3 0\np cnf 3 1\n",
+                 "1 2 3 0\np cnf 3 1\n"):
         cnf = tmp_path / "f.cnf"
         cnf.write_text(text, encoding="ascii")
         code, _, err = run(capsys, "decode", "--cnf", str(cnf), "--model",
                            str(model), "--n", "3", "--k", "1")
         assert code == 2 and err.startswith("error:"), text
+    # the model 1 2 3 decodes; listing -1 as well gives variable 1 both
+    # signs, which must fail closed rather than drop one of them
+    cnf.write_text("p cnf 3 1\n1 2 3 0\n", encoding="ascii")
+    for text, want in (("SAT\n1 2 3 0\n", 0), ("SAT\n1 2 3 -1 0\n", 2)):
+        model.write_text(text, encoding="ascii")
+        code, _, err = run(capsys, "decode", "--cnf", str(cnf), "--model",
+                           str(model), "--n", "3", "--k", "1")
+        assert code == want, (text, err)
 
 
 def test_non_ascii_grc_is_domain_error(capsys, tmp_path):

@@ -231,7 +231,13 @@ def test_parse_dimacs_rejects_garbage():
         parse_dimacs("p cnf\n")
     with pytest.raises(CnfError):
         parse_dimacs("1 2 0\n")  # missing header
-    for text in ("p cnf x 3\n", "p cnf 3 1\n1 two 0\n"):
+    for text in ("p cnf x 3\n", "p cnf 3 1\n1 two 0\n",
+                 "p cnf 2 abc\n1 0\n",  # clause count not an integer
+                 "p cnf 2 7\n1 2 0\n",  # declares 7 clauses, holds 1
+                 "p cnf 2 0\n1 2 0\n",
+                 "p cnf 2 1\n1 2 0\np cnf 3 1\n",  # a second problem line
+                 "p cnf 2 1\np cnf 2 1\n1 2 0\n",
+                 "1 2 0\np cnf 2 1\n"):  # a clause before the problem line
         with pytest.raises(CnfError):
             parse_dimacs(text)
 
@@ -243,3 +249,6 @@ def test_parse_model_variants():
     assert parse_model("UNSAT\n") is None
     with pytest.raises(CnfError):
         parse_model("s SATISFIABLE\n")  # claims SAT but carries no literals
+    for text in ("1 -1 2 0\n", "SAT\n-3 1 2 3 0\n", "v 1 2\nv -2 0\n"):
+        with pytest.raises(CnfError):
+            parse_model(text)  # a variable given with both signs

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     brute_force_min_partitions,
+    naive_rainbow,
     pair_closure_parts,
     plant_rainbow,
     random_coloring,
@@ -19,6 +20,7 @@ from gallaikit.decompose import (
     gallai_partition,
     reduced_coloring,
 )
+from gallaikit.detect import AvoidanceSpec, find_rainbow_triangle, verify
 
 
 def test_pentagon_blowup_recovers_five_parts():
@@ -92,6 +94,29 @@ def test_planted_rainbows_always_detected():
             # planting may have overwritten into a still-gallai coloring;
             # the returned partition must then be genuinely valid
             recheck_partition(c, gp)
+    # a rainbow through the least vertex of a module two levels below the
+    # root, where vertex 0's row cannot see it: the walk must find it in a
+    # quotient, and every entry point must name the scan's witness and count
+    # the pairs the scan took to reach it
+    for _ in range(20):
+        k = rng.randint(3, 6)
+        parts = [random_gallai_blowup(rng, rng.randint(1, 8), k) for _ in range(3)]
+        parts.append(random_gallai_blowup(rng, rng.randint(3, 12), k))
+        inner = make_blowup(random_coloring(rng, 4, 2), parts)
+        c = join(random_gallai_blowup(rng, rng.randint(1, 10), k), inner, rng.randint(1, k))
+        low = c.n - parts[-1].n
+        y, z = sorted(rng.sample(range(low + 1, c.n), 2))
+        cmap = dict(c.items())
+        cmap[(low, y)], cmap[(low, z)], cmap[(y, z)] = rng.sample(range(1, k + 1), 3)
+        c = make_coloring(c.n, k, cmap)
+        want = naive_rainbow(c)
+        pairs = sum(c.n - 2 - x for x in range(want[0])) + want[1] - want[0]
+        assert low <= want[0] and find_rainbow_triangle(c) == want
+        rep = verify(c, AvoidanceSpec((), True))
+        assert (rep.rainbow_witness, rep.stats.pairs_scanned) == (want, pairs)
+        with pytest.raises(RainbowTriangleError) as info:
+            gallai_partition(c)
+        assert info.value.witness == want
 
 
 def test_reduced_coloring_validates_parts():

@@ -11,10 +11,12 @@ from conftest import (
     naive_mono,
     naive_rainbow,
     plain_bits,
+    plain_closure,
     plain_embed,
     plain_masks,
     plain_modules_avoiding,
     plant_rainbow,
+    prime_top,
     random_coloring,
     random_gallai_blowup,
 )
@@ -257,12 +259,64 @@ def test_refinement_matches_pivot_oracle_on_towers_and_a_prime_top(refinements_a
         assert refinements_agree(c, range(c.n)) > 1
     c = build_lower("h10", 8, certify=False)
     assert refinements_agree(c, range(0, c.n, 25)) > 1
-    # a random 2-coloring of 600 vertices with vertex 0 blown up into a
-    # color-3 triangle: the top of the walk is a 600-part prime quotient
-    rng = random.Random(602)
-    base = EdgeColoring(600, 3, bytes(rng.randint(1, 2) for _ in range(600 * 599 // 2)))
-    c = blowup(base, [mono_complete(3, 3, k=3)] + [EdgeColoring(1, 3, ())] * 599)
+    c = prime_top()
     assert refinements_agree(c, range(0, c.n, 43)) == 1
+
+
+@pytest.fixture
+def closures_agree(monkeypatch):
+    """check(c): _root_split gives the split that plain_closure grows, on V
+    and on every module the walk splits; returns how many the walk split."""
+    engine = detect._root_split
+    calls = []
+    monkeypatch.setattr(detect, "_root_split",
+                        lambda c, nbr, s: calls.append(s) or engine(c, nbr, s))
+
+    def oracle(nbr, s):
+        # the former loop: close over vertices, grow the top while not s
+        v0 = (s & -s).bit_length() - 1
+        outside = detect._modules_avoiding(nbr, s, v0)
+        top = 1 << v0
+        for part in outside:
+            if part & ~top:
+                grown = plain_closure(nbr, top | part, s)
+                if grown != s:
+                    top = grown
+        return [top] + [p for p in outside if not p & top]
+
+    def check(c):
+        nbr = detect.color_neighbor_masks(c)
+        calls.clear()
+        detect._module_walk(c, nbr)
+        for s in dict.fromkeys(calls + [(1 << c.n) - 1]):
+            assert engine(c, nbr, s) == oracle(nbr, s), (c, s)
+        return len(calls)
+
+    return check
+
+
+def test_root_split_matches_closure_oracle_on_random_inputs(closures_agree):
+    rng = random.Random(1994)
+    for _ in range(60):
+        closures_agree(random_coloring(rng, rng.randint(2, 30), rng.randint(1, 5)))
+    for _ in range(30):
+        c = random_gallai_blowup(rng, rng.randint(3, 30), rng.randint(3, 6))
+        closures_agree(c)
+        closures_agree(plant_rainbow(rng, c))
+    for _ in range(15):
+        k = rng.randint(3, 6)
+        cyc, chord = rng.sample(range(1, k + 1), 2)
+        closures_agree(blowup(base_pentagon(cyc, chord), [
+            random_gallai_blowup(rng, rng.randint(1, 20), k) for _ in range(5)]))
+        closures_agree(join(random_gallai_blowup(rng, rng.randint(1, 40), k),
+                            random_gallai_blowup(rng, rng.randint(1, 40), k),
+                            rng.randint(1, k)))
+
+
+def test_root_split_matches_closure_oracle_on_towers_and_a_prime_top(closures_agree):
+    for cid, k in (("h1", 6), ("kipas(4)", 6), ("h10", 8)):
+        assert closures_agree(build_lower(cid, k, certify=False)) > 1
+    assert closures_agree(prime_top()) == 1
 
 
 def test_bits_matches_lowest_bit_loop():
@@ -418,7 +472,10 @@ def test_kernel_bounds_tower_search_work():
 
 
 def test_masks_match_plain_loop():
-    for c in buffer_inputs():
+    # rows of 63 to 129 vertices are padded to whole bytes of the eight lanes
+    rng = random.Random(64)
+    wide = [random_coloring(rng, n, k) for n in (63, 64, 65, 129) for k in (2, 7, 8, 9, 17)]
+    for c in buffer_inputs() + wide:
         got = detect.color_neighbor_masks(c)
         assert [list(row) for row in got] == plain_masks(c), (c.n, c.k)
 
