@@ -85,7 +85,7 @@ def main() -> int:
         path = out_dir / f"{name}.cnf"
         path.write_text(doc.to_dimacs(), encoding="ascii")
         docs[name] = (doc, problem, expected, path)
-        print(f"{path}: n={doc.n} k={doc.k} vars={doc.num_vars} clauses={len(doc.clauses)}"
+        print(f"{path}: n={doc.n} k={doc.k} vars={doc.num_vars} clauses={doc.num_clauses}"
               f" (expected {expected.upper()})")
 
     if not args.run:

@@ -204,11 +204,11 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         "n": doc.n,
         "k": doc.k,
         "vars": doc.num_vars,
-        "clauses": len(doc.clauses),
+        "clauses": doc.num_clauses,
         "out": args.out,
     }
     _emit(args, payload,
-          f"{doc.num_vars} vars, {len(doc.clauses)} clauses written to {args.out}")
+          f"{doc.num_vars} vars, {doc.num_clauses} clauses written to {args.out}")
     return 0
 
 
@@ -221,8 +221,7 @@ def _read_ascii(path: str) -> str:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    num_vars, clauses = _lib.parse_dimacs(_read_ascii(args.cnf))
-    doc = _lib.CnfDocument(args.n, args.k, num_vars, tuple(clauses))
+    doc = _lib.parse_dimacs(_read_ascii(args.cnf), args.n, args.k)
     model = _lib.parse_model(_read_ascii(args.model))
     if model is None:
         _emit(args, {"kind": "unsat"}, "UNSAT claim, nothing to decode")

@@ -23,6 +23,7 @@ parts are the maximal strong modules, the unique coarsest valid partition.
 
 from __future__ import annotations
 
+from operator import gt
 from typing import Sequence, Union
 
 from ._record import Record
@@ -90,35 +91,61 @@ def gallai_partition(c: EdgeColoring) -> GallaiPartition:
 def _quotient_of(
     c: EdgeColoring, parts: Sequence[tuple[int, ...]], nbr
 ) -> EdgeColoring:
-    """Quotient by parts, checking each part-a row against the mask of part b."""
+    """Quotient by parts, after checking that any two parts meet in one color.
+
+    Each part's first vertex is its representative.  Part a passes when, in
+    every color d, each of its rows covers all later parts whose
+    representatives meet a's in d: the later representatives in row d of
+    a's, each widened to its whole part.  So each vertex is tested once per
+    color, and only a part that fails is compared with the later parts one
+    by one, to name the first pair.  The quotient colors are read from the
+    representatives' byte rows.
+    """
+    n = c.n
     covered: set[int] = set()
     total = 0
     for idx, part in enumerate(parts):
         if not part:
             raise InvalidPartitionError(f"part {idx} is empty")
-        for v in part:
-            if not 0 <= v < c.n:
-                raise InvalidPartitionError(f"vertex {v} out of range in part {idx}")
+        if min(part) < 0 or max(part) >= n:
+            bad = next(v for v in part if not 0 <= v < n)
+            raise InvalidPartitionError(f"vertex {bad} out of range in part {idx}")
         total += len(part)
         covered.update(part)
     if len(covered) != total:
         raise InvalidPartitionError("parts overlap")
-    if covered != set(range(c.n)):
+    if total != n:  # distinct vertices of range(n)
         raise InvalidPartitionError("parts do not cover all vertices")
-    ell = len(parts)
     masks = [sum(1 << v for v in part) for part in parts]
-    colors = []
-    for a in range(ell):
-        for b in range(a + 1, ell):
-            col = c.color(parts[a][0], parts[b][0])
-            row, mb = nbr[col], masks[b]
-            if any(row[i] & mb != mb for i in parts[a]):
+    reps = [part[0] for part in parts]
+    wide = [(1 << part[0], mask) for part, mask in zip(parts, masks) if len(part) > 1]
+    later = sum(map((1).__lshift__, reps))
+    rows = nbr[1:]
+    for a, part in enumerate(parts):
+        later ^= 1 << part[0]  # the representatives of parts a+1, a+2, ...
+        for row in rows:
+            seen = row[part[0]] & later
+            if not seen:
+                continue
+            for bit, mask in wide:
+                if seen & bit:
+                    seen |= mask
+            if any(row[i] & seen != seen for i in part):
+                b = next(b for b in range(a + 1, len(parts))
+                         if any(nbr[c.color(part[0], reps[b])][i] & masks[b] != masks[b]
+                                for i in part))
                 raise InvalidPartitionError(
-                    f"parts {a} and {b} meet in more than one color",
-                    pair=(a, b),
-                )
-            colors.append(col)
-    return EdgeColoring(ell, c.k, colors)
+                    f"parts {a} and {b} meet in more than one color", pair=(a, b))
+    return EdgeColoring(len(parts), c.k, _pair_colors(c, reps))
+
+
+def _pair_colors(c: EdgeColoring, reps: list[int]) -> bytes:
+    """c.color(reps[a], reps[b]) for a < b, in lexicographic pair order."""
+    if any(map(gt, reps, reps[1:])):  # a stored partition in its own order
+        return bytes([c.color(x, y) for a, x in enumerate(reps) for y in reps[a + 1:]])
+    n, colors = c.n, c.colors
+    offsets = [x * (2 * n - x - 3) // 2 - 1 for x in reps]  # edge (x, y > x): offset(x) + y
+    return bytes([colors[o + y] for a, o in enumerate(offsets) for y in reps[a + 1:]])
 
 
 PartitionLike = Union[GallaiPartition, Sequence[Sequence[int]]]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 
 from ._record import Record
@@ -258,7 +258,9 @@ def enumerate_pattern_images(pattern: Pattern, n: int) -> tuple[tuple[int, ...],
     order, and edge_index is monotone in it, so mapping the picks through
     the subset's row of edge indices gives an ascending tuple.  The one
     final sort puts the images in the order of the sorted vertex-pair
-    images, for the same reason, so the CNF clause order is fixed.
+    images, for the same reason, so the CNF clause order is fixed.  The
+    picks are sorted too, so each subset's images come out ascending and
+    that sort merges runs.
     """
     from .coloring import row_bounds  # formula and catalog need only this module
 
@@ -282,11 +284,11 @@ def enumerate_pattern_images(pattern: Pattern, n: int) -> tuple[tuple[int, ...],
         raise TooLargeError(f"{pattern.label} on {n} vertices has at least {count} images, "
                             f"over the image budget of {IMAGE_BUDGET}")
     local = {pair: t for t, pair in enumerate(combinations(range(len(spine)), 2))}
-    picks = [tuple(sorted(map(local.__getitem__, shape))) for shape in shapes]
+    picks = sorted(tuple(sorted(map(local.__getitem__, shape))) for shape in shapes)
     first = [start for start, _ in row_bounds(n)]
     images: list[tuple[int, ...]] = []
     for sub in combinations(range(n), len(spine)):
         row = [first[i] + j - i - 1 for i, j in combinations(sub, 2)].__getitem__
-        images += [tuple(map(row, pick)) for pick in picks]
+        images += map(tuple, map(map, repeat(row), picks))
     images.sort()
     return tuple(images)

@@ -126,18 +126,20 @@ def _completion_tables(
             alive = (1 << len(group)) - 1
             has: dict[int, int] = {}
             for t, rest in enumerate(group):
+                bit = 1 << t
                 for d in rest:
-                    has[d] = has.get(d, 0) | (1 << t)
+                    has[d] = has.get(d, 0) | bit
             slices = []
             for shift in sorted({d & ~7 for d in has}):
                 nb = [alive ^ has.get(shift + i, 0) for i in range(8)]
-                # f[m] = AND of nb over the bits of m, by its lowest bit
-                f = [alive] * 256
-                for m in range(1, 256):
-                    low = m & -m
-                    f[m] = f[m ^ low] & nb[low.bit_length() - 1]
+                # lo[m], hi[m] = AND of nb over the bits of m in the low and
+                # the high nibble, so f[16 * a + b] = hi[a] & lo[b]
+                lo, hi = [alive], [alive]
+                for i in range(4):
+                    lo += [f & nb[i] for f in lo]
+                    hi += [f & nb[4 + i] for f in hi]
                 # x names the edges in the color, 255 - x the missing ones
-                slices.append((shift, tuple(reversed(f))))
+                slices.append((shift, tuple([h & l for h in reversed(hi) for l in reversed(lo)])))
             entry = (alive, tuple(slices))
             for color in colors:
                 table[pos][color] = entry

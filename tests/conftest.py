@@ -34,7 +34,7 @@ RECORD_TWINS = {
         (SearchProblem,
          ["n", "per_color", ("require_gallai", bool, dataclasses.field(default=False))]),
         (SearchOutcome, ["kind", "witness", "nodes_explored", "symmetry_reduced"]),
-        (CnfDocument, ["n", "k", "num_vars", "clauses"]),
+        (CnfDocument, ["n", "k", "num_vars", "clause_text"]),
         (GallaiPartition, ["parts", "quotient"]),
         (GrValue, ["value", "case_tag"]),
     )
@@ -157,6 +157,78 @@ def plain_cnf_clauses(problem) -> tuple[tuple[int, ...], ...]:
             clauses += [tuple(-var(u, v, color) for u, v in image)
                         for image in naive_images(resolve(pid), n)]
     return tuple(clauses)
+
+
+def int_tuple_dimacs(problem) -> str:
+    """cnf.encode_cnf(problem).to_dimacs() by way of one int tuple per clause.
+
+    The library's former encoder and writer, kept as their oracle: it reads
+    the same SearchProblem image and triangle lists, builds every clause as
+    an int tuple and prints each literal with str().
+    """
+    from gallaikit.coloring import edge_count, edge_index, edge_list
+
+    n, k = problem.n, problem.k
+    e_total = edge_count(n)
+
+    def var(e, c):
+        return e * k + c
+
+    clauses = [tuple(var(e, c) for c in range(1, k + 1)) for e in range(e_total)]
+    clauses += [(-var(e, c1), -var(e, c2))
+                for e in range(e_total) for c1, c2 in combinations(range(1, k + 1), 2)]
+    clauses += [(-var(exy, c1), -var(exz, c2), -var(eyz, c3))
+                for exy, exz, eyz in problem.rainbow_triangles()
+                for c1, c2, c3 in permutations(range(1, k + 1), 3)]
+    images = {c: imgs for colors, imgs in problem.forbidden_images() for c in colors}
+    for color in range(1, k + 1):
+        clauses += [tuple(-var(e, color) for e in edges) for edges in images.get(color, ())]
+    lines = [f"c var((i,j),c) = edge_index(i,j)*{k} + c; edges lexicographic"]
+    for i, j in edge_list(n):
+        base = edge_index(n, i, j) * k
+        lines.append(f"c edge ({i},{j}): vars {base + 1}..{base + k}")
+    lines.append(f"p cnf {e_total * k} {len(clauses)}")
+    lines += [" ".join(str(lit) for lit in clause) + " 0" for clause in clauses]
+    return "\n".join(lines) + "\n"
+
+
+def plain_parse_dimacs(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(num_vars, clauses) from DIMACS text, every token read with int().
+
+    The library's former parser, kept as the oracle of cnf.parse_dimacs on
+    input whose tokens are all ASCII integers: comment and blank lines are
+    skipped, a 0 ends a clause wherever it stands, and a last clause may lack
+    its 0.  It raises ValueError where the library raises CnfError.
+    """
+    header = None
+    clauses = []
+    pending = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            fields = line.split()
+            if len(fields) != 4 or fields[1] != "cnf" or header is not None:
+                raise ValueError(f"bad or repeated problem line {line!r}")
+            header = [int(tok) for tok in fields[2:]]
+            continue
+        if header is None:
+            raise ValueError("clause before the problem line")
+        for lit in map(int, line.split()):
+            if lit == 0:
+                if pending:
+                    clauses.append(tuple(pending))
+                    pending = []
+            else:
+                pending.append(lit)
+    if pending:
+        clauses.append(tuple(pending))
+    if header is None:
+        raise ValueError("missing problem line")
+    if header[1] != len(clauses):
+        raise ValueError(f"problem line declares {header[1]} clauses, found {len(clauses)}")
+    return header[0], tuple(clauses)
 
 
 def plain_assignment_satisfies(doc, assignment) -> bool:
@@ -319,6 +391,29 @@ def prime_top() -> EdgeColoring:
     rng = random.Random(602)
     base = EdgeColoring(600, 3, bytes(rng.randint(1, 2) for _ in range(600 * 599 // 2)))
     return blowup(base, [EdgeColoring(3, 3, (3, 3, 3))] + [EdgeColoring(1, 3, ())] * 599)
+
+
+def pairwise_quotient(c: EdgeColoring, parts, nbr) -> EdgeColoring:
+    """decompose._quotient_of checked pair by pair, on parts it has validated.
+
+    The library's former loop, kept as its oracle: for parts a < b it takes
+    the color of their first vertices and requires every row of part a in
+    that color to cover part b, raising InvalidPartitionError with the
+    first pair that fails.
+    """
+    from gallaikit.decompose import InvalidPartitionError
+
+    masks = [sum(1 << v for v in part) for part in parts]
+    colors = []
+    for a in range(len(parts)):
+        for b in range(a + 1, len(parts)):
+            col = c.color(parts[a][0], parts[b][0])
+            row, mb = nbr[col], masks[b]
+            if any(row[i] & mb != mb for i in parts[a]):
+                raise InvalidPartitionError(
+                    f"parts {a} and {b} meet in more than one color", pair=(a, b))
+            colors.append(col)
+    return EdgeColoring(len(parts), c.k, colors)
 
 
 def _set_partitions(items):

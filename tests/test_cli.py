@@ -306,7 +306,10 @@ def test_decode_non_integer_dimacs_is_domain_error(capsys, tmp_path):
     model.write_text("SAT\n1 -2 -3 0\n", encoding="ascii")
     for text in ("p cnf x 3\n1 2 3 0\n", "p cnf 3 1\n1 two 0\n", "p cnf 3 abc\n1 2 3 0\n",
                  "p cnf 3 7\n1 2 3 0\n", "p cnf 3 1\n1 2 3 0\np cnf 3 1\n",
-                 "1 2 3 0\np cnf 3 1\n"):
+                 "1 2 3 0\np cnf 3 1\n",
+                 # int() reads each of these; DIMACS tokens are -?[0-9]+
+                 "p cnf 3 1\n+1 2 3 0\n", "p cnf 3 1\n0_1 2 3 0\n", "p cnf 3 1\n1 2 3 0_0\n",
+                 "p cnf +3 1\n1 2 3 0\n"):
         cnf = tmp_path / "f.cnf"
         cnf.write_text(text, encoding="ascii")
         code, _, err = run(capsys, "decode", "--cnf", str(cnf), "--model",
@@ -315,7 +318,10 @@ def test_decode_non_integer_dimacs_is_domain_error(capsys, tmp_path):
     # the model 1 2 3 decodes; listing -1 as well gives variable 1 both
     # signs, which must fail closed rather than drop one of them
     cnf.write_text("p cnf 3 1\n1 2 3 0\n", encoding="ascii")
-    for text, want in (("SAT\n1 2 3 0\n", 0), ("SAT\n1 2 3 -1 0\n", 2)):
+    for text, want in (("SAT\n1 2 3 0\n", 0), ("SAT\n1 2 3 -1 0\n", 2),
+                       ("c solver comment\nv 1 2 3 0\n", 0),
+                       # int() reads these as 1 2 3 as well: model tokens are -?[0-9]+
+                       ("v 0_1 2 3 0\n", 2), ("SAT\n+1 2 3 0\n", 2), ("v 1 2 3 0 x\n", 2)):
         model.write_text(text, encoding="ascii")
         code, _, err = run(capsys, "decode", "--cnf", str(cnf), "--model",
                            str(model), "--n", "3", "--k", "1")

@@ -1,9 +1,20 @@
+import hashlib
 import random
+import subprocess
+import sys
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
-from conftest import plain_assignment_satisfies, plain_cnf_clauses, random_coloring
+from conftest import (
+    int_tuple_dimacs,
+    plain_assignment_satisfies,
+    plain_cnf_clauses,
+    plain_parse_dimacs,
+    random_coloring,
+)
+from gallaikit import cnf
 from gallaikit.cnf import (
     CnfDocument,
     CnfError,
@@ -18,6 +29,8 @@ from gallaikit.coloring import edge_count, edge_index, edge_list
 from gallaikit.detect import AvoidanceSpec, verify
 from gallaikit.patterns import resolve
 from gallaikit.search import SearchProblem
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def count_images_naively(pattern, n):
@@ -215,31 +228,173 @@ def test_document_validation():
         CnfDocument(3, 2, 6, ((7,),))  # out of range
     # zero clauses is a legal (vacuously satisfiable) document
     assert CnfDocument(3, 2, 6, ()).num_vars == 6
+    # clause text is checked by the same rule: canonical lines over -6..6
+    assert CnfDocument(3, 2, 6, "1 -6 0\n-2 0\n") == CnfDocument(3, 2, 6, ((1, -6), (-2,)))
+    for text, message in (("1 0\n7 0\n", "literal 7 out of range"),
+                          ("-7 0\n", "literal -7 out of range"),
+                          ("1 0 0\n", "literal 0 out of range"),
+                          ("0\n", "empty clause"), (" 0\n", "empty clause"),
+                          ("1 -0 0\n", "bad literal '-0'"), ("01 0\n", "bad literal '01'"),
+                          ("+1 0\n", "bad literal '\\+1'"), ("1  2 0\n", "bad literal ''"),
+                          ("1\t2 0\n", "bad literal"), ("1 2 0\r\n", "does not end in"),
+                          ("1 2\n", "does not end in"), ("1 2 0", "must end with a newline"),
+                          ("1" * 5000 + " 0\n", "literal 1{24} out of range")):
+        with pytest.raises(CnfError, match=message):
+            CnfDocument(3, 2, 6, text)
+
+
+def test_each_document_is_checked_once(monkeypatch):
+    # the constructor scans its text, each producer checks while it writes
+    # and skips that scan, and what parse_dimacs accepts scans exactly once
+    scans = []
+    real = cnf._canonical
+    monkeypatch.setattr(cnf, "_canonical",
+                        lambda lines, num_vars: scans.append(len(lines)) or real(lines, num_vars))
+    doc = encode_cnf(SearchProblem(6, ("h10", "k3", None), require_gallai=True))
+    assert scans == []
+    back = parse_dimacs(doc.to_dimacs(), 6, 3)
+    assert back == doc and scans == [doc.num_clauses]
+    assert CnfDocument(6, 3, doc.num_vars, doc.clause_text) == doc
+    assert scans == [doc.num_clauses] * 2
+    assert "clauses" not in vars(back)  # no int view was built on the way
+
+
+def test_encode_refuses_an_image_edge_outside_the_host():
+    # a list of literal strings would read edge -1 as the last edge
+    for images in (((0, 1, 3),), ((-1, 0, 1),), ((0, 2), (1, 2, 3))):
+        problem = SearchProblem(3, ("k3", None))
+        object.__setattr__(problem, "forbidden_images", lambda images=images: [((1,), images)])
+        with pytest.raises(CnfError, match="outside 0..2"):
+            encode_cnf(problem)
+    problem = SearchProblem(3, ("k3", "k3", "k3"), require_gallai=True)
+    object.__setattr__(problem, "rainbow_triangles", lambda: [(0, 1, 3)])
+    with pytest.raises(CnfError, match="edge index 3 outside 0..2"):
+        encode_cnf(problem)
+
+
+def _random_problem(rng):
+    n, k = rng.randint(2, 9), rng.randint(1, 4)
+    ids = [None, "k3", "path(3)", "path(4)", "kipas(2)", "kipas(4)", "h1", "h5", "h10"]
+    return SearchProblem(n, tuple(rng.choice(ids) for _ in range(k)),
+                         require_gallai=rng.random() < 0.5)
+
+
+def test_dimacs_matches_int_tuple_renderer():
+    rng = random.Random(2510)
+    gallai = set()
+    for _ in range(60):
+        problem = _random_problem(rng)
+        doc = encode_cnf(problem)
+        assert doc.to_dimacs() == int_tuple_dimacs(problem), problem
+        assert doc.num_clauses == len(doc.clauses) == len(plain_cnf_clauses(problem))
+        gallai.add(problem.require_gallai and problem.k >= 3)
+    assert gallai == {False, True}
+
+
+def _scatter(rng, clauses, num_vars):
+    """DIMACS text for clauses, written loosely: comments between clauses,
+    several clauses on a line, clauses over two lines, tabs, runs of
+    spaces, CRLF, leading zeros, blank lines, -0 and 00 as terminators,
+    and a last clause that may lack its 0."""
+    def lit(v):
+        return ("-" if v < 0 else "") + "0" * rng.choice((0, 0, 0, 1, 2)) + str(abs(v))
+
+    out = ["c loose", "", f"p cnf {num_vars} {len(clauses)}"]
+    line = []
+    for at, clause in enumerate(clauses):
+        toks = [lit(v) for v in clause]
+        if at < len(clauses) - 1 or rng.random() < 0.5:
+            toks.append(rng.choice(("0", "0", "-0", "00")))
+        if len(toks) > 2 and rng.random() < 0.2:  # split over two lines
+            cut = rng.randint(1, len(toks) - 1)
+            line += toks[:cut]
+            out.append(rng.choice((" ", "\t", "  ")).join(line))
+            line = toks[cut:]
+        else:
+            line += toks
+        if rng.random() < 0.6:
+            out.append(rng.choice((" ", "\t", "  ")).join(line) + rng.choice(("", " ", "\t")))
+            line = []
+            if rng.random() < 0.2:
+                out.append(rng.choice(("c between clauses 1 0", "", "   ", "c")))
+    if line:
+        out.append(" ".join(line))
+    return rng.choice(("\n", "\r\n")).join(out) + rng.choice(("\n", "", "\r\n"))
+
+
+def test_parse_dimacs_matches_int_parser():
+    rng = random.Random(1925)
+    texts = []
+    for _ in range(30):
+        problem = _random_problem(rng)
+        doc = encode_cnf(problem)
+        texts.append((doc.n, doc.k, doc.to_dimacs()))
+        clauses = doc.clauses[:rng.randint(0, 40)]
+        texts.append((doc.n, doc.k, _scatter(rng, clauses, doc.num_vars)))
+    for _ in range(150):
+        doc = random_document(rng, 5, 5, 12)
+        texts.append((doc.n, doc.k, _scatter(rng, doc.clauses, doc.num_vars)))
+    for n, k, text in texts:
+        num_vars, clauses = plain_parse_dimacs(text)
+        want = CnfDocument(n, k, num_vars, clauses)
+        got = parse_dimacs(text, n, k)
+        assert got == want and got.clauses == clauses, text
+        assert got.to_dimacs() == want.to_dimacs()
+
+
+def test_sat_certificate_files_hash_as_pinned(tmp_path):
+    # the four documents scripts/make_sat_certificates.py writes, as CI pins them
+    pinned = {
+        "ramsey_kipas4_n9_sat.cnf":
+            "47606f2266af9b1385e9b8d8f9082d059defaf69e68ea9d7d47ec406c95d419f",
+        "ramsey_kipas4_n10_unsat.cnf":
+            "fc770537920516e5d037b23b4989412a6b190ddab3c390e7df7e7def03976b45",
+        "gallai_h10_n10_sat.cnf":
+            "243b2a3d5c8eaab40793bca553f28433ecba6fdb98b84e7af420a05b074fccae",
+        "gallai_h10_n11_unsat.cnf":
+            "40118a19bdc291a3c1f26edcc7fbfa1b2df6da65627ffa069b4117200bfff8fa",
+    }
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "make_sat_certificates.py"),
+                    "--out-dir", str(tmp_path)], check=True, capture_output=True, timeout=120)
+    assert {p.name for p in tmp_path.iterdir()} == set(pinned)
+    for name, digest in pinned.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_dimacs_round_trip():
     doc = encode_cnf(SearchProblem(4, ("k3", "path(3)"), require_gallai=False))
     text = doc.to_dimacs()
     assert text.startswith("c ")
-    num_vars, clauses = parse_dimacs(text)
-    assert num_vars == doc.num_vars
-    assert [tuple(cl) for cl in clauses] == list(doc.clauses)
+    back = parse_dimacs(text, doc.n, doc.k)
+    assert back == doc and back.clauses == doc.clauses
+    assert back.to_dimacs() == text
 
 
 def test_parse_dimacs_rejects_garbage():
-    with pytest.raises(CnfError):
-        parse_dimacs("p cnf\n")
-    with pytest.raises(CnfError):
-        parse_dimacs("1 2 0\n")  # missing header
-    for text in ("p cnf x 3\n", "p cnf 3 1\n1 two 0\n",
-                 "p cnf 2 abc\n1 0\n",  # clause count not an integer
-                 "p cnf 2 7\n1 2 0\n",  # declares 7 clauses, holds 1
-                 "p cnf 2 0\n1 2 0\n",
-                 "p cnf 2 1\n1 2 0\np cnf 3 1\n",  # a second problem line
-                 "p cnf 2 1\np cnf 2 1\n1 2 0\n",
-                 "1 2 0\np cnf 2 1\n"):  # a clause before the problem line
+    # on K_2 (one edge) k is the variable count, so n=2 and k=num_vars fit
+    # every well-formed problem line below
+    for text, k in (("p cnf\n", 1), ("1 2 0\n", 2),  # missing header
+                    ("p cnf x 3\n", 3), ("p cnf 3 1\n1 two 0\n", 3),
+                    ("p cnf 2 abc\n1 0\n", 2),  # clause count not an integer
+                    ("p cnf 2 7\n1 2 0\n", 2),  # declares 7 clauses, holds 1
+                    ("p cnf 2 0\n1 2 0\n", 2),
+                    ("p cnf 2 1\n1 2 0\np cnf 3 1\n", 2),  # a second problem line
+                    ("p cnf 2 1\np cnf 2 1\n1 2 0\n", 2),
+                    ("1 2 0\np cnf 2 1\n", 2),  # a clause before the problem line
+                    ("p cnf 2 1\n1 3 0\n", 2), ("p cnf 2 1\n-3 0\n", 2),  # out of range
+                    ("p cnf 2 1\n1 2 0\n", 3),  # the header disagrees with n and k
+                    # tokens int() reads but -?[0-9]+ refuses: a sign, an
+                    # underscore, a non-ASCII digit, in the header too
+                    ("p cnf 2 1\n+1 2 0\n", 2), ("p cnf 10 1\n1_0 0\n", 10),
+                    ("p cnf 2 1\n1 2 0_0\n", 2), ("p cnf 2 1\n\u0661 0\n", 2),
+                    ("p cnf +2 1\n1 0\n", 2), ("p cnf 2 +1\n1 0\n", 2),
+                    ("p cnf 2 1\n1 2 0 %\n", 2),
+                    # more digits than int() converts by default
+                    ("p cnf 2 1\n" + "1" * 5000 + " 0\n", 2),
+                    ("p cnf 2 1\n1 " + "0" * 5000 + "1 0\n", 2),
+                    ("p cnf " + "9" * 5000 + " 1\n1 0\n", 2)):
         with pytest.raises(CnfError):
-            parse_dimacs(text)
+            parse_dimacs(text, 2, k)
 
 
 def test_parse_model_variants():
@@ -247,8 +402,15 @@ def test_parse_model_variants():
     assert parse_model("s SATISFIABLE\nv 1 -2\nv 3 0\n") == {1, 3}
     assert parse_model("s UNSATISFIABLE\n") is None
     assert parse_model("UNSAT\n") is None
+    # solver comment lines are skipped
+    assert parse_model("c kissat\ns SATISFIABLE\nc 7 -1\nv -1 2 0\n") == {2}
     with pytest.raises(CnfError):
         parse_model("s SATISFIABLE\n")  # claims SAT but carries no literals
     for text in ("1 -1 2 0\n", "SAT\n-3 1 2 3 0\n", "v 1 2\nv -2 0\n"):
         with pytest.raises(CnfError):
             parse_model(text)  # a variable given with both signs
+    # tokens int() reads but -?[0-9]+ refuses, and a token that is no integer
+    for text in ("v 0_1 -2 0\n", "SAT\n+1 -2 0\n", "v 1 \u0662 0\n", "v 1 -2 x 0\n",
+                 "SAT\n1 -2 0 %\n", "v 1 " + "2" * 5000 + " 0\n"):
+        with pytest.raises(CnfError, match="bad model token"):
+            parse_model(text)

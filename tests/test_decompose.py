@@ -6,7 +6,9 @@ from conftest import (
     brute_force_min_partitions,
     naive_rainbow,
     pair_closure_parts,
+    pairwise_quotient,
     plant_rainbow,
+    prime_top,
     random_coloring,
     random_gallai_blowup,
     recheck_partition,
@@ -14,13 +16,15 @@ from conftest import (
 from gallaikit.coloring import join, make_coloring
 from gallaikit.construct import base_pentagon, build_lower, mono_complete
 from gallaikit.decompose import (
+    GallaiPartition,
     InvalidPartitionError,
     RainbowTriangleError,
     TooSmallError,
+    _quotient_of,
     gallai_partition,
     reduced_coloring,
 )
-from gallaikit.detect import AvoidanceSpec, find_rainbow_triangle, verify
+from gallaikit.detect import AvoidanceSpec, color_neighbor_masks, find_rainbow_triangle, verify
 
 
 def test_pentagon_blowup_recovers_five_parts():
@@ -176,6 +180,60 @@ def test_reduced_coloring_matches_plain_pair_loop():
         except InvalidPartitionError as exc:
             got = exc.pair
         assert got == _plain_quotient(c, parts), (c, parts)
+
+
+def _quotient_or_pair(quotient, c, parts):
+    try:
+        return quotient(c, parts, color_neighbor_masks(c))
+    except InvalidPartitionError as exc:
+        return exc.pair, str(exc)
+
+
+def test_quotient_matches_pairwise_oracle():
+    # valid and invalid partitions, in ascending order and in a stored
+    # partition's own order (parts and their members shuffled), must give
+    # the oracle's quotient or name its first failing pair
+    rng = random.Random(2526)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(2, 14)
+        k = rng.randint(1, 4)
+        c = random_gallai_blowup(rng, n, k) if rng.random() < 0.6 else random_coloring(rng, n, k)
+        if rng.random() < 0.5:
+            parts = [tuple(p) for p in gallai_partition(c).parts] if not naive_rainbow(c) else []
+        else:
+            order = list(range(n))
+            rng.shuffle(order)
+            cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+            parts = [tuple(order[i:j]) for i, j in zip([0] + cuts, cuts + [n])]
+        if not parts:
+            continue
+        if rng.random() < 0.5:
+            parts = sorted(tuple(sorted(p)) for p in parts)
+        want = _quotient_or_pair(pairwise_quotient, c, parts)
+        assert _quotient_or_pair(_quotient_of, c, parts) == want, (c, parts)
+        if isinstance(want, tuple):
+            outcomes.add("invalid")
+        else:
+            outcomes.add("sorted" if parts == sorted(parts) else "own order")
+            assert reduced_coloring(c, GallaiPartition(tuple(parts), want)) == want
+    assert outcomes == {"invalid", "sorted", "own order"}
+
+
+def test_quotient_matches_pairwise_oracle_on_towers_and_a_prime_top():
+    colorings = [build_lower(target, k, certify=False)
+                 for target, k in (("h1", 6), ("kipas(4)", 6), ("h10", 8), ("h10", 3))]
+    for c in colorings + [prime_top()]:
+        parts = list(gallai_partition(c).parts)
+        assert _quotient_of(c, parts, color_neighbor_masks(c)) == \
+            pairwise_quotient(c, parts, color_neighbor_masks(c))
+        # moving one vertex to another part breaks exactly the pairs it joins
+        moved = [list(p) for p in parts]
+        v = moved[-1].pop() if len(moved[-1]) > 1 else moved[0].pop()
+        moved[len(moved) // 2].append(v)
+        moved = [tuple(sorted(p)) for p in moved if p]
+        assert _quotient_or_pair(_quotient_of, c, moved) == \
+            _quotient_or_pair(pairwise_quotient, c, moved)
 
 
 def test_tie_break_is_smallest_part_through_zero():
