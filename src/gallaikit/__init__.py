@@ -31,11 +31,12 @@ _EXPORTS = {
     ),
     "decompose": (
         "DecompositionError", "GallaiPartition", "InvalidPartitionError",
-        "RainbowTriangleError", "TooSmallError", "gallai_partition", "reduced_coloring",
+        "RainbowTriangleError", "TooSmallError", "find_rainbow_triangle",
+        "gallai_partition", "reduced_coloring",
     ),
     "detect": (
         "AvoidanceSpec", "CheckStats", "Embedding", "VerificationReport",
-        "find_mono_embedding", "find_rainbow_triangle", "verify",
+        "find_mono_embedding", "verify",
     ),
     "formulas": (
         "FormulaError", "GrValue", "MissingR2Error", "UnsupportedTargetError",

@@ -34,6 +34,10 @@ def __getattr__(name: str):
 _R2_HELP = ("two-color Ramsey number; only for a fan; must match R2_TABLE, "
             "else 2m+1 <= r2 <= 2(m^2-m+1)")
 
+# the most digits a printed formula value may have: CPython's default limit
+# on int-to-str conversion, which is what --json and the human line both need
+_VALUE_DIGITS = 4300
+
 
 def _forbid_pair(text: str) -> tuple[int, str]:
     color, sep, pid = text.partition("=")
@@ -161,6 +165,9 @@ def _cmd_formula(args: argparse.Namespace) -> int:
         gv = _lib.gr_mixed_value(args.k, args.s)
     else:
         gv = _lib.gr_value(args.target, args.k)
+    if gv.value >= 10 ** _VALUE_DIGITS:
+        raise _lib.FormulaError(f"the value has more than {_VALUE_DIGITS} digits, "
+                                f"the bound on a printed value")
     payload = {
         "value": gv.value,
         "branch": gv.case_tag,

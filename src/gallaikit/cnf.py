@@ -158,9 +158,16 @@ def _document(n: int, k: int, num_vars: int, clause_text: str) -> CnfDocument:
 
 def encode_cnf(problem: SearchProblem) -> CnfDocument:
     """CNF whose models are exactly the valid colorings of the problem."""
+    from .patterns import IMAGE_BUDGET, TooLargeError  # decode runs without patterns
+
     n, k = problem.n, problem.k
     if n < 2:
         raise CnfError(f"need n >= 2, got {n}")
+    triangles = problem.rainbow_triangles()
+    rainbow = len(triangles) * k * (k - 1) * (k - 2)  # one clause per color triple
+    if rainbow > IMAGE_BUDGET:
+        raise TooLargeError(f"K_{n} with {k} colors has {rainbow} rainbow clauses, "
+                            f"over the image budget of {IMAGE_BUDGET}")
     e_total = edge_count(n)
     num_vars = e_total * k
     # neg[c][e] = the literal -v(e, c) as text; a dict, so that an edge index
@@ -174,7 +181,7 @@ def encode_cnf(problem: SearchProblem) -> CnfDocument:
     images = {c: imgs for colors, imgs in problem.forbidden_images() for c in colors}
     try:
         lines += [f"{neg[c1][xy]} {neg[c2][xz]} {neg[c3][yz]}"
-                  for xy, xz, yz in problem.rainbow_triangles() for c1, c2, c3 in triples]
+                  for xy, xz, yz in triangles for c1, c2, c3 in triples]
         for color in range(1, k + 1):
             lines += map(" ".join, map(map, repeat(neg[color].__getitem__),
                                        images.get(color, ())))

@@ -11,7 +11,7 @@ those bytes in C rather than loop over them in Python: the color range
 check, parse (which builds the bytes from the row text), serialize (which
 translates byte rows back to text), blowup (which assembles rows from byte
 slices), relabel_colors (one bytes.translate) and the per-color neighbor
-masks in detect (built once per coloring from a byte matrix in 8 lanes and
+masks in decompose (built once per coloring from a byte matrix in 8 lanes and
 cached on it).  A byte caps the palette: k is at most MAX_COLORS = 255, and
 a larger k raises ColorRangeError everywhere a coloring is made (parse,
 EdgeColoring(...), the CNF decoder).
@@ -116,7 +116,7 @@ class EdgeColoring(Record):
     most MAX_COLORS.  colors may be given as any sequence of ints and is
     stored as bytes (module docstring), whose items are ints; a mutable input
     is copied, and a buffer of items wider than a byte (array('i')) is read
-    item by item.  Derived data such as detect's neighbor masks is cached on
+    item by item.  Derived data such as decompose's neighbor masks is cached on
     the instance, outside the fields.
     """
 

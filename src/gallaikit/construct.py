@@ -17,7 +17,8 @@ from .coloring import (
     join,
     relabel_colors,
 )
-from .detect import AvoidanceSpec, color_neighbor_masks, verify
+from .decompose import color_neighbor_masks
+from .detect import AvoidanceSpec, verify
 from .formulas import RangeViolationError, _tower_seed, fan_param, g_value, ramsey_two, w_value
 from .patterns import canonical_id, resolve
 

@@ -1,42 +1,58 @@
-"""Gallai partitions of rainbow-triangle-free colorings.
+"""The module tree of a coloring: rainbow triangles and Gallai partitions.
+
+A module is a vertex set that every outside vertex sees in a single color.
+Whether a coloring has a rainbow triangle is decided by a walk down its
+module tree (Gallai 1967; Gyarfas and Simonyi, JGT 2004).  A triangle with
+two vertices in one module is never rainbow, so a module split into modules
+is rainbow-free exactly when the quotient on one representative per part is
+and every part is.  The walk keeps a stack of modules, starting from V, and
+skips a module S with fewer than 3 vertices or at most 2 colors inside.
+Otherwise it splits S at the top of its decomposition: refinement from the
+least vertex v0 gives P(v0), the maximal modules of S without v0, and
+closures grow the part through v0 into the maximal strong module through it
+(Ehrenfeucht, Gabow, McConnell and Sullivan, J. Algorithms 1994).  The parts
+of P(v0) are modules, so a closure of v0 and whole parts grows by whole
+parts, one member deciding for each.  A two-part split is a degenerate node
+of some color d, which the walk replaces by all components of the non-d
+graph inside S; any other split is prime, and by Gallai's theorem a prime
+quotient is rainbow-free exactly when it uses at most 2 colors (with more,
+its rainbow lifts to S through the representatives).  So the quotients alone
+decide; at V the walk first checks the row of vertex 0, which ends most
+inputs with a rainbow at once.  Only a walk that found a rainbow runs the
+O(n^2 k) scan, whose witness, the lexicographically first rainbow triple, is
+the answer; a walk that finds one the scan does not is an internal error.
 
 A Gallai partition splits the vertex set into ell >= 2 parts such that any
 two parts meet in a single color and the quotient coloring uses at most two
 colors overall.  gallai_partition returns the one with the fewest parts and,
-among those, the smallest part through vertex 0.  It is the top split of the
-modular decomposition, which the rainbow walk in detect computes first:
-partition refinement gives P(0), the maximal modules without vertex 0, and
-the part through 0 is {0} plus every part X of P(0) whose closure with 0 (the
-smallest module containing 0 and X) is not the whole vertex set; the parts
-are modules, so that closure is made of whole parts.  The rest of P(0) are
-the other parts.  The walk goes on down the module tree and reports
-rainbow-free only when every quotient on it uses at most two colors, which
-is exact (Gallai's theorem; details in detect), so below V it checks no
-rows.  Only a walk that finds a rainbow runs the scan that names the
-lexicographically first witness.
+among those, the smallest part through vertex 0: the split of V that the walk
+computes first.  If for some color d the edges avoiding d form a
+disconnected graph, this is the split (component of 0, rest): any union of
+components through 0 would do, and the component is the smallest.
+Otherwise the top is prime and the parts are the maximal strong modules,
+the unique coarsest valid partition.  A walk that reports rainbow-free has
+checked every quotient below V, so gallai_partition checks no rows there.
 
-If for some color d the edges avoiding d form a disconnected graph, this is
-the split (component of 0, rest): any union of components through 0 would
-do, and the component is the smallest.  Otherwise the top is prime and the
-parts are the maximal strong modules, the unique coarsest valid partition.
+Everything runs over per-color neighbor bitmasks (plain Python ints), which
+color_neighbor_masks builds once per coloring and shares with the embedding
+search in detect and the builders in construct.
 """
 
 from __future__ import annotations
 
 from operator import gt
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from ._record import Record
-from .coloring import EdgeColoring
-from .detect import (
-    DecompositionError,
-    DecompositionInvariantError,
-    _bits,
-    _module_walk,
-    _rainbow_witness,
-    _root_split,
-    color_neighbor_masks,
-)
+from .coloring import EdgeColoring, row_bounds
+
+
+class DecompositionError(Exception):
+    pass
+
+
+class DecompositionInvariantError(DecompositionError):
+    """Internal consistency failure; indicates a bug, not bad input."""
 
 
 class RainbowTriangleError(DecompositionError):
@@ -57,6 +73,267 @@ class InvalidPartitionError(DecompositionError):
     def __init__(self, message: str, pair: tuple[int, int] | None = None):
         super().__init__(message)
         self.pair = pair
+
+
+def color_neighbor_masks(c: EdgeColoring) -> tuple[tuple[int, ...], ...]:
+    """nbr[color][v] = bitmask of the vertices joined to v in that color.
+
+    Built once per coloring and cached on it.  The rows are tuples, so every
+    caller (verify, the rainbow walk, the embedding search, gallai_partition,
+    reduced_coloring, the builders' certification) shares them read-only.
+    """
+    nbr = c.__dict__.get("_neighbor_masks")
+    if nbr is None:
+        nbr = _build_masks(c)
+        object.__setattr__(c, "_neighbor_masks", nbr)
+    return nbr
+
+
+def _build_masks(c: EdgeColoring) -> tuple[tuple[int, ...], ...]:
+    """The masks from c.colors by way of an n x w byte matrix, w = n rounded up to 8.
+
+    Row i gets row i of colors right of the diagonal, and each column is
+    copied below it with one strided slice.  Lane j (bytes j, j+8, ...) with
+    the bytes of color d translated to 1 << j, all others to 0, and read
+    little-endian has byte p at bit p, so the 8 lanes ORed hold vertex v's
+    mask in bytes v*w/8 .. (v+1)*w/8.  Color 0 (diagonal, padding) is empty.
+    """
+    n = c.n
+    r = -(-n // 8)
+    w = 8 * r
+    mat = bytearray(n * w)
+    for i, (start, stop) in enumerate(row_bounds(n)):
+        mat[i * w + i + 1:i * w + n] = c.colors[start:stop]
+    for j in range(1, n):
+        mat[j * w:j * w + j] = mat[j:j * w:w]
+    lanes = [mat[j::8] for j in range(8)]
+    del mat
+    zeros = bytes(256)
+    nbr = [(0,) * n]
+    for d in range(1, c.k + 1):
+        whole = 0
+        for j, lane in enumerate(lanes):
+            hits = lane.translate(zeros[:d] + bytes([1 << j]) + zeros[d + 1:])
+            whole |= int.from_bytes(hits, "little")
+        rows = memoryview(whole.to_bytes(n * r, "little"))
+        nbr.append(tuple(int.from_bytes(rows[v * r:v * r + r], "little") for v in range(n)))
+    return tuple(nbr)
+
+
+def _rainbow_row(c: EdgeColoring, nbr, x: int) -> tuple[Optional[tuple[int, int, int]], int]:
+    """The first rainbow (x, y, z) with x < y < z, and the pairs (x, y) tried."""
+    full = (1 << c.n) - 1
+    pairs = 0
+    for y in range(x + 1, c.n - 1):
+        pairs += 1
+        cxy = c.color(x, y)
+        same = 0
+        for row in nbr:
+            same |= row[x] & row[y]
+        above = (full >> (y + 1)) << (y + 1)
+        cand = above & ~(nbr[cxy][x] | nbr[cxy][y]) & ~same
+        if cand:
+            z = (cand & -cand).bit_length() - 1
+            return (x, y, z), pairs
+    return None, pairs
+
+
+def _rainbow_scan(c: EdgeColoring, nbr) -> tuple[Optional[tuple[int, int, int]], int]:
+    """The lexicographically first rainbow triple, and the pairs scanned."""
+    pairs = 0
+    for x in range(c.n - 2):
+        witness, row_pairs = _rainbow_row(c, nbr, x)
+        pairs += row_pairs
+        if witness is not None:
+            return witness, pairs
+    return None, pairs
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending.
+
+    bin(mask) reversed has bit i at index i; str.find jumps from one set
+    bit to the next in C, so this takes one Python step per set bit and no
+    big-int arithmetic, on sparse masks as on dense ones.
+    """
+    text = bin(mask)[:1:-1]
+    out = []
+    at = text.find("1")
+    while at >= 0:
+        out.append(at)
+        at = text.find("1", at + 1)
+    return out
+
+
+def _split(part: int, nbr, w: int) -> list[int]:
+    """The classes of part by color to w (w outside part); [part] if uniform."""
+    pieces = []
+    for row in nbr:
+        piece = part & row[w]
+        if piece == part:
+            return [part]
+        if piece:
+            pieces.append(piece)
+    return pieces
+
+
+def _splitter(nbr, s: int, part: int) -> int:
+    """A vertex of s outside part that sees part in two colors, or -1.
+
+    Such a vertex z tells some member w from the least member u: z lies in
+    (nbr[d][w] ^ nbr[d][u]) & outside for the colors d of (z, w) and (z, u).
+    """
+    outside = s & ~part
+    members = _bits(part)
+    u = members[0]
+    for w in members[1:]:
+        for row in nbr:
+            diff = (row[w] ^ row[u]) & outside
+            if diff:
+                return (diff & -diff).bit_length() - 1
+    return -1
+
+
+def _modules_avoiding(nbr, s: int, v0: int) -> list[int]:
+    """P(v0): the maximal modules of s without its vertex v0, by refinement.
+
+    Split s - {v0} by color to v0, then split any part that some vertex z
+    of s outside it sees in two colors by color to z, until no part has
+    such a splitter.  Every module of s without v0 stays inside one part
+    (z is outside it, so sees it in one color), and the final parts are
+    modules, so they are the maximal ones; this coarsest stable refinement
+    is unique, whatever splitter each step takes.  Singletons never split.
+    """
+    work = _split(s & ~(1 << v0), nbr, v0)
+    done: list[int] = []
+    while work:
+        part = work.pop()
+        z = _splitter(nbr, s, part) if part & (part - 1) else -1
+        if z < 0:
+            done.append(part)
+        else:
+            work.extend(_split(part, nbr, z))
+    return done
+
+
+def _root_split(c: EdgeColoring, nbr, s: int) -> list[int]:
+    """Top of the decomposition of the module s (two or more vertices).
+
+    The part through the least vertex v0 grows inside the maximal strong
+    module M0 through v0: the closure of it and a part of P(v0) is s exactly
+    when the part lies outside M0, and M0 is {v0} plus the parts of P(v0)
+    inside it.  The other parts of P(v0) are the other parts.  On a prime top
+    these are the maximal strong modules; on a degenerate top of color d they
+    are (co-component of v0, rest), as the non-d graph's components through
+    v0 form M0.
+    """
+    v0 = (s & -s).bit_length() - 1
+    outside = _modules_avoiding(nbr, s, v0)
+    tell = {}  # part: what its least member w sees in a color other than (v0, w)'s
+    for part in outside:
+        w = (part & -part).bit_length() - 1
+        tell[part] = s & ~nbr[c.color(v0, w)][w]
+    top, out = 1 << v0, 0  # out: parts outside M0, so a closure taking one in is s
+    for part in outside:
+        if part & top:
+            continue
+        grown, last = top | part, 0
+        while grown != last and not grown & out:
+            last = grown
+            for p, t in tell.items():
+                if grown & t:
+                    grown |= p
+                    if p & out:
+                        break
+        if grown == s or grown & out:
+            out |= part
+        else:
+            top = grown
+    return [top] + [p for p in outside if not p & top]
+
+
+def _co_components(nbr, s: int, d: int) -> list[int]:
+    """Components of the graph on s whose edges avoid color d."""
+    comps = []
+    rest = s
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= ~nbr[d][v]
+            frontier = reach & rest & ~comp
+            comp |= frontier
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
+def _colors_within(c: EdgeColoring, nbr, s: int, members: list[int]) -> int:
+    """How many colors the edges inside s use, counted up to 3."""
+    used = 0
+    for d in range(1, c.k + 1):
+        row = nbr[d]
+        if any(row[v] & s for v in members):
+            used += 1
+            if used > 2:
+                break
+    return used
+
+
+def _module_walk(c: EdgeColoring, nbr) -> tuple[bool, Optional[list[int]]]:
+    """Decide rainbow-freeness down the module tree (module docstring).
+
+    Returns (True, None) when c has a rainbow triangle.  Otherwise returns
+    (False, root), root being the split of V that the walk computed, or None
+    when V needed none (under 3 vertices or at most 2 colors).
+    """
+    full = (1 << c.n) - 1
+    root = None
+    stack = [full]
+    while stack:
+        s = stack.pop()
+        members = _bits(s)
+        if len(members) < 3 or _colors_within(c, nbr, s, members) <= 2:
+            continue
+        v0 = members[0]
+        if s == full and _rainbow_row(c, nbr, v0)[0] is not None:
+            return True, None
+        parts = _root_split(c, nbr, s)
+        if s == full:
+            root = parts
+        if len(parts) == 2:
+            d = c.color(v0, (parts[1] & -parts[1]).bit_length() - 1)
+            parts = _co_components(nbr, s, d)
+        reps = [(p & -p).bit_length() - 1 for p in parts]
+        if _colors_within(c, nbr, sum(1 << r for r in reps), reps) > 2:
+            return True, None
+        stack.extend(parts)
+    return False, root
+
+
+def _rainbow_witness(c: EdgeColoring, nbr) -> tuple[tuple[int, int, int], int]:
+    """The scan's witness on a coloring the module walk found a rainbow in."""
+    witness, pairs = _rainbow_scan(c, nbr)
+    if witness is None:
+        raise DecompositionInvariantError(
+            "the module walk found a rainbow triangle that the scan does not")
+    return witness, pairs
+
+
+def rainbow_check(c: EdgeColoring, nbr) -> tuple[Optional[tuple[int, int, int]], int]:
+    """The lexicographically first rainbow triple, or None, and the pairs scanned.
+
+    The module walk decides; only a coloring it finds a rainbow in is scanned.
+    """
+    if not _module_walk(c, nbr)[0]:
+        return None, 0
+    return _rainbow_witness(c, nbr)
+
+
+def find_rainbow_triangle(c: EdgeColoring) -> Optional[tuple[int, int, int]]:
+    """Lexicographically first triple whose three edges use three colors."""
+    return rainbow_check(c, color_neighbor_masks(c))[0]
 
 
 class GallaiPartition(Record):

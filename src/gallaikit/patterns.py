@@ -35,6 +35,7 @@ class TooLargeError(PatternError):
 
 
 PARAM_CAP = 16  # keeps family patterns within search range
+PARAM_DIGITS = 2000  # int() reads such a parameter m, and str() prints 2(m^2 - m + 1)
 ISO_CAP = 10
 IMAGE_BUDGET = 1 << 19  # every five-vertex pattern up to n=16, kipas(5) at n=12
 
@@ -86,7 +87,7 @@ _FIVE_VERTEX_EDGES: dict[str, tuple[tuple[int, int], ...]] = {
 }
 
 _ALIASES = {"p3": "path(3)", "k3": "complete(3)"}
-_PARAM_RE = re.compile(r"^(kipas|path|complete)\((\d+)\)$")
+_PARAM_RE = re.compile(r"^(kipas|path|complete)\(([0-9]+)\)$")
 
 
 def kipas_edges(m: int) -> tuple[tuple[int, int], ...]:
@@ -105,14 +106,19 @@ def complete_edges(t: int) -> tuple[tuple[int, int], ...]:
 
 def _split_id(pattern_id: str) -> tuple[str, int | None]:
     """(family, parameter), or (id, None) for a fixed pattern; no size cap."""
-    s = pattern_id.strip().lower().replace(" ", "")
+    # ASCII only: lower() would read the Kelvin sign as k, and \d other digits
+    s = pattern_id.strip().lower().replace(" ", "") if pattern_id.isascii() else ""
     s = _ALIASES.get(s, s)
     if s in _FIVE_VERTEX_EDGES:
         return s, None
     m = _PARAM_RE.match(s)
     if m is None:
         raise UnknownPatternError(f"unknown pattern id {pattern_id!r}")
-    family, arg = m.group(1), int(m.group(2))
+    family, digits = m.group(1), m.group(2).lstrip("0") or "0"
+    if len(digits) > PARAM_DIGITS:
+        raise ParameterRangeError(
+            f"{family} parameter has {len(digits)} digits, more than {PARAM_DIGITS}")
+    arg = int(digits)
     if arg < 2:
         raise ParameterRangeError(f"{family} needs a parameter >= 2, got {arg}")
     return family, arg

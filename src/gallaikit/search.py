@@ -23,11 +23,12 @@ blocked iff some mask's bit survives.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import TYPE_CHECKING, Optional
 
 from ._record import Record
 from .coloring import EdgeColoring, edge_count, edge_index
-from .patterns import canonical_id, enumerate_pattern_images, resolve
+from .patterns import IMAGE_BUDGET, TooLargeError, canonical_id, enumerate_pattern_images, resolve
 
 if TYPE_CHECKING:  # only a witness is checked, so an exhausted search never loads detect
     from .detect import AvoidanceSpec
@@ -42,7 +43,14 @@ class ScopeExceededError(SearchError):
 
 
 class SearchProblem(Record):
-    """Forbidden pattern per color (None = unconstrained) on K_n."""
+    """Forbidden pattern per color (None = unconstrained) on K_n.
+
+    A problem is refused with TooLargeError when a list that the search or
+    the CNF encoder compiles from it would exceed IMAGE_BUDGET entries: the
+    (edge, color) slots, the at-most-one color pairs per edge, or the
+    triangles when rainbows are forbidden.  The pattern images are counted
+    by enumerate_pattern_images against the same budget.
+    """
 
     n: int
     per_color: tuple[Optional[str], ...]
@@ -53,6 +61,14 @@ class SearchProblem(Record):
             raise SearchError(f"need n >= 1, got {self.n}")
         if not self.per_color:
             raise SearchError("per_color must list at least one color")
+        e_total, k = edge_count(self.n), len(self.per_color)
+        for count, what in ((e_total * k, "edge slots"),
+                            (e_total * comb(k, 2), "at-most-one pairs"),
+                            (comb(self.n, 3) if self.require_gallai and k >= 3 else 0,
+                             "rainbow triangles")):
+            if count > IMAGE_BUDGET:
+                raise TooLargeError(f"K_{self.n} with {k} colors has {count} {what}, "
+                                    f"over the image budget of {IMAGE_BUDGET}")
         canon = tuple(None if pid is None else canonical_id(pid) for pid in self.per_color)
         object.__setattr__(self, "per_color", canon)
 
@@ -123,12 +139,20 @@ def _completion_tables(
         for pos, group in enumerate(groups):
             if not group:
                 continue
-            alive = (1 << len(group)) - 1
-            has: dict[int, int] = {}
-            for t, rest in enumerate(group):
-                bit = 1 << t
+            size = len(group)
+            alive = (1 << size) - 1
+            # has[d] = the masks holding edge d < pos, written as a row of
+            # "0"/"1" bytes (mask t at index size - 1 - t) and read once by
+            # int(), so each mask costs one byte store, not a wider int
+            zeros = b"0" * size
+            rows: list[Optional[bytearray]] = [None] * pos
+            for at, rest in enumerate(reversed(group)):
                 for d in rest:
-                    has[d] = has.get(d, 0) | bit
+                    row = rows[d]
+                    if row is None:
+                        row = rows[d] = bytearray(zeros)
+                    row[at] = 49  # "1"
+            has = {d: int(row, 2) for d, row in enumerate(rows) if row is not None}
             slices = []
             for shift in sorted({d & ~7 for d in has}):
                 nb = [alive ^ has.get(shift + i, 0) for i in range(8)]

@@ -325,7 +325,7 @@ def plain_bits(mask: int) -> list[int]:
 
 
 def plain_modules_avoiding(nbr, s: int, v0: int) -> list[int]:
-    """detect._modules_avoiding as pivot refinement: the library's former loop.
+    """decompose._modules_avoiding as pivot refinement: the library's former loop.
 
     Split s - {v0} by color to v0, then every part by each vertex of s
     outside it.  A vertex must split again once its own part splits, so the
@@ -366,7 +366,7 @@ def plain_closure(nbr, s: int, full: int) -> int:
     """Smallest module of full containing s, grown one vertex at a time.
 
     The library's former detect._closure, kept as the oracle of the closure
-    over whole parts in detect._root_split: each round adds every vertex of
+    over whole parts in decompose._root_split: each round adds every vertex of
     full outside s that sees s in two colors, until a round adds none.
     """
     anchor = (s & -s).bit_length() - 1
@@ -692,3 +692,37 @@ def plain_exhaustive_check(problem, max_nodes: int | None = None, lex_leader: bo
         pos -= 1
         if pos < 0:
             return SearchOutcome("exhausted", None, nodes, symmetric)
+
+
+def plain_completion_tables(problem):
+    """search._completion_tables with each has[d] grown by int OR, one bit per
+    mask: the library's former loop, kept as the oracle of the build that
+    writes has[d] as a row of "0"/"1" bytes and reads it once by int()."""
+    from gallaikit.coloring import edge_count
+
+    table = [[(0, ())] * (problem.k + 1) for _ in range(edge_count(problem.n))]
+    for colors, images in problem.forbidden_images():
+        groups = [[] for _ in table]
+        for image in images:
+            groups[image[-1]].append(image[:-1])
+        for pos, group in enumerate(groups):
+            if not group:
+                continue
+            alive = (1 << len(group)) - 1
+            has = {}
+            for t, rest in enumerate(group):
+                bit = 1 << t
+                for d in rest:
+                    has[d] = has.get(d, 0) | bit
+            slices = []
+            for shift in sorted({d & ~7 for d in has}):
+                nb = [alive ^ has.get(shift + i, 0) for i in range(8)]
+                lo, hi = [alive], [alive]
+                for i in range(4):
+                    lo += [f & nb[i] for f in lo]
+                    hi += [f & nb[4 + i] for f in hi]
+                slices.append((shift, tuple([h & l for h in reversed(hi) for l in reversed(lo)])))
+            entry = (alive, tuple(slices))
+            for color in colors:
+                table[pos][color] = entry
+    return table

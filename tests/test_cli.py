@@ -14,7 +14,7 @@ import gallaikit
 from gallaikit import cli
 from gallaikit.cli import main
 from gallaikit.coloring import read_grc
-from gallaikit.detect import DecompositionInvariantError
+from gallaikit.decompose import DecompositionInvariantError
 from gallaikit.formulas import R2_TABLE
 
 
@@ -193,6 +193,27 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
 def test_formula_uncovered_target_is_domain_error(capsys):
     code, _, err = run(capsys, "formula", "--target", "h7", "--k", "3")
     assert code == 2 and err.startswith("error:")
+
+
+def test_oversized_arguments_are_domain_errors(capsys, tmp_path):
+    # each would otherwise end in a ValueError or MemoryError traceback (exit 1)
+    nines = "9" * 5000
+    for argv, message in (
+        (("formula", "--target", f"kipas({nines})", "--k", "3"), "has 5000 digits"),
+        (("search", "--n", "3", "--per-color", f"kipas({nines}),none"), "has 5000 digits"),
+        (("formula", "--target", "h1", "--k", "100000"), "more than 4300 digits"),
+        (("formula", "--target", "h1", "--k", "12304", "--json"), "more than 4300 digits"),
+        (("search", "--n", "100000", "--per-color", "none,none"), "edge slots"),
+        (("encode", "--n", "400", "--per-color", "none,none,none", "--gallai",
+          "--out", str(tmp_path / "big.cnf")), "rainbow triangles"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and message in err, argv
+    assert not (tmp_path / "big.cnf").exists()
+    # the largest printable value still prints, whole
+    code, payload, _ = run_json(capsys, "formula", "--target", "h1", "--k", "12303")
+    assert code == 0 and len(str(payload["value"])) == 4300
 
 
 def test_search_witness_and_exhaust_codes(capsys, tmp_path):
@@ -402,16 +423,16 @@ def test_subcommands_import_only_their_modules(tmp_path):
     # loads dataclasses or inspect, which the value records do without
     loads = {
         ("build", "--target", "h10", "--k", "3"):
-            {"coloring", "patterns", "detect", "formulas", "construct"},
+            {"coloring", "patterns", "decompose", "detect", "formulas", "construct"},
         ("build-mixed", "--k", "3", "--s", "1"):
-            {"coloring", "patterns", "detect", "formulas", "construct"},
+            {"coloring", "patterns", "decompose", "detect", "formulas", "construct"},
         ("verify", "c.grc", "--gallai", "--forbid-all", "h10"):
-            {"coloring", "patterns", "detect"},
-        ("partition", "c.grc"): {"coloring", "patterns", "detect", "decompose"},
+            {"coloring", "patterns", "decompose", "detect"},
+        ("partition", "c.grc"): {"coloring", "decompose"},
         ("formula", "--target", "h10", "--k", "3"): {"patterns", "formulas"},
         # a witness is certified by verify; an exhausted search has nothing to check
         ("search", "--n", "5", "--per-color", "k3,k3"):
-            {"coloring", "patterns", "detect", "search"},
+            {"coloring", "patterns", "decompose", "detect", "search"},
         ("search", "--n", "6", "--per-color", "k3,k3"): {"coloring", "patterns", "search"},
         ("encode", "--n", "5", "--per-color", "k3,k3", "--out", "g.cnf"):
             {"coloring", "patterns", "search", "cnf"},

@@ -27,7 +27,7 @@ from gallaikit.cnf import (
 )
 from gallaikit.coloring import edge_count, edge_index, edge_list
 from gallaikit.detect import AvoidanceSpec, verify
-from gallaikit.patterns import resolve
+from gallaikit.patterns import IMAGE_BUDGET, TooLargeError, resolve
 from gallaikit.search import SearchProblem
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -270,6 +270,19 @@ def test_encode_refuses_an_image_edge_outside_the_host():
     object.__setattr__(problem, "rainbow_triangles", lambda: [(0, 1, 3)])
     with pytest.raises(CnfError, match="edge index 3 outside 0..2"):
         encode_cnf(problem)
+
+
+def test_encode_refuses_rainbow_clauses_over_the_budget(monkeypatch):
+    # C(60, 3) = 34220 triangles pass the problem's own budget, but each is
+    # k(k-1)(k-2) = 720 clauses at k = 10: refused before any line is built
+    monkeypatch.setattr(cnf, "combinations", None)
+    problem = SearchProblem(60, (None,) * 10, require_gallai=True)
+    with pytest.raises(TooLargeError, match=f"24638400 rainbow clauses, over the image "
+                                            f"budget of {IMAGE_BUDGET}"):
+        encode_cnf(problem)
+    # at k = 3, C(82, 3) * 6 clauses do not fit, while C(81, 3) * 6 = 511920 would
+    with pytest.raises(TooLargeError, match="531360 rainbow clauses"):
+        encode_cnf(SearchProblem(82, (None,) * 3, require_gallai=True))
 
 
 def _random_problem(rng):

@@ -21,10 +21,12 @@ from gallaikit.decompose import (
     RainbowTriangleError,
     TooSmallError,
     _quotient_of,
+    color_neighbor_masks,
+    find_rainbow_triangle,
     gallai_partition,
     reduced_coloring,
 )
-from gallaikit.detect import AvoidanceSpec, color_neighbor_masks, find_rainbow_triangle, verify
+from gallaikit.detect import AvoidanceSpec, verify
 
 
 def test_pentagon_blowup_recovers_five_parts():

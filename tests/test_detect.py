@@ -20,12 +20,13 @@ from conftest import (
     random_coloring,
     random_gallai_blowup,
 )
-from gallaikit import detect
+from gallaikit import decompose
 from gallaikit.coloring import EdgeColoring, blowup, join, make_coloring
 from gallaikit.construct import base_pentagon, build_lower, mono_complete
 from gallaikit.decompose import (
     DecompositionInvariantError,
     RainbowTriangleError,
+    find_rainbow_triangle,
     gallai_partition,
     reduced_coloring,
 )
@@ -34,7 +35,6 @@ from gallaikit.detect import (
     Embedding,
     check_embedding,
     find_mono_embedding,
-    find_rainbow_triangle,
     verify,
 )
 from gallaikit.patterns import (
@@ -201,7 +201,7 @@ def test_rainbow_free_verify_scans_no_pairs():
 
 
 def test_walk_and_scan_disagreement_is_an_invariant_error(monkeypatch):
-    monkeypatch.setattr(detect, "_module_walk", lambda c, nbr: (True, None))
+    monkeypatch.setattr(decompose, "_module_walk", lambda c, nbr: (True, None))
     with pytest.raises(DecompositionInvariantError):
         verify(mono_complete(5, 1, k=3), AvoidanceSpec((), True))
 
@@ -211,15 +211,15 @@ def refinements_agree(monkeypatch):
     """check(c, v0s): the splitter refinement gives the same parts as the
     pivot oracle on V from each v0 in v0s, and on every module the walk
     splits from the vertex it splits it from; returns how many the walk split."""
-    engine = detect._modules_avoiding
+    engine = decompose._modules_avoiding
     calls = []
-    monkeypatch.setattr(detect, "_modules_avoiding",
+    monkeypatch.setattr(decompose, "_modules_avoiding",
                         lambda nbr, s, v0: calls.append((s, v0)) or engine(nbr, s, v0))
 
     def check(c, v0s):
-        nbr = detect.color_neighbor_masks(c)
+        nbr = decompose.color_neighbor_masks(c)
         calls.clear()
-        detect._module_walk(c, nbr)
+        decompose._module_walk(c, nbr)
         full = (1 << c.n) - 1
         for s, v0 in calls + [(full, v0) for v0 in v0s]:
             got = engine(nbr, s, v0)
@@ -267,15 +267,15 @@ def test_refinement_matches_pivot_oracle_on_towers_and_a_prime_top(refinements_a
 def closures_agree(monkeypatch):
     """check(c): _root_split gives the split that plain_closure grows, on V
     and on every module the walk splits; returns how many the walk split."""
-    engine = detect._root_split
+    engine = decompose._root_split
     calls = []
-    monkeypatch.setattr(detect, "_root_split",
+    monkeypatch.setattr(decompose, "_root_split",
                         lambda c, nbr, s: calls.append(s) or engine(c, nbr, s))
 
     def oracle(nbr, s):
         # the former loop: close over vertices, grow the top while not s
         v0 = (s & -s).bit_length() - 1
-        outside = detect._modules_avoiding(nbr, s, v0)
+        outside = decompose._modules_avoiding(nbr, s, v0)
         top = 1 << v0
         for part in outside:
             if part & ~top:
@@ -285,9 +285,9 @@ def closures_agree(monkeypatch):
         return [top] + [p for p in outside if not p & top]
 
     def check(c):
-        nbr = detect.color_neighbor_masks(c)
+        nbr = decompose.color_neighbor_masks(c)
         calls.clear()
-        detect._module_walk(c, nbr)
+        decompose._module_walk(c, nbr)
         for s in dict.fromkeys(calls + [(1 << c.n) - 1]):
             assert engine(c, nbr, s) == oracle(nbr, s), (c, s)
         return len(calls)
@@ -327,7 +327,7 @@ def test_bits_matches_lowest_bit_loop():
     masks += [sum(1 << rng.randrange(3001) for _ in range(rng.randint(1, 6)))
               for _ in range(30)]  # sparse
     for mask in masks:
-        assert detect._bits(mask) == plain_bits(mask), mask
+        assert decompose._bits(mask) == plain_bits(mask), mask
 
 
 def test_verify_report_consistency():
@@ -476,29 +476,29 @@ def test_masks_match_plain_loop():
     rng = random.Random(64)
     wide = [random_coloring(rng, n, k) for n in (63, 64, 65, 129) for k in (2, 7, 8, 9, 17)]
     for c in buffer_inputs() + wide:
-        got = detect.color_neighbor_masks(c)
+        got = decompose.color_neighbor_masks(c)
         assert [list(row) for row in got] == plain_masks(c), (c.n, c.k)
 
 
 def test_masks_are_built_once_per_coloring(monkeypatch):
     builds = []
-    build = detect._build_masks
-    monkeypatch.setattr(detect, "_build_masks", lambda c: builds.append(c.n) or build(c))
+    build = decompose._build_masks
+    monkeypatch.setattr(decompose, "_build_masks", lambda c: builds.append(c.n) or build(c))
     c = random_gallai_blowup(random.Random(5), 40, 4)
     verify(c, AvoidanceSpec.forbid_all("h1", c.k))
     reduced_coloring(c, gallai_partition(c))
     assert builds == [40]
     # an equal coloring is another instance and builds its own
-    detect.color_neighbor_masks(EdgeColoring(c.n, c.k, c.colors))
+    decompose.color_neighbor_masks(EdgeColoring(c.n, c.k, c.colors))
     assert builds == [40, 40]
 
 
 def test_cached_masks_are_read_only_and_survive_verify():
     c = build_lower("h1", 4, certify=False)
-    first = detect.color_neighbor_masks(c)
+    first = decompose.color_neighbor_masks(c)
     assert type(first) is tuple and all(type(row) is tuple for row in first)
     verify(c, AvoidanceSpec.forbid_all("h1", c.k))
     find_rainbow_triangle(c)
-    again = detect.color_neighbor_masks(c)
+    again = decompose.color_neighbor_masks(c)
     assert again is first
     assert [list(row) for row in again] == plain_masks(c)

@@ -5,10 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gallaikit.patterns import (
+    PARAM_DIGITS,
     ParameterRangeError,
     Pattern,
     PatternError,
+    TooLargeError,
     UnknownPatternError,
+    _split_id,
     are_isomorphic,
     canonical_id,
     catalog,
@@ -80,6 +83,31 @@ def test_parameter_ranges():
         resolve("kipas(1)")
     with pytest.raises(ParameterRangeError):
         resolve("path(0)")
+
+
+def test_huge_parameters_fail_closed():
+    # int() refuses more than 4300 digits; the id is refused before that,
+    # with PARAM_DIGITS digits once leading zeros are dropped
+    for digits in (PARAM_DIGITS + 1, 4301, 5000):
+        for pid in (f"kipas({'9' * digits})", f"path({'1' * digits})",
+                    f"complete({'7' * digits})"):
+            with pytest.raises(ParameterRangeError, match=f"has {digits} digits"):
+                canonical_id(pid)
+    assert canonical_id(f"kipas({'0' * 5000}4)") == "kipas(4)"
+    assert canonical_id("kipas(0004)") == "kipas(4)"
+    big = _split_id(f"kipas({'9' * PARAM_DIGITS})")[1]
+    assert big == 10 ** PARAM_DIGITS - 1 and len(str(2 * (big * big - big + 1))) <= 4300
+    with pytest.raises(TooLargeError):
+        canonical_id(f"kipas({'9' * PARAM_DIGITS})")
+
+
+def test_ids_are_ascii():
+    # Arabic-Indic and fullwidth digits, and the Kelvin sign, which lower()
+    # turns into k, are no pattern id
+    for pid in ("kipas(\u0664)", "path(\uff13)", "complete(\u0663)", "\u212a3",
+                "\u212aipas(4)", "h\u0661"):
+        with pytest.raises(UnknownPatternError):
+            canonical_id(pid)
 
 
 def test_make_pattern_validates_edges():

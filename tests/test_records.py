@@ -20,14 +20,8 @@ from conftest import RECORD_TWINS, random_coloring
 from gallaikit._record import Record
 from gallaikit.cnf import CnfDocument, CnfError
 from gallaikit.coloring import ColorRangeError, ColoringError, EdgeColoring, edge_count
-from gallaikit.decompose import GallaiPartition
-from gallaikit.detect import (
-    AvoidanceSpec,
-    CheckStats,
-    Embedding,
-    VerificationReport,
-    color_neighbor_masks,
-)
+from gallaikit.decompose import GallaiPartition, color_neighbor_masks
+from gallaikit.detect import AvoidanceSpec, CheckStats, Embedding, VerificationReport
 from gallaikit.formulas import FormulaError, GrValue
 from gallaikit.patterns import Pattern, PatternError
 from gallaikit.search import SearchError, SearchOutcome, SearchProblem

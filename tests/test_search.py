@@ -4,9 +4,10 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from conftest import naive_images, plain_exhaustive_check
+from conftest import naive_images, plain_completion_tables, plain_exhaustive_check
 from gallaikit.detect import AvoidanceSpec, verify
-from gallaikit.patterns import catalog, resolve
+from gallaikit.formulas import ANCHORS
+from gallaikit.patterns import IMAGE_BUDGET, TooLargeError, catalog, resolve
 import gallaikit.search as search_module
 from gallaikit.search import (
     ScopeExceededError,
@@ -134,7 +135,7 @@ def test_gallai_flag_excludes_rainbows():
     out = exhaustive_check(SearchProblem(3, (None, None, None), require_gallai=True))
     # plenty of gallai colorings exist; the first witness has no rainbow
     assert out.kind == "witness"
-    from gallaikit.detect import find_rainbow_triangle
+    from gallaikit.decompose import find_rainbow_triangle
 
     assert find_rainbow_triangle(out.witness) is None
 
@@ -346,6 +347,38 @@ def test_forbidden_images_memory_peak():
         tracemalloc.stop()
     assert len(out[0][1]) == 332640
     assert peak < 80 * 2**20, peak
+
+
+def test_completion_tables_match_int_or_build():
+    # every ledger problem on value - 1 and value vertices, and kipas(5) at
+    # n = 11, whose groups reach thousands of masks
+    problems = [SearchProblem(n, per_color, require_gallai=gallai)
+                for per_color, gallai, value in ANCHORS for n in (value - 1, value)]
+    problems.append(SearchProblem(11, ("kipas(5)", "kipas(5)")))
+    for problem in problems:
+        assert _completion_tables(problem) == plain_completion_tables(problem), problem
+
+
+def test_problem_over_the_budget_is_refused_before_anything_is_built(monkeypatch):
+    def no_lists(*args):
+        raise AssertionError("a list was built for a refused problem")
+
+    monkeypatch.setattr(search_module, "edge_index", no_lists)
+    monkeypatch.setattr(search_module, "enumerate_pattern_images", no_lists)
+    for args, what in (((100000, (None, None)), "9999900000 edge slots"),
+                       ((30, (None,) * 255), "14087475 at-most-one pairs"),
+                       ((400, (None,) * 3, True), "10586800 rainbow triangles")):
+        with pytest.raises(TooLargeError, match=f"{what}, over the image budget of "
+                                                f"{IMAGE_BUDGET}"):
+            SearchProblem(*args)
+    # within the budget each list is accepted: C(1024, 2) slots, C(147, 3)
+    # triangles; C(148, 3) triangles are counted only with k >= 3 and Gallai on
+    assert SearchProblem(1024, (None,)).k == 1
+    assert SearchProblem(147, (None,) * 3, require_gallai=True).n == 147
+    assert SearchProblem(148, (None,) * 2, require_gallai=True).n == 148
+    assert SearchProblem(148, (None,) * 3).n == 148
+    with pytest.raises(TooLargeError, match="529396 rainbow triangles"):
+        SearchProblem(148, (None,) * 3, require_gallai=True)
 
 
 def test_symmetry_breaking_is_sound_against_full_enumeration():
