@@ -75,7 +75,7 @@ def _write_if_requested(args: argparse.Namespace, coloring) -> None:
 
 def _emit_built(args: argparse.Namespace, c) -> int:
     _write_if_requested(args, c)
-    used = sorted(set(c.colors))
+    used = [color for color in range(1, c.k + 1) if color in c.colors]
     payload = {"size": c.n, "colors_used": used, "certified": not args.no_certify}
     _emit(args, payload, f"size {c.n}, colors used {used}, certified {payload['certified']}")
     return 0

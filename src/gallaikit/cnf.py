@@ -11,16 +11,16 @@ the color's negated variables, and the clause order is pinned by the image
 order.  The search compiles its tables from the same two lists, so both
 engines see one constraint set.
 
-A CnfDocument keeps its clauses once, as the clause section of its DIMACS
-text (clause_text): one clause per line, its literals written as str()
-writes them, separated by single spaces, and the line ending in " 0".
-Writing a document prepends the header to that text; the satisfaction test
-reads its lines; only the clauses property builds int tuples, on first use.
+A CnfDocument is text end to end: its clauses are the clause section of
+its DIMACS text (clause_text), one clause per line, its literals written as
+str() writes them, separated by single spaces, and the line ending in " 0".
+No int form of a clause is built.  Writing a document prepends the header
+to that text, and the satisfaction test reads its lines.
 
 Each literal of a document is checked once against 1..num_vars in either
-sign.  The constructor checks the text it is given (int clauses are first
-written as text) in one pass over its lines, which checks each distinct
-token once; the two producers check while they write, and build through
+sign.  The constructor takes clause_text as a str only and checks it in one
+pass over its lines, which checks each distinct token once; the two
+producers check while they write, and build through
 _document, which skips the constructor's scan: encode_cnf takes every
 literal from per-color tables keyed by edge index, so an image edge outside
 0..E-1 fails its lookup, and parse_dimacs makes that one pass over the
@@ -34,9 +34,8 @@ would read, fail closed.  Comment lines are skipped in both files.
 from __future__ import annotations
 
 import re
-from functools import cached_property
 from itertools import chain, combinations, permutations, repeat
-from operator import index, itemgetter
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from ._record import Record
@@ -101,8 +100,8 @@ def _fault(lines: list[str], num_vars: int) -> str:
 
 
 class CnfDocument(Record):
-    """A CNF over the variables of K_n in k colors.  clause_text may also be
-    given as int clauses, iterables of nonzero ints; they are stored as text."""
+    """A CNF over the variables of K_n in k colors, held as its DIMACS
+    clause lines: clause_text must be a str, and any other type is refused."""
 
     n: int
     k: int
@@ -112,25 +111,22 @@ class CnfDocument(Record):
     def __post_init__(self) -> None:
         if self.num_vars != edge_count(self.n) * self.k:
             raise CnfError("num_vars must be edge_count * k")
-        text = self.clause_text
-        if not isinstance(text, str):  # int clauses
-            text = "".join([" ".join(map(str, map(index, clause))) + " 0\n"
-                            for clause in text])
-            object.__setattr__(self, "clause_text", text)
-        lines = text.split("\n")
+        if not isinstance(self.clause_text, str):
+            raise CnfError(f"clause_text must be a str, got {type(self.clause_text).__name__}")
+        lines = self.clause_text.split("\n")
         if lines.pop() or not _canonical(lines, self.num_vars):
             raise CnfError(_fault(lines, self.num_vars))
 
     @property
     def num_clauses(self) -> int:
-        """The lines of clause_text, counted without building the int view."""
+        """The lines of clause_text, counted without splitting it."""
         return self.clause_text.count("\n")
 
-    @cached_property
-    def clauses(self) -> tuple[tuple[int, ...], ...]:
-        """The clauses as int tuples, read from clause_text on first use."""
-        return tuple(tuple(map(int, line.split()[:-1]))
-                     for line in self.clause_text.splitlines())
+    @property
+    def clauses(self) -> list[str]:
+        """The clause lines of clause_text, one per clause: a list of num_clauses
+        strings, built on each call.  gkbench/tracing.py counts them."""
+        return self.clause_text.splitlines()
 
     def var_map_lines(self) -> list[str]:
         lines = [f"c var((i,j),c) = edge_index(i,j)*{self.k} + c; edges lexicographic"]

@@ -29,7 +29,7 @@ digit character is a GrcSyntaxError.
 
 from __future__ import annotations
 
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence, Union
 
 from ._record import Record
@@ -78,13 +78,18 @@ def edge_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def row_offset(n: int, i: int) -> int:
+    """edge_index(n, i, j) - j for every j > i: K_n's lexicographic edge layout."""
+    return i * (2 * n - i - 3) // 2 - 1
+
+
 def edge_index(n: int, i: int, j: int) -> int:
     """Position of edge (i, j) in lexicographic order over K_n."""
     if i > j:
         i, j = j, i
     if i == j or i < 0 or j >= n:
         raise ColoringError(f"bad edge ({i}, {j}) for n={n}")
-    return i * (2 * n - i - 1) // 2 + (j - i - 1)
+    return row_offset(n, i) + j
 
 
 def edge_list(n: int) -> list[tuple[int, int]]:
@@ -92,13 +97,9 @@ def edge_list(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
-def row_bounds(n: int) -> Iterator[tuple[int, int]]:
+def row_bounds(n: int) -> list[tuple[int, int]]:
     """(start, stop) of row i, the edges (i, i+1..n-1), for i = 0 .. n-1."""
-    start = 0
-    for i in range(n):
-        stop = start + n - 1 - i
-        yield start, stop
-        start = stop
+    return [(row_offset(n, i) + i + 1, row_offset(n, i) + n) for i in range(n)]
 
 
 def _check_k(k: int) -> None:
@@ -254,7 +255,7 @@ def serialize(c: EdgeColoring) -> str:
     """
     lines = [f"grc 1 {c.n} {c.k}"]
     buf = c.colors
-    for start, stop in islice(row_bounds(c.n), c.n - 1):
+    for start, stop in row_bounds(c.n)[:-1]:
         lines.append(buf[start:stop].decode("latin-1").translate(_COLOR_WORDS)[:-1])
     return "\n".join(lines) + "\n"
 

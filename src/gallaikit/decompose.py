@@ -44,7 +44,7 @@ from operator import gt
 from typing import Optional, Sequence, Union
 
 from ._record import Record
-from .coloring import EdgeColoring, row_bounds
+from .coloring import EdgeColoring, row_bounds, row_offset
 
 
 class DecompositionError(Exception):
@@ -421,7 +421,7 @@ def _pair_colors(c: EdgeColoring, reps: list[int]) -> bytes:
     if any(map(gt, reps, reps[1:])):  # a stored partition in its own order
         return bytes([c.color(x, y) for a, x in enumerate(reps) for y in reps[a + 1:]])
     n, colors = c.n, c.colors
-    offsets = [x * (2 * n - x - 3) // 2 - 1 for x in reps]  # edge (x, y > x): offset(x) + y
+    offsets = [row_offset(n, x) for x in reps]  # edge (x, y > x): offset(x) + y
     return bytes([colors[o + y] for a, o in enumerate(offsets) for y in reps[a + 1:]])
 
 

@@ -64,6 +64,8 @@ ANCHORS: tuple[tuple[tuple[str, ...], bool, int], ...] = (
     (("kipas(2)",) * 3, True, 11),
 )
 
+MAX_K = 10 ** 5  # the most colors a closed form takes: 5^(k/2) costs ms here, minutes at 10^8
+
 
 class GrValue(Record):
     value: int
@@ -75,8 +77,8 @@ class GrValue(Record):
 
 
 def _check_k(k: int) -> None:
-    if k < 1:
-        raise RangeViolationError(f"need k >= 1, got {k}")
+    if not 1 <= k <= MAX_K:
+        raise RangeViolationError(f"need 1 <= k <= {MAX_K}, got {k}")
 
 
 def fan_param(target_id: str) -> int | None:

@@ -268,7 +268,7 @@ def enumerate_pattern_images(pattern: Pattern, n: int) -> tuple[tuple[int, ...],
     picks are sorted too, so each subset's images come out ascending and
     that sort merges runs.
     """
-    from .coloring import row_bounds  # formula and catalog need only this module
+    from .coloring import row_offset  # formula and catalog need only this module
 
     if pattern.m > n:
         return ()
@@ -291,10 +291,10 @@ def enumerate_pattern_images(pattern: Pattern, n: int) -> tuple[tuple[int, ...],
                             f"over the image budget of {IMAGE_BUDGET}")
     local = {pair: t for t, pair in enumerate(combinations(range(len(spine)), 2))}
     picks = sorted(tuple(sorted(map(local.__getitem__, shape))) for shape in shapes)
-    first = [start for start, _ in row_bounds(n)]
+    offset = [row_offset(n, i) for i in range(n)]
     images: list[tuple[int, ...]] = []
     for sub in combinations(range(n), len(spine)):
-        row = [first[i] + j - i - 1 for i, j in combinations(sub, 2)].__getitem__
+        row = [offset[i] + j for i, j in combinations(sub, 2)].__getitem__
         images += map(tuple, map(map, repeat(row), picks))
     images.sort()
     return tuple(images)

@@ -231,6 +231,22 @@ def plain_parse_dimacs(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return header[0], tuple(clauses)
 
 
+def int_clauses(doc) -> tuple[tuple[int, ...], ...]:
+    """doc's clauses as int tuples, read from its clause_text with int().
+
+    The library's former int view of a document, kept as an oracle: each
+    line is split on whitespace and its final 0 dropped.
+    """
+    return tuple(tuple(map(int, line.split()[:-1])) for line in doc.clause_text.splitlines())
+
+
+def clause_text_of(clauses) -> str:
+    """clause_text for int clauses, each literal printed with str(): the
+    library's former int-clause constructor path, kept for building test
+    documents."""
+    return "".join(" ".join(map(str, clause)) + " 0\n" for clause in clauses)
+
+
 def plain_assignment_satisfies(doc, assignment) -> bool:
     """cnf.assignment_satisfies as a per-literal loop over every clause.
 
@@ -239,7 +255,7 @@ def plain_assignment_satisfies(doc, assignment) -> bool:
     literals is true under that reading.
     """
     true_vars = {lit for lit in assignment if lit > 0}
-    for clause in doc.clauses:
+    for clause in int_clauses(doc):
         if not any(
             (lit > 0 and lit in true_vars) or (lit < 0 and -lit not in true_vars)
             for lit in clause

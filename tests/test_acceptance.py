@@ -15,6 +15,7 @@ from itertools import combinations
 from pathlib import Path
 
 from conftest import (
+    int_clauses,
     naive_images,
     naive_mono,
     plant_rainbow,
@@ -197,7 +198,7 @@ def test_criterion_8_cnf_round_trip():
             if pid is not None and resolve(pid).m <= n:
                 expected += len(naive_images(resolve(pid), n))
         assert doc.num_vars == e * k
-        assert len(doc.clauses) == expected, (n, per_color)
+        assert len(int_clauses(doc)) == expected, (n, per_color)
 
     rng = random.Random(88)
     docs = {}

@@ -196,13 +196,18 @@ def test_formula_uncovered_target_is_domain_error(capsys):
 
 
 def test_oversized_arguments_are_domain_errors(capsys, tmp_path):
-    # each would otherwise end in a ValueError or MemoryError traceback (exit 1)
+    # each would otherwise end in a ValueError or MemoryError traceback (exit 1),
+    # or not end at all while it grows a power of 5
     nines = "9" * 5000
     for argv, message in (
         (("formula", "--target", f"kipas({nines})", "--k", "3"), "has 5000 digits"),
         (("search", "--n", "3", "--per-color", f"kipas({nines}),none"), "has 5000 digits"),
         (("formula", "--target", "h1", "--k", "100000"), "more than 4300 digits"),
         (("formula", "--target", "h1", "--k", "12304", "--json"), "more than 4300 digits"),
+        # k over formulas.MAX_K is refused before a power 5^(k/2) is computed
+        (("formula", "--target", "h1", "--k", "100000000"), "need 1 <= k <= 100000"),
+        (("build", "--target", "h1", "--k", "100000000"), "need 1 <= k <= 100000"),
+        (("build-mixed", "--k", "100000000", "--s", "99999999"), "need 1 <= k <= 100000"),
         (("search", "--n", "100000", "--per-color", "none,none"), "edge slots"),
         (("encode", "--n", "400", "--per-color", "none,none,none", "--gallai",
           "--out", str(tmp_path / "big.cnf")), "rainbow triangles"),

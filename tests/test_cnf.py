@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import random
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    clause_text_of,
+    int_clauses,
     int_tuple_dimacs,
     plain_assignment_satisfies,
     plain_cnf_clauses,
@@ -65,16 +68,16 @@ def random_document(rng, max_n, max_width, max_clauses):
     """A document of random clauses over every literal of a random K_n, k."""
     n, k = rng.randint(2, max_n), rng.randint(1, 3)
     v = edge_count(n) * k
-    return CnfDocument(n, k, v, tuple(
-        tuple(rng.choice((1, -1)) * rng.randint(1, v) for _ in range(rng.randint(1, max_width)))
+    return CnfDocument(n, k, v, clause_text_of(
+        [rng.choice((1, -1)) * rng.randint(1, v) for _ in range(rng.randint(1, max_width))]
         for _ in range(rng.randint(0, max_clauses))))
 
 
 def test_minimal_documents():
     doc = encode_cnf(SearchProblem(2, (None,)))
-    assert doc.num_vars == 1 and len(doc.clauses) == 1
+    assert doc.num_vars == 1 and len(int_clauses(doc)) == 1
     doc = encode_cnf(SearchProblem(3, ("k3", "k3"), require_gallai=True))
-    assert doc.num_vars == 6 and len(doc.clauses) == 8
+    assert doc.num_vars == 6 and len(int_clauses(doc)) == 8
 
 
 def test_clause_counts_match_independent_formulas():
@@ -90,7 +93,7 @@ def test_clause_counts_match_independent_formulas():
         doc = encode_cnf(SearchProblem(n, per_color, require_gallai=gallai))
         k = len(per_color)
         assert doc.num_vars == edge_count(n) * k
-        assert len(doc.clauses) == expected_counts(n, k, per_color, gallai), (n, per_color)
+        assert len(int_clauses(doc)) == expected_counts(n, k, per_color, gallai), (n, per_color)
 
 
 def test_clauses_match_plain_encoder_exactly():
@@ -105,21 +108,21 @@ def test_clauses_match_plain_encoder_exactly():
         SearchProblem(4, ("kipas(4)", "k3")),
     ]
     for problem in cases:
-        assert encode_cnf(problem).clauses == plain_cnf_clauses(problem), problem
+        assert int_clauses(encode_cnf(problem)) == plain_cnf_clauses(problem), problem
 
 
 def test_var_numbering_is_edge_major():
     doc = encode_cnf(SearchProblem(4, ("k3", "k3")))
     # first clause block is at-least-one per edge in lexicographic edge order
     for e in range(edge_count(4)):
-        assert doc.clauses[e] == (e * 2 + 1, e * 2 + 2)
+        assert int_clauses(doc)[e] == (e * 2 + 1, e * 2 + 2)
 
 
 def test_mono_clauses_are_all_negative_single_color():
     doc = encode_cnf(SearchProblem(5, ("k3", None), require_gallai=False))
     e = edge_count(5)
     amo = e * 1
-    mono = doc.clauses[e + amo:]
+    mono = int_clauses(doc)[e + amo:]
     assert len(mono) == count_images_naively(resolve("k3"), 5)
     for clause in mono:
         assert len(clause) == 3
@@ -204,8 +207,9 @@ def test_dimacs_clause_lines_match_plain_formatting():
     docs = [encode_cnf(SearchProblem(5, ("h10", "h10", "h10"), require_gallai=True))]
     docs += [random_document(rng, 5, 5, 20) for _ in range(10)]
     for doc in docs:
-        lines = doc.var_map_lines() + [f"p cnf {doc.num_vars} {len(doc.clauses)}"]
-        lines += [" ".join(str(lit) for lit in clause) + " 0" for clause in doc.clauses]
+        clauses = int_clauses(doc)
+        lines = doc.var_map_lines() + [f"p cnf {doc.num_vars} {len(clauses)}"]
+        lines += [" ".join(str(lit) for lit in clause) + " 0" for clause in clauses]
         assert doc.to_dimacs() == "\n".join(lines) + "\n"
 
 
@@ -219,17 +223,18 @@ def test_decode_requires_exactly_one_color_per_edge():
 
 def test_document_validation():
     with pytest.raises(CnfError):
-        CnfDocument(3, 2, 5, ((1, 2),))  # wrong var count
+        CnfDocument(3, 2, 5, clause_text_of([(1, 2)]))  # wrong var count
     with pytest.raises(CnfError):
-        CnfDocument(3, 2, 6, ((),))  # a clause with no literals
+        CnfDocument(3, 2, 6, clause_text_of([()]))  # a clause with no literals
     with pytest.raises(CnfError):
-        CnfDocument(3, 2, 6, ((0,),))  # zero literal
+        CnfDocument(3, 2, 6, clause_text_of([(0,)]))  # zero literal
     with pytest.raises(CnfError):
-        CnfDocument(3, 2, 6, ((7,),))  # out of range
+        CnfDocument(3, 2, 6, clause_text_of([(7,)]))  # out of range
     # zero clauses is a legal (vacuously satisfiable) document
-    assert CnfDocument(3, 2, 6, ()).num_vars == 6
+    assert CnfDocument(3, 2, 6, clause_text_of([])).num_vars == 6
     # clause text is checked by the same rule: canonical lines over -6..6
-    assert CnfDocument(3, 2, 6, "1 -6 0\n-2 0\n") == CnfDocument(3, 2, 6, ((1, -6), (-2,)))
+    assert (CnfDocument(3, 2, 6, "1 -6 0\n-2 0\n")
+            == CnfDocument(3, 2, 6, clause_text_of([(1, -6), (-2,)])))
     for text, message in (("1 0\n7 0\n", "literal 7 out of range"),
                           ("-7 0\n", "literal -7 out of range"),
                           ("1 0 0\n", "literal 0 out of range"),
@@ -241,6 +246,30 @@ def test_document_validation():
                           ("1" * 5000 + " 0\n", "literal 1{24} out of range")):
         with pytest.raises(CnfError, match=message):
             CnfDocument(3, 2, 6, text)
+
+
+def test_constructor_takes_text_only():
+    # the four documents scripts/make_sat_certificates.py writes: their text
+    # builds an equal document, and the same clauses in any other type fail
+    spec = importlib.util.spec_from_file_location(
+        "make_sat_certificates", ROOT / "scripts" / "make_sat_certificates.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    jobs = script.jobs()
+    assert len(jobs) == 4
+    for name, problem, _ in jobs:
+        doc = encode_cnf(problem)
+        assert doc.clauses == doc.clause_text.splitlines(), name
+        assert len(doc.clauses) == doc.num_clauses == len(int_clauses(doc)), name
+        assert CnfDocument(doc.n, doc.k, doc.num_vars, doc.clause_text) == doc, name
+        ints = int_clauses(doc)
+        for given in (ints, list(ints), list(map(list, ints)), doc.clause_text.encode()):
+            with pytest.raises(CnfError, match="clause_text must be a str"):
+                CnfDocument(doc.n, doc.k, doc.num_vars, given)
+    for given, kind in (((), "tuple"), ([], "list"), (b"", "bytes"), (None, "NoneType")):
+        with pytest.raises(CnfError, match=f"^clause_text must be a str, got {kind}$"):
+            CnfDocument(3, 2, 6, given)
+    assert CnfDocument(3, 2, 6, "").clauses == []
 
 
 def test_each_document_is_checked_once(monkeypatch):
@@ -299,7 +328,7 @@ def test_dimacs_matches_int_tuple_renderer():
         problem = _random_problem(rng)
         doc = encode_cnf(problem)
         assert doc.to_dimacs() == int_tuple_dimacs(problem), problem
-        assert doc.num_clauses == len(doc.clauses) == len(plain_cnf_clauses(problem))
+        assert doc.num_clauses == len(int_clauses(doc)) == len(plain_cnf_clauses(problem))
         gallai.add(problem.require_gallai and problem.k >= 3)
     assert gallai == {False, True}
 
@@ -342,16 +371,16 @@ def test_parse_dimacs_matches_int_parser():
         problem = _random_problem(rng)
         doc = encode_cnf(problem)
         texts.append((doc.n, doc.k, doc.to_dimacs()))
-        clauses = doc.clauses[:rng.randint(0, 40)]
+        clauses = int_clauses(doc)[:rng.randint(0, 40)]
         texts.append((doc.n, doc.k, _scatter(rng, clauses, doc.num_vars)))
     for _ in range(150):
         doc = random_document(rng, 5, 5, 12)
-        texts.append((doc.n, doc.k, _scatter(rng, doc.clauses, doc.num_vars)))
+        texts.append((doc.n, doc.k, _scatter(rng, int_clauses(doc), doc.num_vars)))
     for n, k, text in texts:
         num_vars, clauses = plain_parse_dimacs(text)
-        want = CnfDocument(n, k, num_vars, clauses)
+        want = CnfDocument(n, k, num_vars, clause_text_of(clauses))
         got = parse_dimacs(text, n, k)
-        assert got == want and got.clauses == clauses, text
+        assert got == want and int_clauses(got) == clauses, text
         assert got.to_dimacs() == want.to_dimacs()
 
 
@@ -379,7 +408,7 @@ def test_dimacs_round_trip():
     text = doc.to_dimacs()
     assert text.startswith("c ")
     back = parse_dimacs(text, doc.n, doc.k)
-    assert back == doc and back.clauses == doc.clauses
+    assert back == doc and int_clauses(back) == int_clauses(doc)
     assert back.to_dimacs() == text
 
 

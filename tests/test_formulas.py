@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gallaikit.formulas import (
+    MAX_K,
     MIXED_R2_TABLE,
     R2_TABLE,
     MissingR2Error,
@@ -184,6 +185,28 @@ def test_w_value_range_checks():
         w_value(3, 4)
     with pytest.raises(RangeViolationError):
         w_value(0, 0)
+
+
+def test_k_over_the_bound_is_refused_before_any_power_is_computed():
+    # at k = 10^8 each closed form would compute 5^(5 * 10^7); the bound on k
+    # refuses it at once, in every entry point that grows a power of 5
+    huge = 10 ** 8
+    for call in (lambda: g_value("h1", huge), lambda: g_value("h1", huge + 1),
+                 lambda: gr_value("kipas(4)", huge), lambda: w_value(huge, huge - 1),
+                 lambda: w_value(huge, huge - 2), lambda: w_value(huge, huge),
+                 lambda: gr_mixed_value(huge, 3 * huge // 4),
+                 lambda: conjecture_kipas(5, huge, r2=11),
+                 lambda: g_value("h1", MAX_K + 1), lambda: w_value(MAX_K + 1, 2)):
+        with pytest.raises(RangeViolationError, match=f"^need 1 <= k <= {MAX_K}, got "):
+            call()
+    # every branch still computes its value at the bound itself
+    top = 5 ** (MAX_K // 2 - 1)
+    assert g_value("h1", MAX_K) == 8 * top  # even k: (R2-1) 5^((k-2)/2)
+    assert g_value("h1", MAX_K - 1) == 20 * top // 5  # odd k: 5|H| 5^((k-3)/2)
+    assert g_value("kipas(4)", MAX_K) == 9 + 2 * (5 * top - 5)  # even fan: R2-1 + (m/2)(5^(k/2)-5)
+    assert w_value(MAX_K, MAX_K - 2) == 2 * top  # s even: 2 * 5^(s/2)
+    assert w_value(MAX_K, MAX_K - 1) == 4 * top  # s odd: 4 * 5^((s-1)/2)
+    assert conjecture_kipas(4, MAX_K).value == g_value("kipas(4)", MAX_K) + 1
 
 
 def test_gr_mixed_is_w_plus_one():

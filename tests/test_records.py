@@ -15,7 +15,7 @@ from array import array
 from itertools import combinations
 
 import pytest
-from conftest import RECORD_TWINS, random_coloring
+from conftest import RECORD_TWINS, clause_text_of, random_coloring
 
 from gallaikit._record import Record
 from gallaikit.cnf import CnfDocument, CnfError
@@ -42,10 +42,10 @@ def _stats(rng: random.Random) -> CheckStats:
     return CheckStats(*(rng.choice((0, 1, True, 7, -2, 10**30)) for _ in range(3)))
 
 
-def _clauses(rng: random.Random, num_vars: int) -> tuple:
+def _clauses(rng: random.Random, num_vars: int) -> str:
     if num_vars == 0:
-        return ()
-    return tuple(
+        return ""
+    return clause_text_of(
         tuple(rng.choice((1, -1)) * rng.randint(1, num_vars)
               for _ in range(rng.randint(1, 3)))
         for _ in range(rng.randint(0, 3))
@@ -109,7 +109,7 @@ def _edge_args(cls) -> list[tuple]:
         SearchProblem: [(1, (None,), False), (1, (None,), 0)],
         SearchOutcome: [("exhausted", None, 0, False), ("exhausted", None, 0, 0),
                         ("witness", EdgeColoring(1, 1, ()), nan, True)],
-        CnfDocument: [(1, 1, 0, ()), (2, 1, 1, ((1,), (-1,))), (2, 1, 1, ((True,),))],
+        CnfDocument: [(1, 1, 0, ""), (2, 1, 1, "1 0\n-1 0\n"), (2, 1, 1, "1 0\n")],
         GallaiPartition: [((), EdgeColoring(1, 1, ())), (((0,),), EdgeColoring(1, 1, ()))],
         GrValue: [(3, ""), (3.0, ""), (nan, "x"), (10**40, "a'b\"c")],
     }[cls]
@@ -275,9 +275,9 @@ def test_copies_and_pickles_are_equal(cls):
     (lambda: Pattern(2, frozenset({(1, 0)}), "x"), PatternError, r"bad edge \(1, 0\) for m=2"),
     (lambda: SearchProblem(0, ("k3",)), SearchError, "need n >= 1, got 0"),
     (lambda: SearchProblem(3, ()), SearchError, "per_color must list at least one color"),
-    (lambda: CnfDocument(2, 1, 2, ()), CnfError, "num_vars must be edge_count \\* k"),
-    (lambda: CnfDocument(2, 1, 1, ((1,), ())), CnfError, "empty clause"),
-    (lambda: CnfDocument(2, 1, 1, ((2,),)), CnfError, "literal 2 out of range"),
+    (lambda: CnfDocument(2, 1, 2, ""), CnfError, "num_vars must be edge_count \\* k"),
+    (lambda: CnfDocument(2, 1, 1, clause_text_of([(1,), ()])), CnfError, "empty clause"),
+    (lambda: CnfDocument(2, 1, 1, clause_text_of([(2,)])), CnfError, "literal 2 out of range"),
     (lambda: GrValue(2, "x"), FormulaError, "implausible Gallai-Ramsey value 2"),
 ])
 def test_post_init_errors_are_raised_as_before(make, error, message):
