@@ -1,8 +1,7 @@
-"""Command line front end.
-
-Subcommands: build, build-mixed, verify, partition, formula, search,
-encode, decode, catalog.  Every subcommand accepts --json for
-machine-readable output.  GRC files are the only medium between commands.
+"""Command line front end.  One table, COMMANDS, is the only source of what
+each subcommand parses and of what its -h/--help prints; every subcommand
+takes --json for machine-readable output.  GRC files are the only medium
+between commands.
 
 Exit codes: 0 pass / witness / SAT-decoded, 1 fail / exhausted /
 UNSAT-claim / rainbow input, 2 usage or domain error, which includes
@@ -11,10 +10,10 @@ malformed or non-ASCII GRC, DIMACS and model files.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
+from types import SimpleNamespace
 
 from . import _MODULE_OF
 
@@ -31,8 +30,7 @@ def __getattr__(name: str):
     return value
 
 
-_R2_HELP = ("two-color Ramsey number; only for a fan; must match R2_TABLE, "
-            "else 2m+1 <= r2 <= 2(m^2-m+1)")
+_R2_HELP = "two-color Ramsey number, fans only; must match R2_TABLE, else 2m+1 <= r2 <= 2(m^2-m+1)"
 
 # the most digits a printed formula value may have: CPython's default limit
 # on int-to-str conversion, which is what --json and the human line both need
@@ -42,13 +40,13 @@ _VALUE_DIGITS = 4300
 def _forbid_pair(text: str) -> tuple[int, str]:
     color, sep, pid = text.partition("=")
     if not sep or not pid:
-        raise argparse.ArgumentTypeError(f"expected <color>=<patternId>, got {text!r}")
+        raise ValueError(f"expected <color>=<patternId>, got {text!r}")
     try:
         c = int(color)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"color must be an integer, got {color!r}")
+        raise ValueError(f"color must be an integer, got {color!r}")
     if c < 1:
-        raise argparse.ArgumentTypeError("color must be >= 1")
+        raise ValueError("color must be >= 1")
     return c, pid
 
 
@@ -61,19 +59,19 @@ def _per_color_list(text: str) -> tuple[str | None, ...]:
     return tuple(out)
 
 
-def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
+def _emit(args: SimpleNamespace, payload: dict, human: str) -> None:
     if args.json:
         print(json.dumps(payload))
     else:
         print(human)
 
 
-def _write_if_requested(args: argparse.Namespace, coloring) -> None:
+def _write_if_requested(args: SimpleNamespace, coloring) -> None:
     if getattr(args, "out", None):
         _lib.write_grc(coloring, args.out)
 
 
-def _emit_built(args: argparse.Namespace, c) -> int:
+def _emit_built(args: SimpleNamespace, c) -> int:
     _write_if_requested(args, c)
     used = [color for color in range(1, c.k + 1) if color in c.colors]
     payload = {"size": c.n, "colors_used": used, "certified": not args.no_certify}
@@ -81,17 +79,17 @@ def _emit_built(args: argparse.Namespace, c) -> int:
     return 0
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
+def _cmd_build(args: SimpleNamespace) -> int:
     return _emit_built(
         args, _lib.build_lower(args.target, args.k, r2=args.r2, certify=not args.no_certify)
     )
 
 
-def _cmd_build_mixed(args: argparse.Namespace) -> int:
+def _cmd_build_mixed(args: SimpleNamespace) -> int:
     return _emit_built(args, _lib.build_mixed(args.k, args.s, certify=not args.no_certify))
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     c = _lib.read_grc(args.file)
     per_color: dict[int, str] = {}
     if args.forbid_all is not None:
@@ -129,7 +127,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_partition(args: argparse.Namespace) -> int:
+def _cmd_partition(args: SimpleNamespace) -> int:
     c = _lib.read_grc(args.file)
     try:
         gp = _lib.gallai_partition(c)
@@ -149,7 +147,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_formula(args: argparse.Namespace) -> int:
+def _cmd_formula(args: SimpleNamespace) -> int:
     if args.r2 is not None and not args.conjecture:
         raise _lib.FormulaError("--r2 applies only with --conjecture")
     if args.s is not None and args.conjecture:
@@ -178,7 +176,7 @@ def _cmd_formula(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: SimpleNamespace) -> int:
     problem = _lib.SearchProblem(args.n, args.per_color, require_gallai=args.gallai)
     outcome = _lib.exhaustive_check(problem, max_nodes=args.max_nodes)
     payload = {
@@ -199,7 +197,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_encode(args: argparse.Namespace) -> int:
+def _cmd_encode(args: SimpleNamespace) -> int:
     k = len(args.per_color)
     if args.k is not None and args.k != k:
         raise _lib.CnfError(f"--k {args.k} disagrees with --per-color arity {k}")
@@ -227,7 +225,7 @@ def _read_ascii(path: str) -> str:
         raise _lib.CnfError(f"{path}: non-ASCII byte at offset {exc.start}") from None
 
 
-def _cmd_decode(args: argparse.Namespace) -> int:
+def _cmd_decode(args: SimpleNamespace) -> int:
     doc = _lib.parse_dimacs(_read_ascii(args.cnf), args.n, args.k)
     model = _lib.parse_model(_read_ascii(args.model))
     if model is None:
@@ -246,7 +244,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_catalog(args: argparse.Namespace) -> int:
+def _cmd_catalog(args: SimpleNamespace) -> int:
     rows = []
     for cid, pattern in _lib.catalog():
         rows.append({
@@ -265,101 +263,143 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gallaikit",
-        description="Build, verify, and search rainbow-triangle-free edge colorings.",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+# command: (help, handler, positionals as (name, help), options), and every
+# command also takes --json and -h/--help.  An option is (name, kind, need,
+# help): its kind is int, str, bool (a flag), a tuple of choices or a function
+# of the text that raises ValueError; its need is _REQUIRED, _REPEATED (the
+# values are appended to a list) or its default.
+_REQUIRED, _REPEATED = object(), object()
+_K = ("--k", int, _REQUIRED, "number of colors")
+_N = ("--n", int, _REQUIRED, "host vertices")
+_GALLAI = ("--gallai", bool, False, "also forbid rainbow triangles")
+_NO_CERTIFY = ("--no-certify", bool, False, "skip the avoidance re-check (sizes still validated)")
+_GRC_OUT = ("--out", str, None, "write the coloring to this GRC file")
+_PER_COLOR = ("--per-color", _per_color_list, _REQUIRED,
+              "pattern per color, ID,ID,...; 'none' or '-' leaves a color free")
+_FILE = (("file", "GRC input"),)
+_JSON = ("--json", bool, False, "machine-readable output")
+_HELP = ("-h", "--help")
+COMMANDS = {
+    "build": ("materialize a lower-bound coloring", _cmd_build, (), (
+        ("--target", str, _REQUIRED, "pattern id, e.g. h10 or kipas(4)"), _K,
+        ("--r2", int, None, _R2_HELP), _GRC_OUT, _NO_CERTIFY)),
+    "build-mixed": ("materialize a mixed-family lower-bound coloring", _cmd_build_mixed, (), (
+        _K, ("--s", int, _REQUIRED, "colors forbidding kipas(4); the rest forbid path(3)"),
+        _GRC_OUT, _NO_CERTIFY)),
+    "verify": ("check a GRC file against avoidance flags", _cmd_verify, _FILE, (
+        _GALLAI, ("--forbid", _forbid_pair, _REPEATED,
+                  "C=ID: forbid pattern ID in color C (repeatable; ID 'none' unsets)"),
+        ("--forbid-all", str, None, "forbid pattern ID in every color"))),
+    "partition": ("compute a Gallai partition of a GRC file", _cmd_partition, _FILE, ()),
+    "formula": ("evaluate a Gallai-Ramsey closed form", _cmd_formula, (), (
+        ("--target", str, _REQUIRED, "pattern id"), _K,
+        ("--s", int, None, "mixed family: colors forbidding kipas(4) out of k"),
+        ("--r2", int, None, _R2_HELP + " (with --conjecture)"),
+        ("--conjecture", bool, False, "evaluate the general kipas conjecture, not a theorem"))),
+    "search": ("backtracking search for an avoiding coloring", _cmd_search, (), (
+        _N, _PER_COLOR, _GALLAI, ("--mode", ("first", "exhaust"), "first",
+                                  "first or exhaust; ignored, both run the same search"),
+        ("--max-nodes", int, None, "abort after this many search nodes"), _GRC_OUT)),
+    "encode": ("emit a DIMACS CNF for the same question", _cmd_encode, (), (
+        _N, ("--k", int, None, "number of colors (checked against --per-color)"),
+        _PER_COLOR, _GALLAI, ("--out", str, _REQUIRED, "DIMACS output file"))),
+    "decode": ("turn a solver model back into a GRC file", _cmd_decode, (), (
+        ("--cnf", str, _REQUIRED, "DIMACS file the solver ran on"),
+        ("--model", str, _REQUIRED, "solver output file"), _N, _K, _GRC_OUT)),
+    "catalog": ("list the five-vertex pattern catalog", _cmd_catalog, (), ()),
+}
 
-    p = subparsers.add_parser("build", help="materialize a lower-bound coloring")
-    p.add_argument("--target", required=True, help="pattern id, e.g. h10 or kipas(4)")
-    p.add_argument("--k", type=int, required=True, help="number of colors")
-    p.add_argument("--r2", type=int, help=_R2_HELP)
-    p.add_argument("--out", help="write the coloring to this GRC file")
-    p.add_argument("--no-certify", action="store_true",
-                   help="skip the avoidance re-check (sizes still validated)")
-    p.set_defaults(func=_cmd_build)
 
-    p = subparsers.add_parser("build-mixed",
-                              help="materialize a mixed-family lower-bound coloring")
-    p.add_argument("--k", type=int, required=True, help="number of colors")
-    p.add_argument("--s", type=int, required=True,
-                   help="colors forbidding kipas(4); the rest forbid path(3)")
-    p.add_argument("--out", help="write the coloring to this GRC file")
-    p.add_argument("--no-certify", action="store_true",
-                   help="skip the avoidance re-check (sizes still validated)")
-    p.set_defaults(func=_cmd_build_mixed)
+class UsageError(Exception):
+    """A command line that COMMANDS does not accept (exit 2)."""
 
-    p = subparsers.add_parser("verify", help="check a GRC file against avoidance flags")
-    p.add_argument("file", help="GRC input")
-    p.add_argument("--gallai", action="store_true", help="also forbid rainbow triangles")
-    p.add_argument("--forbid", type=_forbid_pair, action="append", metavar="C=ID",
-                   help="forbid pattern ID in color C (repeatable; ID 'none' unsets)")
-    p.add_argument("--forbid-all", metavar="ID", help="forbid pattern ID in every color")
-    p.set_defaults(func=_cmd_verify)
 
-    p = subparsers.add_parser("partition", help="compute a Gallai partition of a GRC file")
-    p.add_argument("file", help="GRC input")
-    p.set_defaults(func=_cmd_partition)
+def _option(token: str, names) -> str | None:
+    """The option a token names, by name or unique prefix ("" if it names none
+    or several), or None for a value: a token not starting with "-", "-"
+    itself, a negative number such as -3, -.5 or -1.5, or text with a space."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name = token.partition("=")[0]
+    found = [n for n in names if n.startswith(name) and (n == name or name[:2] == "--" != name)]
+    if len(found) == 1 or name in found:
+        return name if name in found else found[0]
+    number = token[1:].replace(".", "", 1).isdecimal() and token[-1] != "."
+    return None if not found and (number or " " in token) else ""
 
-    p = subparsers.add_parser("formula", help="evaluate a Gallai-Ramsey closed form")
-    p.add_argument("--target", required=True, help="pattern id")
-    p.add_argument("--k", type=int, required=True, help="number of colors")
-    p.add_argument("--s", type=int,
-                   help="mixed family: colors forbidding kipas(4) out of k")
-    p.add_argument("--r2", type=int, help=_R2_HELP + " (with --conjecture)")
-    p.add_argument("--conjecture", action="store_true",
-                   help="evaluate the general kipas conjecture instead of a theorem")
-    p.set_defaults(func=_cmd_formula)
 
-    p = subparsers.add_parser("search", help="backtracking search for an avoiding coloring")
-    p.add_argument("--n", type=int, required=True, help="host vertices")
-    p.add_argument("--per-color", type=_per_color_list, required=True, metavar="ID,ID,...",
-                   help="pattern per color; 'none' or '-' leaves a color free")
-    p.add_argument("--gallai", action="store_true", help="also forbid rainbow triangles")
-    p.add_argument("--mode", choices=("first", "exhaust"), default="first",
-                   help="ignored: both values run the same search; kept for existing scripts")
-    p.add_argument("--max-nodes", type=int, help="abort after this many search nodes")
-    p.add_argument("--out", help="write a found witness to this GRC file")
-    p.set_defaults(func=_cmd_search)
+def _help(command: str | None) -> int:
+    """Print the help of a command, or of the program if command is None."""
+    if command is None:
+        usage, summary = "COMMAND", "Build, verify and search rainbow-triangle-free colorings."
+        rows = [(name, spec[0]) for name, spec in COMMANDS.items()]
+    else:
+        summary, _, positionals, options = COMMANDS[command]
+        usage = " ".join((command, "[options]", *(name for name, _ in positionals)))
+        rows = [*positionals, *((name + " VALUE" * (kind is not bool),
+                                 text + " (required)" * (need is _REQUIRED))
+                                for name, kind, need, text in (*options, _JSON))]
+    rows.append((", ".join(_HELP), "show this help and exit"))
+    print("\n".join([f"usage: gallaikit {usage}", "", summary, ""]
+                    + [f"  {left:<22}  {text}" for left, text in rows]))
+    return 0
 
-    p = subparsers.add_parser("encode", help="emit a DIMACS CNF for the same question")
-    p.add_argument("--n", type=int, required=True, help="host vertices")
-    p.add_argument("--k", type=int, help="number of colors (checked against --per-color)")
-    p.add_argument("--per-color", type=_per_color_list, required=True, metavar="ID,ID,...",
-                   help="pattern per color; 'none' or '-' leaves a color free")
-    p.add_argument("--gallai", action="store_true", help="also forbid rainbow triangles")
-    p.add_argument("--out", required=True, help="DIMACS output file")
-    p.set_defaults(func=_cmd_encode)
 
-    p = subparsers.add_parser("decode", help="turn a solver model back into a GRC file")
-    p.add_argument("--cnf", required=True, help="DIMACS file the solver ran on")
-    p.add_argument("--model", required=True, help="solver output file")
-    p.add_argument("--n", type=int, required=True, help="host vertices")
-    p.add_argument("--k", type=int, required=True, help="number of colors")
-    p.add_argument("--out", help="write the decoded coloring to this GRC file")
-    p.set_defaults(func=_cmd_decode)
-
-    p = subparsers.add_parser("catalog", help="list the five-vertex pattern catalog")
-    p.set_defaults(func=_cmd_catalog)
-
-    for p in subparsers.choices.values():
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-    return parser
+def _parse(argv: list[str]):
+    """The handler of a command line and its argument, which for -h/--help are
+    _help and the command; raises UsageError for a line COMMANDS refuses."""
+    if not argv or argv[0] not in COMMANDS:
+        if argv and _option(argv[0], _HELP) in _HELP:
+            return _help, None
+        raise UsageError(f"argument command: {repr(argv[0]) if argv else 'required'}, "
+                         f"choose from {', '.join(COMMANDS)}")
+    _, handler, positionals, options = COMMANDS[argv[0]]
+    table = {option[0]: option for option in (*options, _JSON)}
+    values = {name: None if need is _REPEATED else need for name, _, need, _ in table.values()}
+    values.update((name, _REQUIRED) for name, _ in positionals)
+    given, tokens = [], iter(argv[1:])
+    for token in tokens:
+        name = _option(token, (*table, *_HELP))
+        if name in _HELP:
+            return _help, argv[0]
+        if name is None:
+            given.append(token)
+            continue
+        if not name:
+            raise UsageError(f"argument {token}: no such option, or not a unique prefix of one")
+        _, kind, need, _ = table[name]
+        _, eq, text = token.partition("=")
+        if kind is bool and eq:
+            raise UsageError(f"argument {name}: takes no value")
+        if kind is not bool and not eq:
+            text = next(tokens, None)
+            if text is None or _option(text, (*table, *_HELP)) is not None:
+                raise UsageError(f"argument {name}: expected one value")
+        if type(kind) is tuple and text not in kind:
+            raise UsageError(f"argument {name}: {text!r} is not one of {', '.join(kind)}")
+        try:
+            value = True if kind is bool else text if type(kind) is tuple else kind(text)
+        except ValueError as exc:
+            raise UsageError(f"argument {name}: {exc}") from None
+        values[name] = (values[name] or []) + [value] if need is _REPEATED else value
+    values.update(zip((name for name, _ in positionals), given))
+    missing = [name for name, value in values.items() if value is _REQUIRED]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if len(given) > len(positionals):
+        raise UsageError(f"unrecognized arguments: {' '.join(given[len(positionals):])}")
+    return handler, SimpleNamespace(**{name.lstrip("-").replace("-", "_"): value
+                                       for name, value in values.items()})
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits itself on usage errors and --help
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        return handler(args)
     except Exception as exc:
-        # a bad file or a library error is the input's fault; anything else is a bug
-        if not (isinstance(exc, OSError) or type(exc).__module__.startswith("gallaikit.")):
+        # a usage, file or library error is the input's fault; anything else is a bug
+        if not (isinstance(exc, (UsageError, OSError))
+                or type(exc).__module__.startswith("gallaikit.")):
             raise
         print(f"error: {exc}", file=sys.stderr)
         return 2

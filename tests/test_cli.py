@@ -1,4 +1,3 @@
-import argparse
 import gc
 import json
 import os
@@ -425,7 +424,8 @@ def test_subcommands_import_only_their_modules(tmp_path):
     (tmp_path / "model.out").write_text("SAT\n1 -2 -3 4 -5 6 -7 8 -9 10 11 -12 0\n",
                                         encoding="ascii")
     # the library modules each subcommand loads, exactly; no subcommand
-    # loads dataclasses or inspect, which the value records do without
+    # loads dataclasses or inspect, which the value records do without, or
+    # argparse, gettext or locale, which the option table does without
     loads = {
         ("build", "--target", "h10", "--k", "3"):
             {"coloring", "patterns", "decompose", "detect", "formulas", "construct"},
@@ -445,9 +445,7 @@ def test_subcommands_import_only_their_modules(tmp_path):
             {"coloring", "cnf"},
         ("catalog",): {"patterns"},
     }
-    subparsers = next(action for action in cli._build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction))
-    assert {argv[0] for argv in loads} == set(subparsers.choices)
+    assert {argv[0] for argv in loads} == set(cli.COMMANDS)
     for argv, modules in loads.items():
         child = _child(*argv, cwd=tmp_path)
         exhausted = argv[:3] == ("search", "--n", "6")
@@ -456,6 +454,7 @@ def test_subcommands_import_only_their_modules(tmp_path):
         library = {m.partition(".")[2] for m in loaded if m.startswith("gallaikit.")}
         assert library - {"_record"} == modules, argv
         assert not loaded & {"dataclasses", "inspect"}, argv
+        assert not loaded & {"argparse", "gettext", "locale"}, argv
 
 
 # the CLI again, with the collector's state printed by the last atexit handler

@@ -285,7 +285,18 @@ def test_each_document_is_checked_once(monkeypatch):
     assert back == doc and scans == [doc.num_clauses]
     assert CnfDocument(6, 3, doc.num_vars, doc.clause_text) == doc
     assert scans == [doc.num_clauses] * 2
-    assert "clauses" not in vars(back)  # no int view was built on the way
+    # and no clause view is built on the way: parsing and decoding a model
+    # (every edge in the free color 3) never read the clauses property
+    reads = []
+    view = CnfDocument.clauses
+    monkeypatch.setattr(CnfDocument, "clauses",
+                        property(lambda d: reads.append(d) or view.fget(d)))
+    back = parse_dimacs(doc.to_dimacs(), 6, 3)
+    model = [e * 3 + 3 for e in range(edge_count(6))]
+    assert assignment_satisfies(back, model)
+    assert decode_assignment(back, model).colors == bytes([3]) * edge_count(6)
+    assert reads == []
+    assert len(back.clauses) == back.num_clauses and len(reads) == 1  # the counter counts
 
 
 def test_encode_refuses_an_image_edge_outside_the_host():
