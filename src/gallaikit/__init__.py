@@ -36,7 +36,7 @@ _EXPORTS = {
     ),
     "detect": (
         "AvoidanceSpec", "CheckStats", "Embedding", "VerificationReport",
-        "find_mono_embedding", "verify",
+        "are_isomorphic", "find_mono_embedding", "verify",
     ),
     "formulas": (
         "FormulaError", "GrValue", "MissingR2Error", "UnsupportedTargetError",
@@ -45,8 +45,8 @@ _EXPORTS = {
         "ramsey_mixed", "ramsey_two", "w_value",
     ),
     "patterns": (
-        "Pattern", "PatternError", "UnknownPatternError", "are_isomorphic",
-        "canonical_id", "catalog", "chromatic_number", "make_pattern", "resolve",
+        "Pattern", "PatternError", "UnknownPatternError", "canonical_id", "catalog",
+        "chromatic_number", "make_pattern", "resolve",
     ),
     "search": (
         "ScopeExceededError", "SearchError", "SearchOutcome", "SearchProblem",

@@ -6,9 +6,11 @@ pattern.  Both run over the per-color neighbor bitmasks of
 decompose.color_neighbor_masks (plain Python ints), so they stay fast on the
 couple-hundred-vertex colorings the builders emit.  Witnesses are
 deterministic: the rainbow witness is the lexicographically first triple,
-and the embedding search fixes a pattern vertex order (hub first then rim
-for fans, otherwise descending degree) and tries host vertices in ascending
-order.
+and the embedding search places the pattern's vertices in a fixed order and
+tries host vertices in ascending order.  That one DFS, _embed_search,
+answers three questions: is there a copy of a pattern in a color class, are
+two patterns isomorphic, and which order a fan is placed in (hub then rim:
+its first copy of kipas(m); any other pattern goes by descending degree).
 
 The embedding search runs on a twin-class kernel of the color class.  False
 twins (vertices with the same open neighborhood in that color) are
@@ -26,12 +28,13 @@ is what keeps certifying them cheap.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from ._record import Record
-from .coloring import EdgeColoring
+from .coloring import ColorRangeError, EdgeColoring
 from .decompose import color_neighbor_masks, rainbow_check
-from .patterns import Pattern, canonical_id, independence_number, resolve
+from .patterns import (ISO_CAP, Pattern, TooLargeError, canonical_id, independence_number,
+                       kipas_edges, resolve)
 
 
 class Embedding(Record):
@@ -83,55 +86,44 @@ class AvoidanceSpec(Record):
         return cls.from_map({c: pattern_id for c in range(1, k + 1)}, require_gallai)
 
 
-def _class_masks(
-    c: EdgeColoring, nbr: tuple[tuple[int, ...], ...], color: int
-) -> tuple[int, ...]:
-    """One row of color_neighbor_masks; a color above c.k is an empty class."""
-    return nbr[color] if color <= c.k else (0,) * c.n
+def are_isomorphic(p: Pattern, q: Pattern) -> bool:
+    """Whether p and q are one graph up to relabelling (at most ISO_CAP vertices).
 
-
-def _kipas_order(p: Pattern) -> Optional[list[int]]:
-    """[hub, rim...] when p is a fan, else None."""
-    mr = p.m - 1
-    if mr < 2 or len(p.edges) != 2 * mr - 1:
-        return None
-    adj = p.adjacency()
-    for hub in range(p.m):
-        if len(adj[hub]) != mr:
-            continue
-        rest = [v for v in range(p.m) if v != hub]
-        rim_deg = {v: len(adj[v] - {hub}) for v in rest}
-        ends = [v for v in rest if rim_deg[v] == 1]
-        if len(ends) != 2 or any(rim_deg[v] not in (1, 2) for v in rest):
-            continue
-        walk = [min(ends)]
-        prev = hub
-        while True:
-            nxt = [w for w in adj[walk[-1]] if w != hub and w != prev]
-            if not nxt:
-                break
-            prev = walk[-1]
-            walk.append(nxt[0])
-        if len(walk) == mr:
-            return [hub] + walk
-    return None
+    With equal degrees, so as many edges, a copy of p in q is an isomorphism.
+    """
+    if p.m > ISO_CAP or q.m > ISO_CAP:
+        raise TooLargeError(f"isomorphism test capped at {ISO_CAP} vertices")
+    if p.m != q.m or sorted(map(len, p.adjacency())) != sorted(map(len, q.adjacency())):
+        return False
+    return _embed_search(q.m, p, q.bitmasks())[0] is not None
 
 
 def _embedding_order(p: Pattern) -> list[int]:
-    fan = _kipas_order(p)
-    if fan is not None:
-        return fan
+    """Hub then rim for a fan, otherwise descending degree.
+
+    With m + 1 vertices and 2m - 1 edges, p is a fan iff it holds a copy of
+    kipas(m); the first one tries hubs ascending and starts the rim, a path,
+    at its lower end.
+    """
+    m = p.m - 1
+    if m >= 2 and len(p.edges) == 2 * m - 1:
+        fan = Pattern(p.m, frozenset(kipas_edges(m)), f"kipas({m})")
+        image, _ = _embed_search(p.m, fan, p.bitmasks(), range(p.m))
+        if image is not None:
+            return list(image)
     deg = [len(a) for a in p.adjacency()]
     return sorted(range(p.m), key=lambda v: (-deg[v], v))
 
 
 def _embed_search(
-    n: int, p: Pattern, nbr_color: list[int]
+    n: int, p: Pattern, nbr_color: Sequence[int], order: Optional[Sequence[int]] = None
 ) -> tuple[Optional[tuple[int, ...]], int]:
-    """DFS for an injective edge-preserving map into one color class."""
+    """DFS for an injective edge-preserving map into one color class, placing
+    p's vertices in the given order (by default _embedding_order(p))."""
     if p.m > n:
         return None, 0
-    order = _embedding_order(p)
+    if order is None:
+        order = _embedding_order(p)
     adj = p.adjacency()
     pos_of = {v: t for t, v in enumerate(order)}
     prior = [
@@ -183,8 +175,9 @@ def find_mono_embedding(
     """First monochromatic copy of pattern in the given color class, or None."""
     if color < 1:
         raise ValueError(f"color ids start at 1, got {color}")
-    masks = _class_masks(c, color_neighbor_masks(c), color)
-    image, _ = _embed_search(c.n, pattern, masks)
+    if color > c.k:
+        raise ColorRangeError(f"color {color} outside 1..{c.k}")
+    image, _ = _embed_search(c.n, pattern, color_neighbor_masks(c)[color])
     if image is None:
         return None
     return Embedding(color, image)
@@ -204,6 +197,9 @@ def check_embedding(c: EdgeColoring, pattern: Pattern, emb: Embedding) -> bool:
 
 def verify(c: EdgeColoring, spec: AvoidanceSpec) -> VerificationReport:
     """Check a coloring against an avoidance spec, collecting all violations."""
+    for color, _ in spec.forbids:
+        if not 1 <= color <= c.k:
+            raise ColorRangeError(f"color {color} outside 1..{c.k}")
     nbr = color_neighbor_masks(c)
     rainbow, pairs = rainbow_check(c, nbr) if spec.require_gallai else (None, 0)
     witnesses = []
@@ -212,7 +208,7 @@ def verify(c: EdgeColoring, spec: AvoidanceSpec) -> VerificationReport:
     for color, pid in spec.forbids:
         pat = resolve(pid)
         checked += 1
-        image, nodes = _embed_search(c.n, pat, _class_masks(c, nbr, color))
+        image, nodes = _embed_search(c.n, pat, nbr[color])
         nodes_total += nodes
         if image is not None:
             witnesses.append(Embedding(color, image))

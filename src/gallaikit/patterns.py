@@ -61,6 +61,10 @@ class Pattern(Record):
             adj[b].add(a)
         return tuple(frozenset(s) for s in adj)
 
+    def bitmasks(self) -> list[int]:
+        """Bit u of entry v is set iff uv is an edge."""
+        return [sum(1 << u for u in a) for a in self.adjacency()]
+
 
 def make_pattern(m: int, edges, label: str = "custom") -> Pattern:
     norm = set()
@@ -137,16 +141,13 @@ def canonical_id(pattern_id: str) -> str:
 @lru_cache(maxsize=None)
 def resolve(pattern_id: str) -> Pattern:
     cid = canonical_id(pattern_id)
-    if cid in _FIVE_VERTEX_EDGES:
-        return Pattern(5, frozenset(_FIVE_VERTEX_EDGES[cid]), cid)
-    m = _PARAM_RE.match(cid)
-    assert m is not None
-    family, arg = m.group(1), int(m.group(2))
+    family, arg = _split_id(cid)
+    if arg is None:
+        return Pattern(5, frozenset(_FIVE_VERTEX_EDGES[family]), cid)
     if family == "kipas":
         return Pattern(arg + 1, frozenset(kipas_edges(arg)), cid)
-    if family == "path":
-        return Pattern(arg, frozenset(path_edges(arg)), cid)
-    return Pattern(arg, frozenset(complete_edges(arg)), cid)
+    edges = path_edges(arg) if family == "path" else complete_edges(arg)
+    return Pattern(arg, frozenset(edges), cid)
 
 
 def catalog() -> tuple[tuple[str, Pattern], ...]:
@@ -154,56 +155,10 @@ def catalog() -> tuple[tuple[str, Pattern], ...]:
     return tuple((pid, resolve(pid)) for pid in _FIVE_VERTEX_EDGES)
 
 
-def are_isomorphic(p: Pattern, q: Pattern) -> bool:
-    """Backtracking isomorphism test for patterns up to ISO_CAP vertices."""
-    if p.m > ISO_CAP or q.m > ISO_CAP:
-        raise TooLargeError(f"isomorphism test capped at {ISO_CAP} vertices")
-    if p.m != q.m or len(p.edges) != len(q.edges):
-        return False
-    padj, qadj = p.adjacency(), q.adjacency()
-    pdeg = [len(s) for s in padj]
-    qdeg = [len(s) for s in qadj]
-    if sorted(pdeg) != sorted(qdeg):
-        return False
-    order = sorted(range(p.m), key=lambda v: (-pdeg[v], v))
-    image = [-1] * p.m
-    taken = [False] * q.m
-
-    def feasible(v: int, w: int) -> bool:
-        for u in padj[v]:
-            if image[u] != -1 and image[u] not in qadj[w]:
-                return False
-        for u in range(p.m):
-            if image[u] != -1 and u not in padj[v] and image[u] in qadj[w]:
-                return False
-        return True
-
-    def go(t: int) -> bool:
-        if t == p.m:
-            return True
-        v = order[t]
-        for w in range(q.m):
-            if taken[w] or qdeg[w] != pdeg[v]:
-                continue
-            if feasible(v, w):
-                image[v] = w
-                taken[w] = True
-                if go(t + 1):
-                    return True
-                image[v] = -1
-                taken[w] = False
-        return False
-
-    return go(0)
-
-
 @lru_cache(maxsize=64)
 def independence_number(p: Pattern) -> int:
     """Size of a largest set of pairwise non-adjacent pattern vertices."""
-    adj = [0] * p.m
-    for a, b in p.edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
+    adj = p.bitmasks()
 
     def alpha(avail: int) -> int:
         if not avail:

@@ -19,7 +19,7 @@ from gallaikit.coloring import EdgeColoring, edge_index, make_coloring
 from gallaikit.decompose import GallaiPartition
 from gallaikit.detect import AvoidanceSpec, CheckStats, Embedding, VerificationReport
 from gallaikit.formulas import GrValue
-from gallaikit.patterns import Pattern
+from gallaikit.patterns import ISO_CAP, Pattern, TooLargeError
 from gallaikit.search import SearchOutcome, SearchProblem
 
 # Frozen dataclass twins of the library's value records: the same field
@@ -116,6 +116,84 @@ def plain_embed(c: EdgeColoring, pattern, color: int) -> tuple[int, ...] | None:
     for t, v in enumerate(order):
         image[v] = host[t]
     return tuple(image)
+
+
+def plain_are_isomorphic(p: Pattern, q: Pattern) -> bool:
+    """Backtracking isomorphism test for patterns up to ISO_CAP vertices.
+
+    The library's former patterns.are_isomorphic, body unchanged, kept as the
+    oracle of detect.are_isomorphic, which runs on the embedding DFS.
+    """
+    if p.m > ISO_CAP or q.m > ISO_CAP:
+        raise TooLargeError(f"isomorphism test capped at {ISO_CAP} vertices")
+    if p.m != q.m or len(p.edges) != len(q.edges):
+        return False
+    padj, qadj = p.adjacency(), q.adjacency()
+    pdeg = [len(s) for s in padj]
+    qdeg = [len(s) for s in qadj]
+    if sorted(pdeg) != sorted(qdeg):
+        return False
+    order = sorted(range(p.m), key=lambda v: (-pdeg[v], v))
+    image = [-1] * p.m
+    taken = [False] * q.m
+
+    def feasible(v: int, w: int) -> bool:
+        for u in padj[v]:
+            if image[u] != -1 and image[u] not in qadj[w]:
+                return False
+        for u in range(p.m):
+            if image[u] != -1 and u not in padj[v] and image[u] in qadj[w]:
+                return False
+        return True
+
+    def go(t: int) -> bool:
+        if t == p.m:
+            return True
+        v = order[t]
+        for w in range(q.m):
+            if taken[w] or qdeg[w] != pdeg[v]:
+                continue
+            if feasible(v, w):
+                image[v] = w
+                taken[w] = True
+                if go(t + 1):
+                    return True
+                image[v] = -1
+                taken[w] = False
+        return False
+
+    return go(0)
+
+
+def plain_fan_order(p: Pattern) -> list[int] | None:
+    """[hub, rim...] when p is a fan, else None.
+
+    The library's former detect._kipas_order, a structural walk: a hub of
+    degree m whose other vertices form a path, walked from its lower end.
+    """
+    mr = p.m - 1
+    if mr < 2 or len(p.edges) != 2 * mr - 1:
+        return None
+    adj = p.adjacency()
+    for hub in range(p.m):
+        if len(adj[hub]) != mr:
+            continue
+        rest = [v for v in range(p.m) if v != hub]
+        rim_deg = {v: len(adj[v] - {hub}) for v in rest}
+        ends = [v for v in rest if rim_deg[v] == 1]
+        if len(ends) != 2 or any(rim_deg[v] not in (1, 2) for v in rest):
+            continue
+        walk = [min(ends)]
+        prev = hub
+        while True:
+            nxt = [w for w in adj[walk[-1]] if w != hub and w != prev]
+            if not nxt:
+                break
+            prev = walk[-1]
+            walk.append(nxt[0])
+        if len(walk) == mr:
+            return [hub] + walk
+    return None
 
 
 def naive_images(pattern, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -28,7 +28,7 @@ from gallaikit.cnf import assignment_satisfies, encode_cnf
 from gallaikit.coloring import edge_count, edge_index
 from gallaikit.construct import build_lower, build_mixed
 from gallaikit.decompose import RainbowTriangleError, gallai_partition
-from gallaikit.detect import AvoidanceSpec, find_mono_embedding, verify
+from gallaikit.detect import AvoidanceSpec, are_isomorphic, find_mono_embedding, verify
 from gallaikit.formulas import (
     ANCHORS,
     R2_TABLE,
@@ -41,7 +41,7 @@ from gallaikit.formulas import (
     ramsey_two,
     w_value,
 )
-from gallaikit.patterns import are_isomorphic, catalog, chromatic_number, resolve
+from gallaikit.patterns import catalog, chromatic_number, resolve
 from gallaikit.search import SearchProblem, exhaustive_check
 
 

@@ -78,6 +78,20 @@ def test_verify_forbid_none_unsets(capsys, tmp_path):
     assert code == 0 and payload["passed"] is True
 
 
+def test_verify_refuses_a_color_above_k(capsys, tmp_path):
+    path = tmp_path / "t.grc"
+    path.write_text("grc 1 3 2\n1 2\n1\n", encoding="ascii")
+    for extra in ((), ("--json",), ("--forbid-all", "k3")):
+        code, out, err = run(capsys, "verify", str(path), "--forbid", "300=h1", *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: color 300 outside 1..2\n"
+    # 'none' only unsets a color, so it names no class and is still accepted
+    code, payload, _ = run_json(
+        capsys, "verify", str(path), "--forbid-all", "k3", "--forbid", "3=none")
+    assert code == 0 and payload["passed"] is True
+    assert payload["stats"]["patterns_checked"] == 2
+
+
 def test_partition_json_schema(capsys, tmp_path):
     path = tmp_path / "c.grc"
     main(["build", "--target", "kipas(4)", "--k", "3", "--out", str(path)])

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,11 @@ from conftest import (
     naive_images,
     naive_mono,
     naive_rainbow,
+    plain_are_isomorphic,
     plain_bits,
     plain_closure,
     plain_embed,
+    plain_fan_order,
     plain_masks,
     plain_modules_avoiding,
     plant_rainbow,
@@ -21,7 +24,7 @@ from conftest import (
     random_gallai_blowup,
 )
 from gallaikit import decompose
-from gallaikit.coloring import EdgeColoring, blowup, join, make_coloring
+from gallaikit.coloring import ColorRangeError, EdgeColoring, blowup, join, make_coloring
 from gallaikit.construct import base_pentagon, build_lower, mono_complete
 from gallaikit.decompose import (
     DecompositionInvariantError,
@@ -33,11 +36,14 @@ from gallaikit.decompose import (
 from gallaikit.detect import (
     AvoidanceSpec,
     Embedding,
+    _embedding_order,
+    are_isomorphic,
     check_embedding,
     find_mono_embedding,
     verify,
 )
 from gallaikit.patterns import (
+    ISO_CAP,
     TooLargeError,
     catalog,
     enumerate_pattern_images,
@@ -365,6 +371,19 @@ def test_avoidance_spec_validates_colors():
         AvoidanceSpec.from_map({0: "k3"})
 
 
+def test_spec_color_above_k_fails_closed():
+    # a color above k is no empty class: verify and find_mono_embedding refuse it
+    c = mono_complete(4, 1, k=2)
+    for spec in (AvoidanceSpec.from_map({300: "h1"}), AvoidanceSpec.from_map({1: "k3", 3: "k3"}),
+                 AvoidanceSpec(((0, "k3"),), False)):
+        with pytest.raises(ColorRangeError, match=r"^color (300|3|0) outside 1\.\.2$"):
+            verify(c, spec)
+    with pytest.raises(ColorRangeError, match=r"^color 3 outside 1\.\.2$"):
+        find_mono_embedding(c, resolve("k3"), 3)
+    assert find_mono_embedding(c, resolve("k3"), 2) is None
+    assert not verify(c, AvoidanceSpec.from_map({1: "k3", 2: "k3"})).passed
+
+
 def test_enumerate_images_counts():
     # labeled copies of K3 in K4: C(4,3) subsets, one image each
     assert len(enumerate_pattern_images(resolve("k3"), 4)) == 4
@@ -502,3 +521,86 @@ def test_cached_masks_are_read_only_and_survive_verify():
     again = decompose.color_neighbor_masks(c)
     assert again is first
     assert [list(row) for row in again] == plain_masks(c)
+
+
+def _relabeled(rng: random.Random, p):
+    perm = list(range(p.m))
+    rng.shuffle(perm)
+    return make_pattern(p.m, [(perm[a], perm[b]) for a, b in p.edges], p.label)
+
+
+def _edge_swapped(rng: random.Random, p):
+    """ab, cd -> ad, cb on four distinct vertices: the same degrees, or None."""
+    edges = sorted(p.edges)
+    for _ in range(50):
+        (a, b), (c, d) = rng.sample(edges, 2)
+        new = {(min(a, d), max(a, d)), (min(c, b), max(c, b))}
+        if len({a, b, c, d}) == 4 and not new & p.edges:
+            return make_pattern(p.m, (p.edges - {(a, b), (c, d)}) | new, "swapped")
+    return None
+
+
+def _copy_engine_corpus(rng: random.Random) -> list:
+    """Catalog and families, their relabelings, random patterns on at most
+    9 vertices (half of them with a fan's edge count), and fan-shaped non-fans:
+    a hub joined to all m others, whose m - 1 other edges are no path."""
+    base = [p for _, p in catalog()]
+    base += [resolve(f"kipas({m})") for m in range(2, 17)]
+    base += [resolve(f"{fam}({t})") for fam in ("path", "complete") for t in range(2, 10)]
+    corpus = base + [_relabeled(rng, p) for _ in range(3) for p in base]
+    for _ in range(3000):
+        m = rng.randint(1, 9)
+        pairs = list(combinations(range(m), 2))
+        size = 2 * m - 3 if m >= 3 and rng.random() < 0.5 else rng.randint(0, len(pairs))
+        corpus.append(make_pattern(m, rng.sample(pairs, size)))
+    for m in range(4, 9):
+        rim_pairs = list(combinations(range(1, m + 1), 2))
+        made = 0
+        while made < 30:
+            p = make_pattern(m + 1, [(0, v) for v in range(1, m + 1)] + rng.sample(rim_pairs, m - 1))
+            if plain_fan_order(p) is None:
+                corpus.append(_relabeled(rng, p))
+                made += 1
+    return corpus
+
+
+def test_copy_engine_matches_the_former_searches():
+    # _embedding_order and are_isomorphic run on the embedding DFS; the
+    # structural fan walk and the backtracking isomorphism test they replace
+    # must give the same order and the same verdict
+    rng = random.Random(29)
+    corpus = _copy_engine_corpus(rng)
+    fans = 0
+    for p in corpus:
+        want = plain_fan_order(p)
+        fans += want is not None
+        if want is None:
+            deg = [len(a) for a in p.adjacency()]
+            want = sorted(range(p.m), key=lambda v: (-deg[v], v))
+        assert _embedding_order(p) == want, p
+    assert fans >= 4 * 15 + 100
+    h12 = resolve("h12")
+    for _ in range(50):
+        q = _relabeled(rng, h12)
+        assert _embedding_order(q) == plain_fan_order(q)
+        assert are_isomorphic(q, resolve("kipas(4)")) and are_isomorphic(resolve("kipas(4)"), q)
+    small = [p for p in corpus if p.m <= ISO_CAP]
+    pairs = [(p, _relabeled(rng, p)) for p in small[:600]]
+    pairs += list(combinations([p for _, p in catalog()] + [_relabeled(rng, h12)], 2))
+    pairs += [tuple(rng.sample(small, 2)) for _ in range(2000)]
+    dense = [make_pattern(m, rng.sample(list(combinations(range(m), 2)),
+                                        rng.randint(m, m * (m - 1) // 2 - 2)))
+             for m in rng.choices(range(5, ISO_CAP + 1), k=600)]
+    pairs += [(p, q) for p in dense if (q := _edge_swapped(rng, p)) is not None]
+    same = equal_degrees_apart = 0
+    for p, q in pairs:
+        got = are_isomorphic(p, q)
+        assert got == plain_are_isomorphic(p, q), (p, q)
+        same += got
+        equal_degrees_apart += not got and p.m == q.m and sorted(
+            map(len, p.adjacency())) == sorted(map(len, q.adjacency()))
+    assert same >= 650 and equal_degrees_apart >= 150, (same, equal_degrees_apart)
+    big = resolve("path(11)")
+    for iso in (are_isomorphic, plain_are_isomorphic):
+        with pytest.raises(TooLargeError, match=f"^isomorphism test capped at {ISO_CAP} vertices$"):
+            iso(big, big)

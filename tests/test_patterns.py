@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gallaikit.detect import are_isomorphic
 from gallaikit.patterns import (
     PARAM_DIGITS,
     ParameterRangeError,
@@ -12,7 +13,6 @@ from gallaikit.patterns import (
     TooLargeError,
     UnknownPatternError,
     _split_id,
-    are_isomorphic,
     canonical_id,
     catalog,
     chromatic_number,
