@@ -10,8 +10,10 @@ malformed or non-ASCII GRC, DIMACS and model files.
 
 from __future__ import annotations
 
+import atexit
 import gc
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -408,14 +410,28 @@ def main(argv=None) -> int:
 def cli_main() -> None:
     """Entry point of a short-lived process: `python -m gallaikit.cli` and the
     console script.  The cyclic garbage collector would only walk what the
-    imports built, in young passes during the run and again in the collection
-    at interpreter shutdown, so it stays off and the heap is frozen (moved out
-    of its sight) before exit.  main() leaves the collector alone, for callers
-    that run it in process."""
+    imports built, so it stays off.  Once main() returns, the atexit handlers
+    run and stdout and stderr are flushed; then os._exit ends the process,
+    which skips the module teardown and the freeing of every object that a
+    normal exit would do, work whose result nobody reads.  Every file a
+    command writes is closed by its with block before main() returns.  A
+    stdout flush that fails, such as on a closed pipe, or a stdout closed
+    from the start, is reported like an OSError inside main(): one error
+    line and exit code 2.  main() leaves the collector alone, for callers
+    that run it in process, and an exception it raises propagates as from
+    any call."""
     gc.disable()
     code = main(sys.argv[1:])
-    gc.freeze()
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        if sys.stdout is None:  # fd 1 was closed at start, so print() wrote nothing
+            raise OSError("stdout is closed")
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

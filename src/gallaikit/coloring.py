@@ -9,7 +9,7 @@ Each coloring keeps that upper triangle once, as the bytes object colors,
 one byte per edge in that order.  The layers that touch every edge work on
 those bytes in C rather than loop over them in Python: the color range
 check, parse (which builds the bytes from the row text), serialize (which
-translates byte rows back to text), blowup (which assembles rows from byte
+translates the bytes back to text), blowup (which assembles rows from byte
 slices), relabel_colors (one bytes.translate) and the per-color neighbor
 masks in decompose (built once per coloring from a byte matrix in 8 lanes and
 cached on it).  A byte caps the palette: k is at most MAX_COLORS = 255, and
@@ -245,16 +245,28 @@ def relabel_colors(
 
 # str.translate table: code point v (a color byte read as latin-1) -> "v "
 _COLOR_WORDS = tuple(f"{v} " for v in range(MAX_COLORS + 1))
+# bytes.translate table: color byte v <= 9 -> its ASCII digit
+_DIGIT_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 def serialize(c: EdgeColoring) -> str:
     """Canonical grc text: header, then one row per leading vertex.
 
-    Each row is its slice of colors read as latin-1 (one code point per
-    color) and translated to decimal words, whatever k is.
+    For k <= 9 the rows are written in bulk, the mirror of parse's one-digit
+    read: each color is one digit followed by a space, or by a newline at
+    the end of a row, so color e sits at offset 2e of the body, and the
+    digits are the color bytes translated at once.  For larger k each row
+    is its slice of colors read as latin-1 (one code point per color) and
+    translated to decimal words.
     """
     lines = [f"grc 1 {c.n} {c.k}"]
     buf = c.colors
+    if c.k <= 9:
+        body = bytearray(b" ") * (2 * len(buf))
+        body[::2] = buf.translate(_DIGIT_CHARS)
+        for _, stop in row_bounds(c.n)[:-1]:
+            body[2 * stop - 1] = 10  # "\n" after the row's last color
+        return lines[0] + "\n" + body.decode("ascii")
     for start, stop in row_bounds(c.n)[:-1]:
         lines.append(buf[start:stop].decode("latin-1").translate(_COLOR_WORDS)[:-1])
     return "\n".join(lines) + "\n"

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import combinations
 from math import comb
+from operator import itemgetter
 
 from ._record import Record
 
@@ -216,12 +217,15 @@ def enumerate_pattern_images(pattern: Pattern, n: int) -> tuple[tuple[int, ...],
     No image is sorted on its own.  A shape is kept as the ascending
     positions (picks) of its pairs among the C(m', 2) local pairs in
     lexicographic order; placing it on an increasing subset keeps that
-    order, and edge_index is monotone in it, so mapping the picks through
-    the subset's row of edge indices gives an ascending tuple.  The one
-    final sort puts the images in the order of the sorted vertex-pair
-    images, for the same reason, so the CNF clause order is fixed.  The
-    picks are sorted too, so each subset's images come out ascending and
-    that sort merges runs.
+    order, and edge_index is monotone in it, so picking those positions
+    from the subset's row of edge indices gives an ascending tuple.  Each
+    shape gets one operator.itemgetter, which builds that tuple in one C
+    call per image; a pattern with fewer than two edges has one image per
+    edge or a single empty one, since itemgetter gives a bare item for one
+    position and takes no empty pick.  The one final sort puts the images
+    in the order of the sorted vertex-pair images, for the same reason, so
+    the CNF clause order is fixed.  The picks are sorted too, so each
+    subset's images come out ascending and that sort merges runs.
     """
     from .coloring import row_offset  # formula and catalog need only this module
 
@@ -244,12 +248,15 @@ def enumerate_pattern_images(pattern: Pattern, n: int) -> tuple[tuple[int, ...],
     if count > IMAGE_BUDGET:
         raise TooLargeError(f"{pattern.label} on {n} vertices has at least {count} images, "
                             f"over the image budget of {IMAGE_BUDGET}")
+    if len(pattern.edges) < 2:  # every edge index alone, or the one empty image
+        return tuple(zip(range(subsets))) if pattern.edges else ((),)
     local = {pair: t for t, pair in enumerate(combinations(range(len(spine)), 2))}
     picks = sorted(tuple(sorted(map(local.__getitem__, shape))) for shape in shapes)
+    getters = [itemgetter(*pick) for pick in picks]
     offset = [row_offset(n, i) for i in range(n)]
     images: list[tuple[int, ...]] = []
     for sub in combinations(range(n), len(spine)):
-        row = [offset[i] + j for i, j in combinations(sub, 2)].__getitem__
-        images += map(tuple, map(map, repeat(row), picks))
+        row = [offset[i] + j for i, j in combinations(sub, 2)]
+        images += [get(row) for get in getters]
     images.sort()
     return tuple(images)

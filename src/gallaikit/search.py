@@ -127,15 +127,19 @@ def _completion_tables(
     of nb[d] over the mask edges d of the byte missing from x, where bit t
     of nb[d] is set iff mask t does not contain d.  Colors that forbid the
     same pattern share their entries.
+
+    The build copies no image: mask t of edge e is the t-th image whose
+    last edge is e, read without that edge, so the tables add no second
+    copy of the images, the largest thing a search holds.
     """
     table: list[list[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]]] = [
         [(0, ())] * (problem.k + 1) for _ in range(edge_count(problem.n))
     ]
     for colors, images in problem.forbidden_images():
-        # groups[e] = the earlier edges of each image whose last edge is e
+        # groups[e] = the images whose last edge is e
         groups: list[list[tuple[int, ...]]] = [[] for _ in table]
         for image in images:
-            groups[image[-1]].append(image[:-1])
+            groups[image[-1]].append(image)
         for pos, group in enumerate(groups):
             if not group:
                 continue
@@ -143,15 +147,17 @@ def _completion_tables(
             alive = (1 << size) - 1
             # has[d] = the masks holding edge d < pos, written as a row of
             # "0"/"1" bytes (mask t at index size - 1 - t) and read once by
-            # int(), so each mask costs one byte store, not a wider int
+            # int(), so each mask costs one byte store, not a wider int;
+            # rows[pos], which every image holds, is dropped unread
             zeros = b"0" * size
-            rows: list[Optional[bytearray]] = [None] * pos
-            for at, rest in enumerate(reversed(group)):
-                for d in rest:
+            rows: list[Optional[bytearray]] = [None] * (pos + 1)
+            for at, image in enumerate(reversed(group)):
+                for d in image:
                     row = rows[d]
                     if row is None:
                         row = rows[d] = bytearray(zeros)
                     row[at] = 49  # "1"
+            del rows[pos]
             has = {d: int(row, 2) for d, row in enumerate(rows) if row is not None}
             slices = []
             for shift in sorted({d & ~7 for d in has}):

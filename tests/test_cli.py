@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import gallaikit
 from gallaikit import cli
 from gallaikit.cli import main
-from gallaikit.coloring import read_grc
+from gallaikit.coloring import EdgeColoring, read_grc, write_grc
 from gallaikit.decompose import DecompositionInvariantError
 from gallaikit.formulas import R2_TABLE
 
@@ -473,24 +474,61 @@ def test_subcommands_import_only_their_modules(tmp_path):
 
 # the CLI again, with the collector's state printed by the last atexit handler
 _GC_AT_EXIT = """import atexit, gc, runpy, sys
-atexit.register(lambda: print("gc:", gc.isenabled(), gc.get_freeze_count() > 0,
-                              file=sys.stderr))
+atexit.register(lambda: print("gc:", gc.isenabled(), file=sys.stderr))
 runpy.run_module("gallaikit.cli", run_name="__main__", alter_sys=True)
 """
 
 
-def test_cli_process_runs_without_the_collector_and_exits_frozen(tmp_path):
+def test_cli_process_runs_without_the_collector_and_runs_atexit_handlers(tmp_path):
+    # the child ends by os._exit, after its atexit handlers, which find the
+    # collector still off, and after its streams are flushed
     for argv, code in ((("catalog", "--json"), 0),
                        (("search", "--n", "6", "--per-color", "k3,k3", "--json"), 1)):
         child = _child(*argv, cwd=tmp_path, code=_GC_AT_EXIT)
         assert child.returncode == code, child.stderr
         assert child.stdout.endswith("\n") and json.loads(child.stdout), argv
-        assert child.stderr.splitlines()[-1] == "gc: False True", argv
+        assert child.stderr.splitlines()[-1] == "gc: False", argv
     # in process, main() leaves the collector as it found it
     before = gc.isenabled(), gc.get_freeze_count()
     assert main(["search", "--n", "6", "--per-color", "k3,k3", "--json"]) == 1
     assert main(["catalog"]) == 0
     assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_cli_process_reports_a_failed_stdout_flush_and_delivers_a_large_payload(
+        capsys, tmp_path):
+    # block-buffered stdout, so the output is written by the flush at exit
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(gallaikit.__file__).resolve().parents[1])
+
+    def child(code, *argv, **kwargs):
+        return subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, **kwargs)
+
+    rng = random.Random(600)
+    c = EdgeColoring(600, 2, bytes(rng.randint(1, 2) for _ in range(600 * 599 // 2)))
+    write_grc(c, tmp_path / "c.grc")
+    as_main = 'runpy.run_module("gallaikit.cli", run_name="__main__", alter_sys=True)'
+    # stdout closed, or a pipe with no reader, before the CLI writes: one
+    # error line, exit 2, no traceback; a payload larger than the buffer
+    # fails inside main(), which reports it, and leaves nothing to flush
+    closed = "error: [Errno 9] Bad file descriptor"
+    broken = "error: [Errno 32] Broken pipe"
+    no_reader = "r, w = os.pipe(); os.close(r); os.dup2(w, 1)"
+    for setup, argv, line in (("os.close(1)", ("catalog", "--json"), closed),
+                              (no_reader, ("catalog", "--json"), broken),
+                              (no_reader, ("partition", "c.grc", "--json"), broken)):
+        out = child(f"import os, runpy\n{setup}\n{as_main}\n", *argv)
+        assert (out.returncode, out.stderr) == (2, line + "\n"), (setup, argv)
+    # fd 1 closed before the interpreter starts, so sys.stdout is None
+    out = child(f"import runpy\n{as_main}\n", "catalog", preexec_fn=lambda: os.close(1))
+    assert (out.returncode, out.stderr) == (2, "error: stdout is closed\n")
+    # partition of a 600-vertex coloring prints about 540 kB through a pipe,
+    # many times its buffer: all of it arrives, and the exit code is 0
+    out = child(f"import runpy\n{as_main}\n", "partition", "c.grc", "--json")
+    assert out.returncode == 0 and out.stderr == ""
+    assert len(out.stdout) > 500_000
+    assert out.stdout == run(capsys, "partition", str(tmp_path / "c.grc"), "--json")[1]
 
 
 def test_bad_input_exits_two_in_a_fresh_interpreter(tmp_path):

@@ -250,16 +250,20 @@ def test_parsed_coloring_retains_at_most_two_bytes_per_edge():
 
 
 def test_serialize_matches_str_join_oracle():
-    # one translate table serves every k: one-digit, two-digit and three-digit
-    # colors, alone or mixed in a row
+    # k <= 9 writes the whole body at once, with a newline after each row's
+    # last color, and k >= 10 row by row through a translate table: one-digit,
+    # two-digit and three-digit colors, alone or mixed in a row, give the
+    # oracle's text, which parse reads back
     rng = random.Random(12)
     for k in (1, 2, 9, 10, 255):
-        for n in (1, 2, 3, 7, 40):
+        for n in (1, 2, 3, 7, 40, *(rng.randint(1, 80) for _ in range(20))):
             m = edge_count(n)
             colors = [rng.randint(1, k) for _ in range(m)]
             colors[: min(m, 2)] = [k, 1][: min(m, 2)]
             c = EdgeColoring(n, k, tuple(colors))
-            assert serialize(c) == plain_serialize(c), (n, k)
+            text = serialize(c)
+            assert text == plain_serialize(c), (n, k)
+            assert parse(text) == c, (n, k)
     for c in buffer_inputs():
         assert serialize(c) == plain_serialize(c), (c.n, c.k)
 

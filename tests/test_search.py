@@ -359,6 +359,21 @@ def test_completion_tables_match_int_or_build():
         assert _completion_tables(problem) == plain_completion_tables(problem), problem
 
 
+def test_completion_tables_memory_peak():
+    # kipas(5) at n = 11: groups[e] holds the image tuples themselves, not an
+    # image[:-1] copy of each, which peaked at about 75 MB under tracemalloc
+    problem = SearchProblem(11, ("kipas(5)", "kipas(5)"))
+    tracemalloc.start()
+    try:
+        table = _completion_tables(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one mask per image: C(11, 6) subsets times 360 shapes
+    assert sum(row[1][0].bit_length() for row in table) == 166320
+    assert peak < 66 * 2**20, peak
+
+
 def test_problem_over_the_budget_is_refused_before_anything_is_built(monkeypatch):
     def no_lists(*args):
         raise AssertionError("a list was built for a refused problem")
