@@ -8,8 +8,8 @@ and, color by color, one all-negative clause per image in
 SearchProblem.forbidden_images.  Those images arrive as ascending
 edge-index tuples in a fixed order, so a clause is the image mapped through
 the color's negated variables, and the clause order is pinned by the image
-order.  The search compiles its tables from the same two lists, so both
-engines see one constraint set.
+order.  The search compiles its tables from the shapes these images are
+placed from, and the same triangles, so both engines see one constraint set.
 
 A CnfDocument is text end to end: its clauses are the clause section of
 its DIMACS text (clause_text), one clause per line, its literals written as
@@ -179,8 +179,10 @@ def encode_cnf(problem: SearchProblem) -> CnfDocument:
         lines += [f"{neg[c1][xy]} {neg[c2][xz]} {neg[c3][yz]}"
                   for xy, xz, yz in triangles for c1, c2, c3 in triples]
         for color in range(1, k + 1):
-            lines += map(" ".join, map(map, repeat(neg[color].__getitem__),
-                                       images.get(color, ())))
+            lits, imgs = neg[color], images.get(color, ())
+            # itemgetter gives a bare item for one key; each getter is dropped at once
+            lines += ([lits[e] for e, in imgs] if imgs and len(imgs[0]) < 2 else
+                      [" ".join(itemgetter(*image)(lits)) for image in imgs])
     except KeyError as exc:
         raise CnfError(f"edge index {exc.args[0]!r} outside 0..{e_total - 1}") from None
     lines.append("")

@@ -3,9 +3,9 @@
 Twelve fixed five-vertex patterns (ids h1 .. h12) plus three parametric
 families: kipas(m), the fan with hub 0 joined to the path 1-2-...-m;
 path(t), the path on t vertices; complete(t), the clique on t vertices.
-Aliases: p3 = path(3), k3 = complete(3).  enumerate_pattern_images lists
-the edge sets a copy of a pattern can occupy in K_n, which the search and
-the CNF encoder both forbid.
+Aliases: p3 = path(3), k3 = complete(3).  pattern_shapes gives a pattern's
+edge sets up to automorphism, which the search compiles its tables from;
+enumerate_pattern_images places them on K_n for the CNF encoder.
 """
 
 from __future__ import annotations
@@ -201,46 +201,34 @@ def chromatic_number(p: Pattern) -> int:
     return p.m
 
 
-def enumerate_pattern_images(pattern: Pattern, n: int) -> tuple[tuple[int, ...], ...]:
-    """Every distinct edge set an injective copy of pattern can occupy in K_n,
-    as ascending tuples of lexicographic edge indices (coloring.edge_index).
+def pattern_shapes(pattern: Pattern, n: int) -> tuple[int, list[tuple[int, ...]]]:
+    """(m', picks): the one orbit engine of the search's tables and of
+    enumerate_pattern_images.
 
     The pattern's non-isolated vertices, relabelled 0..m'-1, give one edge
     set (shape) per coset of its automorphism group, grown as the orbit
-    under the transpositions (t-1 t); each is placed on every m'-subset of
-    range(n) in increasing order.  Without isolated vertices an image spans
-    exactly its subset, so images on different subsets never collide.
-    Isolated vertices only need room: pattern.m <= n.  Once |shapes| *
-    C(n, m') exceeds IMAGE_BUDGET the orbit stops and TooLargeError names
-    that count (a lower bound) and the budget, before any image is built.
-
-    No image is sorted on its own.  A shape is kept as the ascending
-    positions (picks) of its pairs among the C(m', 2) local pairs in
-    lexicographic order; placing it on an increasing subset keeps that
-    order, and edge_index is monotone in it, so picking those positions
-    from the subset's row of edge indices gives an ascending tuple.  Each
-    shape gets one operator.itemgetter, which builds that tuple in one C
-    call per image; a pattern with fewer than two edges has one image per
-    edge or a single empty one, since itemgetter gives a bare item for one
-    position and takes no empty pick.  The one final sort puts the images
-    in the order of the sorted vertex-pair images, for the same reason, so
-    the CNF clause order is fixed.  The picks are sorted too, so each
-    subset's images come out ascending and that sort merges runs.
+    under the transpositions (t-1 t), each one permutation of the C(m', 2)
+    local pairs in lexicographic order.  A shape is the ascending positions
+    (picks) of its pairs among them, and picks lists the shapes sorted; it
+    is empty when pattern.m > n.  Once |shapes| * C(n, m') exceeds
+    IMAGE_BUDGET the orbit stops and TooLargeError names that count (a
+    lower bound) and the budget, before any image is built.
     """
-    from .coloring import row_offset  # formula and catalog need only this module
-
     if pattern.m > n:
-        return ()
+        return 0, []
     spine = sorted({v for e in pattern.edges for v in e})
-    pos = {v: t for t, v in enumerate(spine)}
     subsets = comb(n, len(spine))
-    swaps = [(*range(t - 1), t, t - 1, *range(t + 1, len(spine))) for t in range(1, len(spine))]
-    todo = [frozenset((pos[a], pos[b]) for a, b in pattern.edges)]
+    local = {pair: t for t, pair in enumerate(combinations(range(len(spine)), 2))}
+    # moves[t - 1][q] = the local pair that the transposition (t-1 t) sends pair q to
+    moves = [[local[min(per[a], per[b]), max(per[a], per[b])] for a, b in local]
+             for per in ((*range(t - 1), t, t - 1, *range(t + 1, len(spine)))
+                         for t in range(1, len(spine)))]
+    todo = [tuple(sorted(local[spine.index(a), spine.index(b)] for a, b in pattern.edges))]
     shapes = set(todo)
     while todo and len(shapes) * subsets <= IMAGE_BUDGET:
         shape = todo.pop()
-        for per in swaps:  # in a fixed order, so the count at a stop is too
-            moved = frozenset((min(per[a], per[b]), max(per[a], per[b])) for a, b in shape)
+        for move in moves:  # in a fixed order, so the count at a stop is too
+            moved = tuple(sorted(map(move.__getitem__, shape)))
             if moved not in shapes:
                 shapes.add(moved)
                 todo.append(moved)
@@ -248,14 +236,37 @@ def enumerate_pattern_images(pattern: Pattern, n: int) -> tuple[tuple[int, ...],
     if count > IMAGE_BUDGET:
         raise TooLargeError(f"{pattern.label} on {n} vertices has at least {count} images, "
                             f"over the image budget of {IMAGE_BUDGET}")
+    return len(spine), sorted(shapes)
+
+
+def enumerate_pattern_images(pattern: Pattern, n: int) -> tuple[tuple[int, ...], ...]:
+    """Every distinct edge set an injective copy of pattern can occupy in K_n,
+    as ascending tuples of lexicographic edge indices (coloring.edge_index):
+    the CNF's constraints, while the search compiles from the shapes.
+
+    Each shape of pattern_shapes is placed on every m'-subset of range(n)
+    in increasing order.  Without isolated vertices an image spans exactly
+    its subset, so images on different subsets never collide; isolated
+    vertices only need room: pattern.m <= n.  Placing keeps the order of the
+    picks, and edge_index is monotone in it, so one operator.itemgetter per
+    shape builds each image ascending from the subset's row of edge
+    indices, with no sort of its own; a pattern with fewer than two edges
+    has one image per edge or a single empty one, since itemgetter gives a
+    bare item for one position and takes no empty pick.  The one final sort
+    puts the images in the order of the sorted vertex-pair images, so the
+    CNF clause order is fixed; the picks are sorted, so it merges runs.
+    """
+    from .coloring import row_offset  # formula and catalog need only this module
+
+    size, picks = pattern_shapes(pattern, n)
+    if not picks:  # more pattern vertices than n
+        return ()
     if len(pattern.edges) < 2:  # every edge index alone, or the one empty image
-        return tuple(zip(range(subsets))) if pattern.edges else ((),)
-    local = {pair: t for t, pair in enumerate(combinations(range(len(spine)), 2))}
-    picks = sorted(tuple(sorted(map(local.__getitem__, shape))) for shape in shapes)
+        return tuple(zip(range(comb(n, size)))) if pattern.edges else ((),)
     getters = [itemgetter(*pick) for pick in picks]
     offset = [row_offset(n, i) for i in range(n)]
     images: list[tuple[int, ...]] = []
-    for sub in combinations(range(n), len(spine)):
+    for sub in combinations(range(n), size):
         row = [offset[i] + j for i, j in combinations(sub, 2)]
         images += [get(row) for get in getters]
     images.sort()

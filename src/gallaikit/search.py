@@ -8,9 +8,9 @@ pattern), so the DFS skips every prefix that provably is not, by the two
 lex-leader rules described at exhaustive_check (Crawford et al., KR 1996;
 Codish et al., Constraints 2016).  Pruning is incremental: coloring an
 edge only re-checks pattern images and triangles whose last edge (in
-assignment order) is that edge.  Both this search and cnf.encode_cnf read
-the images and triangles from one compile step,
-SearchProblem.forbidden_images() and rainbow_triangles().
+assignment order) is that edge.  The search compiles its tables from the
+pattern shapes (patterns.pattern_shapes), cnf.encode_cnf from
+SearchProblem.forbidden_images(), and both read rainbow_triangles().
 
 The image check is bit-parallel and byte-sliced.  _completion_tables gives
 each completion mask of an (edge, color) one bit of an int and, for each
@@ -27,8 +27,9 @@ from math import comb
 from typing import TYPE_CHECKING, Optional
 
 from ._record import Record
-from .coloring import EdgeColoring, edge_count, edge_index
-from .patterns import IMAGE_BUDGET, TooLargeError, canonical_id, enumerate_pattern_images, resolve
+from .coloring import EdgeColoring, edge_count, edge_index, row_offset
+from .patterns import (IMAGE_BUDGET, Pattern, TooLargeError, canonical_id,
+                       enumerate_pattern_images, pattern_shapes, resolve)
 
 if TYPE_CHECKING:  # only a witness is checked, so an exhausted search never loads detect
     from .detect import AvoidanceSpec
@@ -49,7 +50,7 @@ class SearchProblem(Record):
     the CNF encoder compiles from it would exceed IMAGE_BUDGET entries: the
     (edge, color) slots, the at-most-one color pairs per edge, or the
     triangles when rainbows are forbidden.  The pattern images are counted
-    by enumerate_pattern_images against the same budget.
+    by patterns.pattern_shapes against the same budget.
     """
 
     n: int
@@ -83,16 +84,17 @@ class SearchProblem(Record):
 
         return AvoidanceSpec.from_map(dict(enumerate(self.per_color, 1)), self.require_gallai)
 
+    def forbidden_patterns(self) -> list[tuple[tuple[int, ...], Pattern]]:
+        """(colors, pattern) per distinct forbidden pattern, in first-use order."""
+        per_color = self.per_color
+        return [(tuple(c for c, other in enumerate(per_color, start=1) if other == pid),
+                 resolve(pid)) for pid in dict.fromkeys(per_color) if pid is not None]
+
     def forbidden_images(self) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
-        """(colors, images) per distinct forbidden pattern, in first-use order:
-        the colors that forbid it and enumerate_pattern_images' tuple itself,
-        ascending edge-index tuples in a fixed order, with no copy made."""
-        n, per_color = self.n, self.per_color
-        return [
-            (tuple(c for c, other in enumerate(per_color, start=1) if other == pid),
-             enumerate_pattern_images(resolve(pid), n))
-            for pid in dict.fromkeys(per_color) if pid is not None
-        ]
+        """(colors, images) per forbidden pattern, in forbidden_patterns' order:
+        enumerate_pattern_images' tuple itself, with no copy; the CNF's compile step."""
+        return [(colors, enumerate_pattern_images(pattern, self.n))
+                for colors, pattern in self.forbidden_patterns()]
 
     def rainbow_triangles(self) -> list[tuple[int, int, int]]:
         """(xy, xz, yz) edge indices of every triangle x < y < z, in combinations
@@ -119,49 +121,49 @@ def _completion_tables(
 
     The completion masks of (e, c) are the sets of earlier edges that, all
     in color c, finish an image of the color's forbidden pattern when edge e
-    takes color c.  Number them t = 0..T-1 in image order; bit t of
-    alive = 2^T - 1 stands for mask t.  slices holds (shift, tab) for each
-    byte of earlier edges shift..shift+7 that holds an edge of some mask, in
-    increasing shift.  With bit i of x set iff edge shift + i is in color c,
-    tab[x] keeps the masks whose edges in that byte all are: it is the AND
-    of nb[d] over the mask edges d of the byte missing from x, where bit t
-    of nb[d] is set iff mask t does not contain d.  Colors that forbid the
-    same pattern share their entries.
+    takes color c.  Bit t of alive = 2^T - 1 stands for mask t.  slices
+    holds (shift, tab) for each byte of earlier edges shift..shift+7 that
+    holds an edge of some mask, in increasing shift.  With bit i of x set
+    iff edge shift + i is in color c, tab[x] keeps the masks whose edges in
+    that byte all are: it is the AND of nb[d] over the mask edges d of the
+    byte missing from x, where bit t of nb[d] is set iff mask t does not
+    contain d.  Colors that forbid the same pattern share their entries.
 
-    The build copies no image: mask t of edge e is the t-th image whose
-    last edge is e, read without that edge, so the tables add no second
-    copy of the images, the largest thing a search holds.
+    The build reads patterns.pattern_shapes and makes no image.  On a
+    subset with edge-index row row, the shapes whose last local pair is p
+    add their masks to edge row[p] as its next bits, and has[row[p]][d]
+    gains at that offset the bits of those holding d = row[q]: masks run
+    subset-major, shape-minor, and the DFS reads only whether alive is 0.
     """
+    n = problem.n
     table: list[list[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]]] = [
-        [(0, ())] * (problem.k + 1) for _ in range(edge_count(problem.n))
+        [(0, ())] * (problem.k + 1) for _ in range(edge_count(n))
     ]
-    for colors, images in problem.forbidden_images():
-        # groups[e] = the images whose last edge is e
-        groups: list[list[tuple[int, ...]]] = [[] for _ in table]
-        for image in images:
-            groups[image[-1]].append(image)
-        for pos, group in enumerate(groups):
-            if not group:
+    offset = [row_offset(n, i) for i in range(n)]
+    for colors, pattern in problem.forbidden_patterns():
+        size, picks = pattern_shapes(pattern, n)
+        bits = []  # (p, len(group), [(q, m)]): bit t of m is set iff shape t of group p holds q
+        for p in sorted({pick[-1] for pick in picks}):
+            group = [pick for pick in picks if pick[-1] == p]
+            held = [(q, int("".join(["01"[q in s] for s in group[::-1]]), 2)) for q in range(p)]
+            bits.append((p, len(group), [(q, mask) for q, mask in held if mask]))
+        width = [0] * len(table)  # masks placed on each edge so far
+        has: list[dict[int, int]] = [{} for _ in table]
+        for sub in combinations(range(n), size):
+            row = [offset[i] + j for i, j in combinations(sub, 2)]
+            for p, size_p, held in bits:
+                e = row[p]
+                base, width[e] = width[e], width[e] + size_p
+                has_e = has[e]
+                for q, mask in held:
+                    has_e[row[q]] = has_e.get(row[q], 0) | mask << base
+        for pos, has_e in enumerate(has):
+            if not width[pos]:
                 continue
-            size = len(group)
-            alive = (1 << size) - 1
-            # has[d] = the masks holding edge d < pos, written as a row of
-            # "0"/"1" bytes (mask t at index size - 1 - t) and read once by
-            # int(), so each mask costs one byte store, not a wider int;
-            # rows[pos], which every image holds, is dropped unread
-            zeros = b"0" * size
-            rows: list[Optional[bytearray]] = [None] * (pos + 1)
-            for at, image in enumerate(reversed(group)):
-                for d in image:
-                    row = rows[d]
-                    if row is None:
-                        row = rows[d] = bytearray(zeros)
-                    row[at] = 49  # "1"
-            del rows[pos]
-            has = {d: int(row, 2) for d, row in enumerate(rows) if row is not None}
+            alive = (1 << width[pos]) - 1
             slices = []
-            for shift in sorted({d & ~7 for d in has}):
-                nb = [alive ^ has.get(shift + i, 0) for i in range(8)]
+            for shift in sorted({d & ~7 for d in has_e}):
+                nb = [alive ^ has_e.get(shift + i, 0) for i in range(8)]
                 # lo[m], hi[m] = AND of nb over the bits of m in the low and
                 # the high nibble, so f[16 * a + b] = hi[a] & lo[b]
                 lo, hi = [alive], [alive]

@@ -794,9 +794,10 @@ def plain_exhaustive_check(problem, max_nodes: int | None = None, lex_leader: bo
 
 
 def plain_completion_tables(problem):
-    """search._completion_tables with each has[d] grown by int OR, one bit per
-    mask: the library's former loop, kept as the oracle of the build that
-    writes has[d] as a row of "0"/"1" bytes and reads it once by int()."""
+    """The completion tables built from the image tuples, grouped by their last
+    edge, with each has[d] grown by int OR, one bit per mask in image order:
+    the oracle of search._completion_tables, which compiles from the pattern
+    shapes and numbers the masks otherwise, so tests compare masks, not bits."""
     from gallaikit.coloring import edge_count
 
     table = [[(0, ())] * (problem.k + 1) for _ in range(edge_count(problem.n))]

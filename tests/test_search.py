@@ -1,13 +1,17 @@
 import random
 import tracemalloc
+from functools import partial
 from itertools import combinations, permutations, product
 
 import pytest
 
 from conftest import naive_images, plain_completion_tables, plain_exhaustive_check
+from gallaikit.cnf import encode_cnf
 from gallaikit.detect import AvoidanceSpec, verify
 from gallaikit.formulas import ANCHORS
-from gallaikit.patterns import IMAGE_BUDGET, TooLargeError, catalog, resolve
+from gallaikit.patterns import (IMAGE_BUDGET, TooLargeError, catalog, enumerate_pattern_images,
+                                resolve)
+import gallaikit.patterns as patterns_module
 import gallaikit.search as search_module
 from gallaikit.search import (
     ScopeExceededError,
@@ -349,19 +353,81 @@ def test_forbidden_images_memory_peak():
     assert peak < 80 * 2**20, peak
 
 
+def decoded_masks(entry):
+    """A table entry's alive and the multiset of its masks, read back from
+    its slices as sorted edge bitsets: mask t holds edge shift + i iff bit t
+    of tab[255 ^ (1 << i)] is clear, whichever bit a mask was given."""
+    alive, slices = entry
+    masks = [0] * alive.bit_length()
+    for shift, tab in slices:
+        for i in range(8):
+            held = bin(alive & ~tab[255 ^ (1 << i)])[:1:-1]  # bit t at index t
+            for t in [t for t, bit in enumerate(held) if bit == "1"]:
+                masks[t] |= 1 << (shift + i)
+    return alive, sorted(masks)
+
+
 def test_completion_tables_match_int_or_build():
     # every ledger problem on value - 1 and value vertices, and kipas(5) at
-    # n = 11, whose groups reach thousands of masks
+    # n = 11, whose groups reach thousands of masks: each (edge, color) has
+    # the oracle's masks, built from the images; the bit each mask gets is
+    # free, since the DFS reads only whether some mask survives
     problems = [SearchProblem(n, per_color, require_gallai=gallai)
                 for per_color, gallai, value in ANCHORS for n in (value - 1, value)]
     problems.append(SearchProblem(11, ("kipas(5)", "kipas(5)")))
     for problem in problems:
-        assert _completion_tables(problem) == plain_completion_tables(problem), problem
+        table, plain = _completion_tables(problem), plain_completion_tables(problem)
+        assert len(table) == len(plain)
+        for pos, (row, want) in enumerate(zip(table, plain)):
+            for color in range(problem.k + 1):
+                assert decoded_masks(row[color]) == decoded_masks(want[color]), (
+                    problem, pos, color)
+
+
+def test_search_builds_no_image(monkeypatch):
+    # the tables are compiled from the pattern shapes: with both routes to
+    # the images closed, every ledger search keeps its kind and node count
+    def no_images(*args):
+        raise AssertionError("the search built an image")
+
+    monkeypatch.setattr(patterns_module, "enumerate_pattern_images", no_images)
+    monkeypatch.setattr(search_module, "enumerate_pattern_images", no_images)
+    nodes = {  # the nodes on value - 1 (a witness) and on value vertices (exhausted)
+        "h1,h1": (484, 1425), "h2,h2": (67, 705), "h3,h3": (136, 756),
+        "h4,h4": (809, 3829), "h5,h5": (1219, 6074), "h6,h6": (540, 5469),
+        "h10,h10": (16, 448), "h11,h11": (5116, 33632), "h12,h12": (2871, 99256),
+        "kipas(2),kipas(2)": (40, 108), "kipas(3),kipas(3)": (386, 3632),
+        "kipas(4),kipas(4)": (2871, 99256), "kipas(4),path(3)": (6, 36),
+        "h10,h10,h10": (60670, 313420), "kipas(2),kipas(2),kipas(2)": (18285, 150949),
+    }
+    assert len(nodes) == len(ANCHORS)
+    for per_color, gallai, value in ANCHORS:
+        got = tuple((out.kind, out.nodes_explored) for out in (
+            exhaustive_check(SearchProblem(n, per_color, require_gallai=gallai))
+            for n in (value - 1, value)))
+        witness, exhausted = nodes[",".join(per_color)]
+        assert got == (("witness", witness), ("exhausted", exhausted)), per_color
+
+
+def test_one_budget_message_for_search_cnf_and_images():
+    # the search, the CNF encoder and the image list refuse a pattern over
+    # the image budget through one orbit engine, with one text and count
+    for pid, n, count in (("kipas(6)", 12, 525888), ("kipas(6)", 15, 540540),
+                          ("path(16)", 17, 524314)):
+        want = (f"{pid} on {n} vertices has at least {count} images, "
+                f"over the image budget of {IMAGE_BUDGET}")
+        problem = SearchProblem(n, (pid, pid))
+        for build in (partial(exhaustive_check, problem), partial(encode_cnf, problem),
+                      partial(enumerate_pattern_images, resolve(pid), n)):
+            with pytest.raises(TooLargeError) as info:
+                build()
+            assert str(info.value) == want, build
 
 
 def test_completion_tables_memory_peak():
-    # kipas(5) at n = 11: groups[e] holds the image tuples themselves, not an
-    # image[:-1] copy of each, which peaked at about 75 MB under tracemalloc
+    # kipas(5) at n = 11: the tables are compiled from the 360 shapes, with
+    # no image built; building them from the image tuples peaked at about
+    # 59 MB under tracemalloc, and from an image[:-1] copy of each at 75 MB
     problem = SearchProblem(11, ("kipas(5)", "kipas(5)"))
     tracemalloc.start()
     try:
@@ -371,7 +437,7 @@ def test_completion_tables_memory_peak():
         tracemalloc.stop()
     # one mask per image: C(11, 6) subsets times 360 shapes
     assert sum(row[1][0].bit_length() for row in table) == 166320
-    assert peak < 66 * 2**20, peak
+    assert peak < 45 * 2**20, peak
 
 
 def test_problem_over_the_budget_is_refused_before_anything_is_built(monkeypatch):
@@ -380,6 +446,7 @@ def test_problem_over_the_budget_is_refused_before_anything_is_built(monkeypatch
 
     monkeypatch.setattr(search_module, "edge_index", no_lists)
     monkeypatch.setattr(search_module, "enumerate_pattern_images", no_lists)
+    monkeypatch.setattr(search_module, "pattern_shapes", no_lists)
     for args, what in (((100000, (None, None)), "9999900000 edge slots"),
                        ((30, (None,) * 255), "14087475 at-most-one pairs"),
                        ((400, (None,) * 3, True), "10586800 rainbow triangles")):
