@@ -2,21 +2,15 @@
 
 Everything here assembles edge colorings that avoid a monochromatic target
 pattern in every color (or, for the mixed family, a fan in low colors and a
-two-edge path in high colors) while staying rainbow-triangle-free.  The
-recursive towers realize the closed-form sizes in formulas; every public
-builder certifies its output with detect.verify before returning.
+two-edge path in high colors) while staying rainbow-triangle-free.  Every
+tower nests blow-ups of two-colored pentagons (_nest) and realizes a
+closed-form size in formulas; every public builder certifies its output
+with detect.verify before returning.
 """
 
 from __future__ import annotations
 
-from .coloring import (
-    EdgeColoring,
-    _check_k,
-    blowup,
-    edge_list,
-    join,
-    relabel_colors,
-)
+from .coloring import EdgeColoring, _check_k, blowup, edge_list, join
 from .decompose import color_neighbor_masks
 from .detect import AvoidanceSpec, verify
 from .formulas import RangeViolationError, _tower_seed, fan_param, g_value, ramsey_two, w_value
@@ -166,11 +160,16 @@ def extremal_two_coloring(
     return c
 
 
+def _nest(core: EdgeColoring, first: int, last: int) -> EdgeColoring:
+    # core in base_pentagon(a, a + 1) for a = first, first + 2, ..., last - 1
+    for a in range(first, last, 2):
+        core = blowup(base_pentagon(a, a + 1), [core] * 5)
+    return core
+
+
 def _aux(m: int, k: int, top: int) -> EdgeColoring:
-    # recursion keeps the caller's top color, so top may exceed k here
-    if k == 4:
-        return blowup(base_pentagon(1, 2), [mono_complete(m // 2, top)] * 5)
-    return blowup(base_pentagon(k - 3, k - 2), [_aux(m, k - 2, top)] * 5)
+    # the cliques keep the caller's top color, above the pentagons' 1..k-2
+    return _nest(mono_complete(m // 2, top), 1, k - 2)
 
 
 def _clique_cover_ok(c: EdgeColoring, color: int, order: int) -> bool:
@@ -245,8 +244,7 @@ def _tower(seed_id: str, k: int, r2: int | None) -> EdgeColoring:
         lo = _aux(m, k, k - 1)
         sub = _tower(seed_id, k - 2, r2)
         return blowup(base_pentagon(k, k - 1), [hi, lo, lo, hi, sub])
-    part = _tower(seed_id, k - 2, r2)
-    return blowup(base_pentagon(k - 1, k), [part] * 5)
+    return _nest(_tower(seed_id, k - 2, r2), k - 1, k)
 
 
 def build_lower(
@@ -290,19 +288,11 @@ def assemble_case3(
 def _mixed(k: int, s: int) -> EdgeColoring:
     if s == k:
         return _tower("kipas(4)", k, None)
-    if s == 0:
-        return EdgeColoring(2, k, (k,))
-    if s == 1:
-        edge = mono_complete(2, k)
-        return join(edge, edge, 1)
-    inner = _mixed(k - 2, s - 2)
-    # reserve colors s-1 and s for the pentagon; everything above shifts up
-    shifted = relabel_colors(
-        inner,
-        {c: (c if c <= s - 2 else c + 2) for c in range(1, k - 1)},
-        new_k=k,
-    )
-    return blowup(base_pentagon(s - 1, s), [shifted] * 5)
+    # one edge in color k, or two joined in color 1 when s is odd, in pentagons up to s
+    core = mono_complete(2, k)
+    if s % 2:
+        core = join(core, core, 1)
+    return _nest(core, 1 + s % 2, s)
 
 
 def build_mixed(k: int, s: int, certify: bool = True) -> EdgeColoring:

@@ -138,15 +138,17 @@ def _rainbow_row(c: EdgeColoring, nbr, x: int) -> tuple[Optional[tuple[int, int,
     return None, pairs
 
 
-def _rainbow_scan(c: EdgeColoring, nbr) -> tuple[Optional[tuple[int, int, int]], int]:
-    """The lexicographically first rainbow triple, and the pairs scanned."""
+def _rainbow_scan(c: EdgeColoring, nbr) -> tuple[tuple[int, int, int], int]:
+    """The lexicographically first rainbow triple, and the pairs scanned, on a
+    coloring the module walk found a rainbow in: finding none breaks an invariant."""
     pairs = 0
     for x in range(c.n - 2):
         witness, row_pairs = _rainbow_row(c, nbr, x)
         pairs += row_pairs
         if witness is not None:
             return witness, pairs
-    return None, pairs
+    raise DecompositionInvariantError(
+        "the module walk found a rainbow triangle that the scan does not")
 
 
 def _bits(mask: int) -> list[int]:
@@ -312,15 +314,6 @@ def _module_walk(c: EdgeColoring, nbr) -> tuple[bool, Optional[list[int]]]:
     return False, root
 
 
-def _rainbow_witness(c: EdgeColoring, nbr) -> tuple[tuple[int, int, int], int]:
-    """The scan's witness on a coloring the module walk found a rainbow in."""
-    witness, pairs = _rainbow_scan(c, nbr)
-    if witness is None:
-        raise DecompositionInvariantError(
-            "the module walk found a rainbow triangle that the scan does not")
-    return witness, pairs
-
-
 def rainbow_check(c: EdgeColoring, nbr) -> tuple[Optional[tuple[int, int, int]], int]:
     """The lexicographically first rainbow triple, or None, and the pairs scanned.
 
@@ -328,7 +321,7 @@ def rainbow_check(c: EdgeColoring, nbr) -> tuple[Optional[tuple[int, int, int]],
     """
     if not _module_walk(c, nbr)[0]:
         return None, 0
-    return _rainbow_witness(c, nbr)
+    return _rainbow_scan(c, nbr)
 
 
 def find_rainbow_triangle(c: EdgeColoring) -> Optional[tuple[int, int, int]]:
@@ -352,7 +345,7 @@ def gallai_partition(c: EdgeColoring) -> GallaiPartition:
     nbr = color_neighbor_masks(c)
     rainbow, root = _module_walk(c, nbr)
     if rainbow:
-        raise RainbowTriangleError(_rainbow_witness(c, nbr)[0])
+        raise RainbowTriangleError(_rainbow_scan(c, nbr)[0])
     if root is None:
         root = _root_split(c, nbr, (1 << c.n) - 1)
     parts = sorted(tuple(_bits(m)) for m in root)

@@ -127,7 +127,8 @@ def _completion_tables(
     iff edge shift + i is in color c, tab[x] keeps the masks whose edges in
     that byte all are: it is the AND of nb[d] over the mask edges d of the
     byte missing from x, where bit t of nb[d] is set iff mask t does not
-    contain d.  Colors that forbid the same pattern share their entries.
+    contain d; doubling over the byte's 8 edges builds the 256 entries with
+    one AND each.  Colors that forbid the same pattern share their entries.
 
     The build reads patterns.pattern_shapes and makes no image.  On a
     subset with edge-index row row, the shapes whose last local pair is p
@@ -163,15 +164,13 @@ def _completion_tables(
             alive = (1 << width[pos]) - 1
             slices = []
             for shift in sorted({d & ~7 for d in has_e}):
-                nb = [alive ^ has_e.get(shift + i, 0) for i in range(8)]
-                # lo[m], hi[m] = AND of nb over the bits of m in the low and
-                # the high nibble, so f[16 * a + b] = hi[a] & lo[b]
-                lo, hi = [alive], [alive]
-                for i in range(4):
-                    lo += [f & nb[i] for f in lo]
-                    hi += [f & nb[4 + i] for f in hi]
-                # x names the edges in the color, 255 - x the missing ones
-                slices.append((shift, tuple([h & l for h in reversed(hi) for l in reversed(lo)])))
+                # f[y] = AND of nb[shift + i] over the bits i of y; x names
+                # the edges in the color, so tab[x] = f[255 - x]
+                f = [alive]
+                for i in range(8):
+                    nb = alive ^ has_e.get(shift + i, 0)
+                    f += [g & nb for g in f]
+                slices.append((shift, tuple(f[::-1])))
             entry = (alive, tuple(slices))
             for color in colors:
                 table[pos][color] = entry
