@@ -26,8 +26,8 @@ _EXPORTS = {
     ),
     "construct": (
         "ConstructionError", "EqualColorsError", "NoFixtureAndSearchFailedError",
-        "ParityViolationError", "assemble_case3", "base_pentagon", "build_kipas_aux",
-        "build_lower", "build_mixed", "extremal_two_coloring", "mono_complete",
+        "ParityViolationError", "base_pentagon", "build_kipas_aux", "build_lower",
+        "build_mixed", "extremal_two_coloring", "mono_complete",
     ),
     "decompose": (
         "DecompositionError", "GallaiPartition", "InvalidPartitionError",

@@ -3,12 +3,16 @@
 Everything here assembles edge colorings that avoid a monochromatic target
 pattern in every color (or, for the mixed family, a fan in low colors and a
 two-edge path in high colors) while staying rainbow-triangle-free.  Every
-tower nests blow-ups of two-colored pentagons (_nest) and realizes a
-closed-form size in formulas; every public builder certifies its output
-with detect.verify before returning.
+tower nests blow-ups of two-colored pentagons (_nest).  Every public
+builder ends in one step, _built: it refuses a size over VERTEX_BUDGET,
+builds, checks the size against its closed form (from formulas for the
+towers), and then certifies with detect.verify; a failed certificate
+raises CertificationError carrying the VerificationReport.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from .coloring import EdgeColoring, _check_k, blowup, edge_list, join
 from .decompose import color_neighbor_masks
@@ -45,17 +49,25 @@ class CertificationError(ConstructionError):
         self.report = report
 
 
-def _check_size(n: int, label: str) -> None:
-    if n > VERTEX_BUDGET:
+def _built(label: str, expect: int, make: Callable[[], EdgeColoring],
+           forbid: dict[int, str], certify: bool) -> EdgeColoring:
+    """make() on expect vertices, certified to avoid forbid[color] in each color.
+
+    The budget is checked before anything is built, and forbid is resolved
+    only when certifying, so an uncertified build never parses its ids.
+    """
+    if expect > VERTEX_BUDGET:
         raise RangeViolationError(
-            f"{label} would have {n} vertices, over the budget of {VERTEX_BUDGET}"
+            f"{label} would have {expect} vertices, over the budget of {VERTEX_BUDGET}"
         )
-
-
-def _certify(c: EdgeColoring, spec: AvoidanceSpec, label: str) -> None:
-    report = verify(c, spec)
-    if not report.passed:
-        raise CertificationError(f"{label} failed certification", report)
+    c = make()
+    if c.n != expect:
+        raise ConstructionError(f"{label} built {c.n} vertices; want {expect}")
+    if certify:
+        report = verify(c, AvoidanceSpec.from_map(forbid))
+        if not report.passed:
+            raise CertificationError(f"{label} failed certification", report)
+    return c
 
 
 def mono_complete(n: int, color: int = 1, k: int | None = None) -> EdgeColoring:
@@ -151,13 +163,8 @@ def extremal_two_coloring(
     """
     cid = canonical_id(target)
     n = ramsey_two(cid, r2) - 1
-    maker = _SEEDS.get(cid)
-    c = maker() if maker is not None else _searched_extremal(cid, n)
-    if c.n != n:
-        raise ConstructionError(f"extremal for {cid} has {c.n} vertices, want {n}")
-    if certify:
-        _certify(c, AvoidanceSpec.forbid_all(cid, 2), f"extremal({cid})")
-    return c
+    maker = _SEEDS.get(cid) or (lambda: _searched_extremal(cid, n))
+    return _built(f"extremal_two_coloring({cid})", n, maker, dict.fromkeys((1, 2), cid), certify)
 
 
 def _nest(core: EdgeColoring, first: int, last: int) -> EdgeColoring:
@@ -191,13 +198,6 @@ def _clique_cover_ok(c: EdgeColoring, color: int, order: int) -> bool:
     return True
 
 
-def _check_even_fan(m: int, k: int) -> None:
-    if m < 2 or m % 2:
-        raise ParityViolationError(f"need even m >= 2, got {m}")
-    if k < 4 or k % 2:
-        raise ParityViolationError(f"need even k >= 4, got {k}")
-
-
 def build_kipas_aux(
     m: int, k: int, top_color: int, certify: bool = True
 ) -> EdgeColoring:
@@ -206,23 +206,18 @@ def build_kipas_aux(
     (m/2) * 5^((k-2)/2) vertices; the top_color class is a disjoint union of
     K_{m/2} cliques, and no other color holds a monochromatic kipas(m).
     """
-    _check_even_fan(m, k)
+    if m < 2 or m % 2:
+        raise ParityViolationError(f"need even m >= 2, got {m}")
+    if k < 4 or k % 2:
+        raise ParityViolationError(f"need even k >= 4, got {k}")
     if top_color not in (k - 1, k):
         raise RangeViolationError(f"top color must be {k - 1} or {k}, got {top_color}")
     expect = (m // 2) * 5 ** ((k - 2) // 2)
-    _check_size(expect, f"build_kipas_aux({m}, {k})")
-    c = _aux(m, k, top_color)
-    if c.n != expect:
-        raise ConstructionError("auxiliary tower size drifted")
-    if certify:
-        if not _clique_cover_ok(c, top_color, m // 2):
-            raise CertificationError(
-                f"top color {top_color} is not a disjoint K_{m // 2} cover"
-            )
-        spec = AvoidanceSpec.from_map(
-            {i: f"kipas({m})" for i in range(1, k - 1)}
-        )
-        _certify(c, spec, f"build_kipas_aux({m}, {k}, {top_color})")
+    forbid = dict.fromkeys(range(1, k - 1), f"kipas({m})")
+    c = _built(f"build_kipas_aux({m}, {k}, {top_color})", expect,
+               lambda: _aux(m, k, top_color), forbid, certify)
+    if certify and not _clique_cover_ok(c, top_color, m // 2):
+        raise CertificationError(f"top color {top_color} is not a disjoint K_{m // 2} cover")
     return c
 
 
@@ -262,27 +257,9 @@ def build_lower(
     expect = g_value(target, k, r2)
     _check_k(k)  # before the towers, whose inner k would be the one named
     cid = canonical_id(target)
-    _check_size(expect, f"build_lower({cid}, {k})")
-    c = _tower(_tower_seed(cid, k), k, r2)
-    if c.n != expect:
-        raise ConstructionError(f"built {c.n} vertices for {cid}, k={k}; want {expect}")
-    if certify:
-        _certify(c, AvoidanceSpec.forbid_all(cid, k), f"build_lower({cid}, {k})")
-    return c
-
-
-def assemble_case3(
-    m: int, k: int, r2: int | None = None, certify: bool = True
-) -> EdgeColoring:
-    """Five-part assembly for an even fan at even k: parity-checked build_lower.
-
-    build_lower takes this branch for every even fan at even k >= 4
-    (pentagon with cycle color k and chord color k-1, two top-color-k
-    towers at cycle distance two, two top-color-(k-1) towers adjacent on
-    the cycle, one k-2 tower in the last slot).
-    """
-    _check_even_fan(m, k)
-    return build_lower(f"kipas({m})", k, r2=r2, certify=certify)
+    forbid = dict.fromkeys(range(1, k + 1), cid)
+    return _built(f"build_lower({cid}, {k})", expect,
+                  lambda: _tower(_tower_seed(cid, k), k, r2), forbid, certify)
 
 
 def _mixed(k: int, s: int) -> EdgeColoring:
@@ -299,15 +276,5 @@ def build_mixed(k: int, s: int, certify: bool = True) -> EdgeColoring:
     """Coloring with no kipas(4) in colors 1..s and no P3 in colors s+1..k."""
     expect = w_value(k, s)  # checks k and s
     _check_k(k)
-    _check_size(expect, f"build_mixed({k}, {s})")
-    c = _mixed(k, s)
-    if c.n != expect:
-        raise ConstructionError(f"built {c.n} vertices for s={s}, k={k}; want {expect}")
-    if certify:
-        per_color: dict[int, str] = {}
-        for i in range(1, s + 1):
-            per_color[i] = "kipas(4)"
-        for j in range(s + 1, k + 1):
-            per_color[j] = "path(3)"
-        _certify(c, AvoidanceSpec.from_map(per_color), f"build_mixed({k}, {s})")
-    return c
+    forbid = {i: "kipas(4)" if i <= s else "path(3)" for i in range(1, k + 1)}
+    return _built(f"build_mixed({k}, {s})", expect, lambda: _mixed(k, s), forbid, certify)

@@ -6,10 +6,11 @@ import gallaikit.construct as construct_module
 from gallaikit.coloring import EdgeColoring, edge_list, join, parse, serialize
 from gallaikit.construct import (
     VERTEX_BUDGET,
+    CertificationError,
+    ConstructionError,
     EqualColorsError,
     ParityViolationError,
     _clique_cover_ok,
-    assemble_case3,
     base_pentagon,
     build_kipas_aux,
     build_lower,
@@ -28,7 +29,7 @@ from gallaikit.formulas import (
     ramsey_two,
     w_value,
 )
-from gallaikit.patterns import resolve
+from gallaikit.patterns import TooLargeError, canonical_id, resolve
 
 
 def test_base_pentagon_shape():
@@ -117,26 +118,6 @@ def test_build_kipas_aux_rejects_bad_parity():
         build_kipas_aux(2, 4, 2)
 
 
-def test_assemble_case3_small():
-    c = assemble_case3(2, 4, certify=True)
-    assert c.n == 25
-    c = assemble_case3(4, 4, certify=True)
-    assert c.n == 49
-
-
-def test_assemble_case3_is_build_lower_for_even_fans():
-    for m, k in ((2, 4), (4, 4), (2, 6)):
-        assert assemble_case3(m, k, certify=False) == build_lower(
-            f"kipas({m})", k, certify=False), (m, k)
-
-
-def test_assemble_case3_rejects_bad_parity():
-    with pytest.raises(ParityViolationError):
-        assemble_case3(3, 4)
-    with pytest.raises(ParityViolationError):
-        assemble_case3(2, 5)
-
-
 def test_clique_cover_check():
     # color 1: two disjoint triangles; color 2: the cross edges
     two_triangles = join(mono_complete(3, 1), mono_complete(3, 1), 2)
@@ -151,13 +132,6 @@ def test_clique_cover_check():
     assert cross.color(0, 3) == 1
     assert not _clique_cover_ok(cross, 1, 3)
     assert not _clique_cover_ok(cross, 1, 6)
-
-
-def test_assemble_case3_rejects_unlisted_fan_without_r2():
-    # materializing m outside {2,4} further needs a searchable two-color
-    # base, so only the precondition is exercised here
-    with pytest.raises(MissingR2Error):
-        assemble_case3(6, 4)
 
 
 def test_build_lower_matches_g_for_the_grid():
@@ -290,6 +264,85 @@ def test_builders_refuse_sizes_over_the_vertex_budget(monkeypatch):
         build_kipas_aux(200, 12, 12)
     # the largest towers that are meant to be built still fit
     assert g_value("h1", 10) == 5000 and g_value("kipas(4)", 10) == 6249 < VERTEX_BUDGET
+
+
+# each public builder, its arguments, the private maker it builds with, and
+# the coloring that maker must return: (n, k)
+_MAKERS = [
+    (build_lower, ("h1", 3), "_tower", (20, 3)),
+    (build_mixed, (4, 3), "_mixed", (20, 4)),
+    (build_kipas_aux, (2, 4, 4), "_aux", (5, 4)),
+]
+
+
+def test_builders_refuse_a_maker_of_the_wrong_size(monkeypatch):
+    for build, args, maker, (n, k) in _MAKERS:
+        monkeypatch.setattr(construct_module, maker, lambda *a, n=n, k=k: mono_complete(n - 1, 1, k))
+        with pytest.raises(ConstructionError, match=rf"^{build.__name__}\(.* built {n - 1} "
+                           rf"vertices; want {n}$"):
+            build(*args, certify=False)
+    monkeypatch.setitem(construct_module._SEEDS, "h5", lambda: mono_complete(8, 1, 2))
+    with pytest.raises(ConstructionError, match=r"^extremal_two_coloring\(h5\) built 8 "):
+        extremal_two_coloring("h5", certify=False)
+
+
+def test_builders_refuse_a_maker_that_holds_the_target(monkeypatch):
+    # one color on the right number of vertices holds every target of that size
+    for build, args, maker, (n, k) in _MAKERS:
+        monkeypatch.setattr(construct_module, maker, lambda *a, n=n, k=k: mono_complete(n, 1, k))
+        assert build(*args, certify=False).n == n
+        with pytest.raises(CertificationError, match=rf"^{build.__name__}\(") as info:
+            build(*args)
+        assert info.value.report is not None and not info.value.report.passed
+        assert info.value.report.mono_witnesses, build.__name__
+    monkeypatch.setitem(construct_module._SEEDS, "h5", lambda: mono_complete(9, 1, 2))
+    with pytest.raises(CertificationError, match=r"^extremal_two_coloring\(h5\)") as info:
+        extremal_two_coloring("h5")
+    assert not info.value.report.passed
+
+
+def test_build_kipas_aux_refuses_a_top_color_that_is_no_clique_cover(monkeypatch):
+    # colors 1 and 4 both 5-cycles: no triangle, so no kipas(2), in color 1,
+    # but color 4 is not a cover by K_1
+    monkeypatch.setattr(construct_module, "_aux", lambda *a: base_pentagon(1, 4))
+    assert build_kipas_aux(2, 4, 4, certify=False) == base_pentagon(1, 4)
+    with pytest.raises(CertificationError, match="not a disjoint K_1 cover") as info:
+        build_kipas_aux(2, 4, 4)
+    assert info.value.report is None
+
+
+def test_each_builder_certifies_against_its_own_spec(monkeypatch):
+    specs = []
+
+    def recording(c, spec):
+        specs.append(spec)
+        return verify(c, spec)
+
+    monkeypatch.setattr(construct_module, "verify", recording)
+
+    def spec_of(build, *args):
+        specs.clear()
+        c = build(*args)
+        assert len(specs) == 1, build.__name__
+        assert specs[0].require_gallai
+        return c, dict(specs[0].forbids)
+
+    # the five-part branch, certified
+    c, forbids = spec_of(build_lower, "kipas(4)", 4)
+    assert c.n == 49 and forbids == dict.fromkeys(range(1, 5), "kipas(4)")
+    assert spec_of(build_lower, "h1", 3)[1] == dict.fromkeys(range(1, 4), "h1")
+    fan, path = canonical_id("kipas(4)"), canonical_id("path(3)")
+    assert spec_of(build_mixed, 5, 3)[1] == {1: fan, 2: fan, 3: fan, 4: path, 5: path}
+    assert spec_of(build_mixed, 3, 0)[1] == dict.fromkeys(range(1, 4), path)
+    assert spec_of(build_kipas_aux, 4, 6, 5)[1] == dict.fromkeys(range(1, 5), "kipas(4)")
+    assert spec_of(extremal_two_coloring, "h5")[1] == {1: "h5", 2: "h5"}
+
+
+def test_forbidden_ids_are_resolved_only_when_certifying():
+    # kipas(18) is over the pattern size cap, but the tower itself is small
+    assert build_kipas_aux(18, 4, 4, certify=False).n == 45
+    with pytest.raises(TooLargeError):
+        build_kipas_aux(18, 4, 4, certify=True)
 
 
 # sha256 of b"n k " + colors for every builder over the grid below, so a
