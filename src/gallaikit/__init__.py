@@ -25,9 +25,10 @@ _EXPORTS = {
         "serialize", "write_grc",
     ),
     "construct": (
-        "ConstructionError", "EqualColorsError", "NoFixtureAndSearchFailedError",
-        "ParityViolationError", "base_pentagon", "build_kipas_aux", "build_lower",
-        "build_mixed", "extremal_two_coloring", "mono_complete",
+        "CertificationError", "ConstructionError", "EqualColorsError",
+        "NoFixtureAndSearchFailedError", "ParityViolationError", "base_pentagon",
+        "build_kipas_aux", "build_lower", "build_mixed", "extremal_two_coloring",
+        "mono_complete",
     ),
     "decompose": (
         "DecompositionError", "GallaiPartition", "InvalidPartitionError",
@@ -39,14 +40,16 @@ _EXPORTS = {
         "are_isomorphic", "find_mono_embedding", "verify",
     ),
     "formulas": (
-        "FormulaError", "GrValue", "MissingR2Error", "UnsupportedTargetError",
+        "FormulaError", "GrValue", "MissingR2Error", "RangeViolationError",
+        "UnsupportedTargetError",
         "case3_recurrence_check", "check_inequalities_star", "check_inequalities_star2",
         "conjecture_kipas", "fan_param", "g_value", "gr_mixed_value", "gr_value",
         "ramsey_mixed", "ramsey_two", "w_value",
     ),
     "patterns": (
-        "Pattern", "PatternError", "UnknownPatternError", "canonical_id", "catalog",
-        "chromatic_number", "make_pattern", "resolve",
+        "ParameterRangeError", "Pattern", "PatternError", "TooLargeError",
+        "UnknownPatternError", "canonical_id", "catalog", "chromatic_number",
+        "make_pattern", "resolve",
     ),
     "search": (
         "ScopeExceededError", "SearchError", "SearchOutcome", "SearchProblem",

@@ -17,10 +17,10 @@ of some color d, which the walk replaces by all components of the non-d
 graph inside S; any other split is prime, and by Gallai's theorem a prime
 quotient is rainbow-free exactly when it uses at most 2 colors (with more,
 its rainbow lifts to S through the representatives).  So the quotients alone
-decide; at V the walk first checks the row of vertex 0, which ends most
-inputs with a rainbow at once.  Only a walk that found a rainbow runs the
-O(n^2 k) scan, whose witness, the lexicographically first rainbow triple, is
-the answer; a walk that finds one the scan does not is an internal error.
+decide.  The walk names the witness, the lexicographically first rainbow
+triple: at V it first scans the row of vertex 0, which ends most inputs with
+a rainbow at once, and a walk that then finds a rainbow in a quotient runs
+the O(n^2 k) scan once, from row 1; finding none there is an internal error.
 
 A Gallai partition splits the vertex set into ell >= 2 parts such that any
 two parts meet in a single color and the quotient coloring uses at most two
@@ -120,35 +120,20 @@ def _build_masks(c: EdgeColoring) -> tuple[tuple[int, ...], ...]:
     return tuple(nbr)
 
 
-def _rainbow_row(c: EdgeColoring, nbr, x: int) -> tuple[Optional[tuple[int, int, int]], int]:
-    """The first rainbow (x, y, z) with x < y < z, and the pairs (x, y) tried."""
+def _rainbow_scan(c: EdgeColoring, nbr, rows) -> Optional[tuple[int, int, int]]:
+    """The first rainbow (x, y, z) with x < y < z and x in rows, or None."""
     full = (1 << c.n) - 1
-    pairs = 0
-    for y in range(x + 1, c.n - 1):
-        pairs += 1
-        cxy = c.color(x, y)
-        same = 0
-        for row in nbr:
-            same |= row[x] & row[y]
-        above = (full >> (y + 1)) << (y + 1)
-        cand = above & ~(nbr[cxy][x] | nbr[cxy][y]) & ~same
-        if cand:
-            z = (cand & -cand).bit_length() - 1
-            return (x, y, z), pairs
-    return None, pairs
-
-
-def _rainbow_scan(c: EdgeColoring, nbr) -> tuple[tuple[int, int, int], int]:
-    """The lexicographically first rainbow triple, and the pairs scanned, on a
-    coloring the module walk found a rainbow in: finding none breaks an invariant."""
-    pairs = 0
-    for x in range(c.n - 2):
-        witness, row_pairs = _rainbow_row(c, nbr, x)
-        pairs += row_pairs
-        if witness is not None:
-            return witness, pairs
-    raise DecompositionInvariantError(
-        "the module walk found a rainbow triangle that the scan does not")
+    for x in rows:
+        for y in range(x + 1, c.n - 1):
+            cxy = c.color(x, y)
+            same = 0
+            for row in nbr:
+                same |= row[x] & row[y]
+            above = (full >> (y + 1)) << (y + 1)
+            cand = above & ~(nbr[cxy][x] | nbr[cxy][y]) & ~same
+            if cand:
+                return x, y, (cand & -cand).bit_length() - 1
+    return None
 
 
 def _bits(mask: int) -> list[int]:
@@ -283,12 +268,15 @@ def _colors_within(c: EdgeColoring, nbr, s: int, members: list[int]) -> int:
     return used
 
 
-def _module_walk(c: EdgeColoring, nbr) -> tuple[bool, Optional[list[int]]]:
+def _module_walk(
+    c: EdgeColoring, nbr
+) -> tuple[Optional[tuple[int, int, int]], Optional[list[int]]]:
     """Decide rainbow-freeness down the module tree (module docstring).
 
-    Returns (True, None) when c has a rainbow triangle.  Otherwise returns
-    (False, root), root being the split of V that the walk computed, or None
-    when V needed none (under 3 vertices or at most 2 colors).
+    Returns (witness, None) when c has a rainbow triangle, witness being the
+    lexicographically first.  Otherwise returns (None, root), root being the
+    split of V that the walk computed, or None when V needed none (under 3
+    vertices or at most 2 colors).
     """
     full = (1 << c.n) - 1
     root = None
@@ -299,8 +287,10 @@ def _module_walk(c: EdgeColoring, nbr) -> tuple[bool, Optional[list[int]]]:
         if len(members) < 3 or _colors_within(c, nbr, s, members) <= 2:
             continue
         v0 = members[0]
-        if s == full and _rainbow_row(c, nbr, v0)[0] is not None:
-            return True, None
+        if s == full:
+            witness = _rainbow_scan(c, nbr, (v0,))
+            if witness is not None:
+                return witness, None
         parts = _root_split(c, nbr, s)
         if s == full:
             root = parts
@@ -309,24 +299,18 @@ def _module_walk(c: EdgeColoring, nbr) -> tuple[bool, Optional[list[int]]]:
             parts = _co_components(nbr, s, d)
         reps = [(p & -p).bit_length() - 1 for p in parts]
         if _colors_within(c, nbr, sum(1 << r for r in reps), reps) > 2:
-            return True, None
+            witness = _rainbow_scan(c, nbr, range(1, c.n - 2))  # row 0 is clean
+            if witness is None:
+                raise DecompositionInvariantError(
+                    "the module walk found a rainbow triangle that the scan does not")
+            return witness, None
         stack.extend(parts)
-    return False, root
-
-
-def rainbow_check(c: EdgeColoring, nbr) -> tuple[Optional[tuple[int, int, int]], int]:
-    """The lexicographically first rainbow triple, or None, and the pairs scanned.
-
-    The module walk decides; only a coloring it finds a rainbow in is scanned.
-    """
-    if not _module_walk(c, nbr)[0]:
-        return None, 0
-    return _rainbow_scan(c, nbr)
+    return None, root
 
 
 def find_rainbow_triangle(c: EdgeColoring) -> Optional[tuple[int, int, int]]:
     """Lexicographically first triple whose three edges use three colors."""
-    return rainbow_check(c, color_neighbor_masks(c))[0]
+    return _module_walk(c, color_neighbor_masks(c))[0]
 
 
 class GallaiPartition(Record):
@@ -343,9 +327,9 @@ def gallai_partition(c: EdgeColoring) -> GallaiPartition:
     if c.n < 2:
         raise TooSmallError(f"need at least two vertices, got n={c.n}")
     nbr = color_neighbor_masks(c)
-    rainbow, root = _module_walk(c, nbr)
-    if rainbow:
-        raise RainbowTriangleError(_rainbow_scan(c, nbr)[0])
+    witness, root = _module_walk(c, nbr)
+    if witness is not None:
+        raise RainbowTriangleError(witness)
     if root is None:
         root = _root_split(c, nbr, (1 << c.n) - 1)
     parts = sorted(tuple(_bits(m)) for m in root)

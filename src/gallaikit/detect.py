@@ -31,8 +31,8 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from ._record import Record
-from .coloring import ColorRangeError, EdgeColoring
-from .decompose import color_neighbor_masks, rainbow_check
+from .coloring import ColorRangeError, EdgeColoring, edge_index
+from .decompose import color_neighbor_masks, find_rainbow_triangle
 from .patterns import (ISO_CAP, Pattern, TooLargeError, canonical_id, independence_number,
                        kipas_edges, resolve)
 
@@ -183,38 +183,25 @@ def find_mono_embedding(
     return Embedding(color, image)
 
 
-def check_embedding(c: EdgeColoring, pattern: Pattern, emb: Embedding) -> bool:
-    """Re-check an embedding from scratch: injective and edge-preserving."""
-    f = emb.map
-    if len(f) != pattern.m or len(set(f)) != pattern.m:
-        return False
-    if any(not 0 <= v < c.n for v in f):
-        return False
-    if not 1 <= emb.color <= c.k:
-        return False
-    return all(c.color(f[a], f[b]) == emb.color for a, b in pattern.edges)
-
-
 def verify(c: EdgeColoring, spec: AvoidanceSpec) -> VerificationReport:
     """Check a coloring against an avoidance spec, collecting all violations."""
     for color, _ in spec.forbids:
         if not 1 <= color <= c.k:
             raise ColorRangeError(f"color {color} outside 1..{c.k}")
     nbr = color_neighbor_masks(c)
-    rainbow, pairs = rainbow_check(c, nbr) if spec.require_gallai else (None, 0)
+    rainbow = find_rainbow_triangle(c) if spec.require_gallai else None
     witnesses = []
     nodes_total = 0
-    checked = 0
     for color, pid in spec.forbids:
-        pat = resolve(pid)
-        checked += 1
-        image, nodes = _embed_search(c.n, pat, nbr[color])
+        image, nodes = _embed_search(c.n, resolve(pid), nbr[color])
         nodes_total += nodes
         if image is not None:
             witnesses.append(Embedding(color, image))
+    # the scan tries the pairs (x, y), y <= n - 2, in K_{n-1}'s edge order
+    pairs = 0 if rainbow is None else edge_index(c.n - 1, rainbow[0], rainbow[1]) + 1
     return VerificationReport(
         passed=rainbow is None and not witnesses,
         rainbow_witness=rainbow,
         mono_witnesses=tuple(witnesses),
-        stats=CheckStats(pairs, nodes_total, checked),
+        stats=CheckStats(pairs, nodes_total, len(spec.forbids)),
     )

@@ -118,6 +118,18 @@ def plain_embed(c: EdgeColoring, pattern, color: int) -> tuple[int, ...] | None:
     return tuple(image)
 
 
+def check_embedding(c: EdgeColoring, pattern: Pattern, emb: Embedding) -> bool:
+    """Re-check an embedding from scratch: injective and edge-preserving."""
+    f = emb.map
+    if len(f) != pattern.m or len(set(f)) != pattern.m:
+        return False
+    if any(not 0 <= v < c.n for v in f):
+        return False
+    if not 1 <= emb.color <= c.k:
+        return False
+    return all(c.color(f[a], f[b]) == emb.color for a, b in pattern.edges)
+
+
 def plain_are_isomorphic(p: Pattern, q: Pattern) -> bool:
     """Backtracking isomorphism test for patterns up to ISO_CAP vertices.
 

@@ -587,7 +587,7 @@ def test_package_names_resolve():
     # dir() lists the public names before any of them is first used
     fresh = _child(code="import gallaikit\n"
                         "assert set(gallaikit.__all__) <= set(dir(gallaikit))\n"
-                        "assert len(gallaikit.__all__) == 74")
+                        "assert len(gallaikit.__all__) == 78")
     assert fresh.returncode == 0, fresh.stderr
     for name in gallaikit.__all__:
         assert getattr(gallaikit, name) is not None

@@ -301,6 +301,14 @@ def test_builders_refuse_a_maker_that_holds_the_target(monkeypatch):
     assert not info.value.report.passed
 
 
+def test_package_certification_error_catches_a_failed_certificate(monkeypatch):
+    import gallaikit
+
+    monkeypatch.setattr(construct_module, "_tower", lambda *a: mono_complete(20, 1, 3))
+    with pytest.raises(gallaikit.CertificationError, match=r"^build_lower\("):
+        gallaikit.build_lower("h1", 3)
+
+
 def test_build_kipas_aux_refuses_a_top_color_that_is_no_clique_cover(monkeypatch):
     # colors 1 and 4 both 5-cycles: no triangle, so no kipas(2), in color 1,
     # but color 4 is not a cover by K_1

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     buffer_inputs,
+    check_embedding,
     naive_images,
     naive_mono,
     naive_rainbow,
@@ -38,7 +39,6 @@ from gallaikit.detect import (
     Embedding,
     _embedding_order,
     are_isomorphic,
-    check_embedding,
     find_mono_embedding,
     verify,
 )
@@ -207,9 +207,44 @@ def test_rainbow_free_verify_scans_no_pairs():
 
 
 def test_walk_and_scan_disagreement_is_an_invariant_error(monkeypatch):
-    monkeypatch.setattr(decompose, "_module_walk", lambda c, nbr: (True, None))
-    with pytest.raises(DecompositionInvariantError):
-        verify(mono_complete(5, 1, k=3), AvoidanceSpec((), True))
+    # the walk sees the rainbow in the quotient of V, but the scan finds none
+    monkeypatch.setattr(decompose, "_rainbow_scan", lambda c, nbr, rows: None)
+    c = make_coloring(3, 3, {(0, 1): 1, (0, 2): 2, (1, 2): 3})
+    for call in (lambda: verify(c, AvoidanceSpec((), True)),
+                 lambda: gallai_partition(c), lambda: find_rainbow_triangle(c)):
+        with pytest.raises(DecompositionInvariantError,
+                           match="the module walk found a rainbow triangle that the scan does not"):
+            call()
+
+
+def test_no_row_is_scanned_twice(monkeypatch):
+    # the walk names the witness: the row-0 probe's, or one scan from row 1
+    scan = decompose._rainbow_scan
+    given = []
+    monkeypatch.setattr(decompose, "_rainbow_scan",
+                        lambda c, nbr, rows: given.extend(rows) or scan(c, nbr, rows))
+
+    def partition_witness(c):
+        try:
+            gallai_partition(c)
+        except RainbowTriangleError as exc:
+            return exc.witness
+        return None
+
+    free = random_gallai_blowup(random.Random(34), 40, 4)
+    cmap = dict(free.items())
+    cmap[(0, 1)], cmap[(0, 2)], cmap[(1, 2)] = 1, 2, 3
+    row0 = make_coloring(free.n, free.k, cmap)
+    deep = join(free, row0, 1)  # vertex 0's row is clean, the rainbow is a module's
+    m = free.n
+    for c, want, rows in ((row0, (0, 1, 2), [0]),
+                          (deep, (m, m + 1, m + 2), list(range(deep.n - 2))),
+                          (free, None, [0])):
+        for run in (lambda: verify(c, AvoidanceSpec((), True)).rainbow_witness,
+                    lambda: partition_witness(c)):
+            given.clear()
+            assert run() == want
+            assert given == rows
 
 
 @pytest.fixture
