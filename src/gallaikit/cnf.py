@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain, combinations, permutations, repeat
+from math import comb
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -159,11 +160,11 @@ def encode_cnf(problem: SearchProblem) -> CnfDocument:
     n, k = problem.n, problem.k
     if n < 2:
         raise CnfError(f"need n >= 2, got {n}")
-    triangles = problem.rainbow_triangles()
-    rainbow = len(triangles) * k * (k - 1) * (k - 2)  # one clause per color triple
+    rainbow = comb(n, 3) * k * (k - 1) * (k - 2) if problem.require_gallai else 0
     if rainbow > IMAGE_BUDGET:
         raise TooLargeError(f"K_{n} with {k} colors has {rainbow} rainbow clauses, "
                             f"over the image budget of {IMAGE_BUDGET}")
+    triangles = problem.rainbow_triangles()
     e_total = edge_count(n)
     num_vars = e_total * k
     # neg[c][e] = the literal -v(e, c) as text; a dict, so that an edge index
@@ -173,7 +174,7 @@ def encode_cnf(problem: SearchProblem) -> CnfDocument:
     lines = [" ".join(map(str, range(v + 1, v + k + 1))) for v in range(0, num_vars, k)]
     pairs = list(combinations(range(1, k + 1), 2))
     lines += [f"{neg[c1][e]} {neg[c2][e]}" for e in range(e_total) for c1, c2 in pairs]
-    triples = list(permutations(range(1, k + 1), 3))
+    triples = list(permutations(range(1, k + 1), 3)) if triangles else []  # 16.4 million at k = 255
     images = {c: imgs for colors, imgs in problem.forbidden_images() for c in colors}
     try:
         lines += [f"{neg[c1][xy]} {neg[c2][xz]} {neg[c3][yz]}"

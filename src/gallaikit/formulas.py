@@ -3,11 +3,11 @@ and Gallai-Ramsey values for the supported patterns.
 
 g_value(target, k) is the number of vertices of the best known k-coloring
 avoiding a monochromatic target (the builders in construct reproduce these
-sizes exactly); gr_value is that plus one.  It is one closed form, the
-general lower bound for chi(H) = 3 in |H|, R2 and whether H is an even fan;
-h10 takes the kipas(2) tower from k = 3 on.  w_value / gr_mixed_value cover
-the mixed family where colors 1..s forbid the fan kipas(4) and the remaining
-colors forbid path(3).
+sizes exactly); gr_value is that plus one, stated only for the targets in
+THEOREMS.  g_value is one closed form, the general lower bound for
+chi(H) = 3 in |H|, R2 and whether H is an even fan; h10 takes the kipas(2)
+tower from k = 3 on.  w_value / gr_mixed_value cover the mixed family where
+colors 1..s forbid the fan kipas(4) and the remaining colors forbid path(3).
 """
 
 from __future__ import annotations
@@ -47,6 +47,12 @@ R2_TABLE: dict[str, int] = {
     "kipas(3)": 10,
     "kipas(4)": 10,
 }
+
+# the targets whose Gallai-Ramsey number the source paper proves: the
+# five-vertex graphs of its unified proof and the fans kipas(m), m <= 4.
+# gr_value reads this; an R2_TABLE entry alone makes no theorem.
+THEOREMS = ("h1", "h2", "h3", "h4", "h5", "h6", "h10", "h11", "h12",
+            "kipas(2)", "kipas(3)", "kipas(4)")
 
 # mixed two-target Ramsey numbers, keyed by sorted id pair
 MIXED_R2_TABLE: dict[tuple[str, str], int] = {
@@ -162,59 +168,48 @@ def g_value(target: str, k: int, r2: int | None = None) -> int:
     return _size(h, m is not None and m % 2 == 0, k, ramsey_two(seed, r2))
 
 
-def w_value(k: int, s: int) -> int:
-    """Largest known coloring avoiding kipas(4) in colors 1..s, path(3) above."""
+def _mixed_case(k: int, s: int) -> tuple[int, str]:
+    """(size, branch) of the mixed family: s = 0, s = k, then s even or odd."""
     _check_k(k)
     if s < 0 or s > k:
         raise RangeViolationError(f"need 0 <= s <= k, got s={s} k={k}")
     if s == 0:
-        return 2
+        return 2, "s=0"
     if s == k:
-        return g_value("kipas(4)", k)
+        return g_value("kipas(4)", k), "s=k:" + ("even" if k % 2 == 0 else "odd")
     if s % 2 == 0:
-        return 2 * 5 ** (s // 2)
-    return 4 * 5 ** ((s - 1) // 2)
+        return 2 * 5 ** (s // 2), "s-even"
+    return 4 * 5 ** ((s - 1) // 2), "s-odd"
+
+
+def w_value(k: int, s: int) -> int:
+    """Largest known coloring avoiding kipas(4) in colors 1..s, path(3) above."""
+    return _mixed_case(k, s)[0]
 
 
 def gr_value(target: str, k: int) -> GrValue:
-    """Gallai-Ramsey number of a supported target; always g_value + 1."""
+    """Gallai-Ramsey number of a target in THEOREMS; always g_value + 1.
+
+    Any other target is refused, even one with an R2_TABLE entry: a
+    two-color value alone makes no theorem.
+    """
     _check_k(k)
     cid = canonical_id(target)
     m = fan_param(cid)
-    if cid == "h10":
-        family = "h10"
-    elif m is not None:
-        family = f"fan(m={m})"
-        if f"kipas({m})" not in R2_TABLE:
-            raise UnsupportedTargetError(
-                f"only conjectured for {cid}; use conjecture_kipas with r2"
-            )
-    elif cid in R2_TABLE:
-        family = "five-vertex"
-    else:
-        raise UnsupportedTargetError(f"no Gallai-Ramsey theorem for {cid}")
-    if k == 1:
-        tag = "k=1"
-    elif k == 2:
-        tag = "k=2"
-    elif k % 2 == 0:
-        tag = "even-k"
-    else:
-        tag = "odd-k"
+    if cid not in THEOREMS:
+        raise UnsupportedTargetError(
+            f"no Gallai-Ramsey theorem for {cid}" if m is None
+            else f"only conjectured for {cid}; use conjecture_kipas with r2")
+    family = "h10" if cid == "h10" else "five-vertex" if m is None else f"fan(m={m})"
+    tag = f"k={k}" if k <= 2 else "odd-k" if k % 2 else "even-k"
     via = " via kipas(4)" if cid == "h12" else ""
     return GrValue(g_value(cid, k) + 1, f"{family}:{tag}{via}")
 
 
 def gr_mixed_value(k: int, s: int) -> GrValue:
     """Gallai-Ramsey number for kipas(4) in colors 1..s, path(3) elsewhere."""
-    value = w_value(k, s) + 1
-    if s == 0:
-        tag = "s=0"
-    elif s == k:
-        tag = "s=k:" + ("even" if k % 2 == 0 else "odd")
-    else:
-        tag = "s-even" if s % 2 == 0 else "s-odd"
-    return GrValue(value, f"mixed:{tag}")
+    size, branch = _mixed_case(k, s)
+    return GrValue(size + 1, f"mixed:{branch}")
 
 
 def conjecture_kipas(m: int, k: int, r2: int | None = None) -> GrValue:

@@ -27,7 +27,7 @@ from math import comb
 from typing import TYPE_CHECKING, Optional
 
 from ._record import Record
-from .coloring import EdgeColoring, edge_count, edge_index, row_offset
+from .coloring import EdgeColoring, _check_k, edge_count, edge_index, row_offset
 from .patterns import (IMAGE_BUDGET, Pattern, TooLargeError, canonical_id,
                        enumerate_pattern_images, pattern_shapes, resolve)
 
@@ -46,11 +46,13 @@ class ScopeExceededError(SearchError):
 class SearchProblem(Record):
     """Forbidden pattern per color (None = unconstrained) on K_n.
 
-    A problem is refused with TooLargeError when a list that the search or
-    the CNF encoder compiles from it would exceed IMAGE_BUDGET entries: the
-    (edge, color) slots, the at-most-one color pairs per edge, or the
-    triangles when rainbows are forbidden.  The pattern images are counted
-    by patterns.pattern_shapes against the same budget.
+    A problem is refused with ColorRangeError when k is over the palette of
+    EdgeColoring, which every witness and decoded model is, and with
+    TooLargeError when a list that the search or the CNF encoder compiles
+    from it would exceed IMAGE_BUDGET entries: the (edge, color) slots, the
+    at-most-one color pairs per edge, or the triangles when rainbows are
+    forbidden.  The pattern images are counted by patterns.pattern_shapes
+    against the same budget.
     """
 
     n: int
@@ -63,6 +65,7 @@ class SearchProblem(Record):
         if not self.per_color:
             raise SearchError("per_color must list at least one color")
         e_total, k = edge_count(self.n), len(self.per_color)
+        _check_k(k)
         for count, what in ((e_total * k, "edge slots"),
                             (e_total * comb(k, 2), "at-most-one pairs"),
                             (comb(self.n, 3) if self.require_gallai and k >= 3 else 0,

@@ -291,6 +291,22 @@ def test_encode_k_mismatch_is_usage_error(capsys, tmp_path):
     assert code == 2 and "--k" in err
 
 
+def test_colors_over_the_palette_fail_closed_before_any_work(capsys, tmp_path):
+    # every witness and decoded model is an EdgeColoring, which takes at most
+    # 255 colors: encode and search refuse 256 with exit 2, and no file is written
+    cnf = tmp_path / "f.cnf"
+    none256 = ",".join(["none"] * 256)
+    for argv in (("encode", "--n", "3", "--per-color", none256, "--out", str(cnf)),
+                 ("search", "--n", "4", "--per-color", none256)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: k=256 exceeds 255, the most colors a byte holds\n"
+    assert not cnf.exists()
+    none255 = ",".join(["none"] * 255)
+    code, _, _ = run(capsys, "encode", "--n", "3", "--per-color", none255, "--out", str(cnf))
+    assert code == 0 and cnf.exists()
+
+
 def test_catalog_lists_all_patterns(capsys):
     code, rows, _ = run_json(capsys, "catalog")
     assert code == 0 and len(rows) == 12

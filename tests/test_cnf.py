@@ -1,8 +1,11 @@
 import hashlib
 import importlib.util
+import json
+import os
 import random
 import subprocess
 import sys
+import textwrap
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -31,7 +34,7 @@ from gallaikit.cnf import (
 from gallaikit.coloring import edge_count, edge_index, edge_list
 from gallaikit.detect import AvoidanceSpec, verify
 from gallaikit.patterns import IMAGE_BUDGET, TooLargeError, resolve
-from gallaikit.search import SearchProblem
+from gallaikit.search import SearchProblem, exhaustive_check
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -325,6 +328,30 @@ def test_encode_refuses_rainbow_clauses_over_the_budget(monkeypatch):
         encode_cnf(SearchProblem(82, (None,) * 3, require_gallai=True))
 
 
+def test_encode_counts_rainbow_clauses_before_listing_a_triangle(monkeypatch):
+    # C(147, 3) = 518665 triangles pass the problem's own budget, and their
+    # 6 clauses each are refused from the count alone, before any is listed
+    def no_triangles(self):
+        raise AssertionError("the triangles were listed")
+
+    monkeypatch.setattr(SearchProblem, "rainbow_triangles", no_triangles)
+    for n, k, clauses in ((147, 3, 3111990), (60, 10, 24638400), (82, 3, 531360)):
+        with pytest.raises(TooLargeError, match=f"^K_{n} with {k} colors has {clauses} "
+                                                f"rainbow clauses, over the image budget"):
+            encode_cnf(SearchProblem(n, (None,) * k, require_gallai=True))
+    # within the budget the triangles are listed
+    with pytest.raises(AssertionError, match="the triangles were listed"):
+        encode_cnf(SearchProblem(4, (None,) * 3, require_gallai=True))
+
+
+def test_encode_lists_no_color_triple_without_triangles(monkeypatch):
+    # a problem without rainbow clauses lists no color triple: at k = 255
+    # there are k(k-1)(k-2) = 16.4 million of them
+    monkeypatch.setattr(cnf, "permutations", None)
+    assert encode_cnf(SearchProblem(2, (None,) * 255)).num_clauses == 1 + 255 * 254 // 2
+    assert encode_cnf(SearchProblem(9, (None,) * 3)).num_clauses == 36 * 4
+
+
 def _random_problem(rng):
     n, k = rng.randint(2, 9), rng.randint(1, 4)
     ids = [None, "k3", "path(3)", "path(4)", "kipas(2)", "kipas(4)", "h1", "h5", "h10"]
@@ -412,6 +439,66 @@ def test_sat_certificate_files_hash_as_pinned(tmp_path):
     assert {p.name for p in tmp_path.iterdir()} == set(pinned)
     for name, digest in pinned.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_sat_script_runs_a_solver_and_checks_its_answer(tmp_path):
+    # a kissat stub first on PATH answers UNSAT for each *_unsat file and,
+    # for each *_sat file, with the model of exhaustive_check's witness; a
+    # model that colors every edge 1 fails re-verification, and with no
+    # solver on PATH the script exits 2
+    spec = importlib.util.spec_from_file_location(
+        "make_sat_certificates", ROOT / "scripts" / "make_sat_certificates.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    jobs = script.jobs()
+
+    def v_line(k, colors):
+        return "v " + " ".join(str(e * k + c if color == c else -(e * k + c))
+                               for e, color in enumerate(colors) for c in range(1, k + 1)) + " 0"
+
+    witness = {name: v_line(problem.k, exhaustive_check(problem).witness.colors)
+               for name, problem, expected in jobs if expected == "sat"}
+    all_one = {name: v_line(problem.k, [1] * edge_count(problem.n))
+               for name, problem, expected in jobs if expected == "sat"}
+    bin_dir, empty = tmp_path / "bin", tmp_path / "empty"
+    bin_dir.mkdir()
+    empty.mkdir()
+    stub = bin_dir / "kissat"
+    stub.write_text(f"#!{sys.executable}\n" + textwrap.dedent("""\
+        import json, sys
+        from pathlib import Path
+        stem = Path(sys.argv[1]).stem
+        if stem.endswith("_unsat"):
+            print("s UNSATISFIABLE")
+            sys.exit(20)
+        print("s SATISFIABLE")
+        print(json.loads(Path(__file__).with_name("models.json").read_text())[stem])
+        sys.exit(10)
+        """), encoding="ascii")
+    stub.chmod(0o755)
+
+    def run(path, models):
+        (bin_dir / "models.json").write_text(json.dumps(models), encoding="ascii")
+        return subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "make_sat_certificates.py"),
+             "--out-dir", str(tmp_path / "cnf"), "--run"],
+            env={**os.environ, "PATH": path}, capture_output=True, text=True, timeout=120)
+
+    on_path = f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}"
+    proc = run(on_path, witness)
+    assert proc.returncode == 0, proc.stderr
+    assert "using kissat" in proc.stdout
+    for name, _, expected in jobs:
+        assert f"{name}: {expected.upper()} (ok)" in proc.stdout.splitlines(), name
+    proc = run(on_path, all_one)
+    assert proc.returncode == 1
+    for name, _, expected in jobs:
+        if expected == "sat":
+            assert f"{name}: solver model FAILED re-verification" in proc.stderr, name
+        else:
+            assert f"{name}: UNSAT (ok)" in proc.stdout.splitlines(), name
+    proc = run(str(empty), witness)
+    assert proc.returncode == 2 and "no solver on PATH" in proc.stderr
 
 
 def test_dimacs_round_trip():

@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gallaikit import formulas
 from gallaikit.formulas import (
     MAX_K,
     MIXED_R2_TABLE,
@@ -113,12 +116,21 @@ def test_quadrilateral_family_values():
     assert gr_value("h11", 4).value == 46
 
 
-def test_gr_value_refuses_uncovered_targets():
+def test_gr_value_refuses_uncovered_targets(monkeypatch):
     for cid in ("h7", "h8", "h9"):
         with pytest.raises(UnsupportedTargetError):
             gr_value(cid, 3)
     with pytest.raises(UnsupportedTargetError):
         gr_value("kipas(6)", 3)
+    # a two-color value alone makes no theorem: with R2(kipas(5)) and R2(h7)
+    # stored, gr_value still refuses both, and the other consumers read them
+    monkeypatch.setattr(formulas, "R2_TABLE", {**R2_TABLE, "kipas(5)": 12, "h7": 14})
+    with pytest.raises(UnsupportedTargetError, match="only conjectured for kipas"):
+        gr_value("kipas(5)", 3)
+    with pytest.raises(UnsupportedTargetError, match="no Gallai-Ramsey theorem for h7"):
+        gr_value("h7", 3)
+    assert conjecture_kipas(5, 3).value == 26
+    assert g_value("h7", 3) == 26
 
 
 def test_g_value_is_gr_minus_one():
@@ -241,6 +253,24 @@ def test_conjecture_needs_r2_for_unstored_fans():
         conjecture_kipas(6, 3)
     v = conjecture_kipas(6, 3, r2=18)
     assert v.value == 35
+
+
+def test_formula_values_are_pinned():
+    # every stated value and branch tag: the theorems at k = 1..9, the mixed
+    # family for 0 <= s <= k <= 9, and the conjecture for five fans; r2 = 12
+    # is the R2(kipas(5)) that exhaustion gives, and r2 = 15 agrees with the
+    # witness bound R2(kipas(6)) >= 15
+    lines = [f"gr_value({cid}, {k}) = {gv.value} {gv.case_tag}"
+             for cid in sorted(formulas.THEOREMS) for k in range(1, 10)
+             for gv in [gr_value(cid, k)]]
+    lines += [f"gr_mixed_value({k}, {s}) = {gv.value} {gv.case_tag}"
+              for k in range(1, 10) for s in range(k + 1) for gv in [gr_mixed_value(k, s)]]
+    lines += [f"conjecture_kipas({m}, {k}, {r2}) = {gv.value} {gv.case_tag}"
+              for m, r2 in ((2, None), (3, None), (4, None), (5, 12), (6, 15))
+              for k in range(1, 10) for gv in [conjecture_kipas(m, k, r2)]]
+    assert len(lines) == 207
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == "2a325aa38766957239209fef87f659ecca2b3cfdbcddaa0e52a9703601d21ab1"
 
 
 def test_case_tags_distinguish_branches():

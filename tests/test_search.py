@@ -7,6 +7,7 @@ import pytest
 
 from conftest import naive_images, plain_completion_tables, plain_exhaustive_check
 from gallaikit.cnf import encode_cnf
+from gallaikit.coloring import ColorRangeError
 from gallaikit.detect import AvoidanceSpec, verify
 from gallaikit.formulas import ANCHORS
 from gallaikit.patterns import (IMAGE_BUDGET, TooLargeError, catalog, enumerate_pattern_images,
@@ -453,6 +454,9 @@ def test_problem_over_the_budget_is_refused_before_anything_is_built(monkeypatch
         with pytest.raises(TooLargeError, match=f"{what}, over the image budget of "
                                                 f"{IMAGE_BUDGET}"):
             SearchProblem(*args)
+    # a witness is an EdgeColoring, so k is capped by its palette: one rule
+    with pytest.raises(ColorRangeError, match="^k=256 exceeds 255, the most colors a byte"):
+        SearchProblem(3, (None,) * 256)
     # within the budget each list is accepted: C(1024, 2) slots, C(147, 3)
     # triangles; C(148, 3) triangles are counted only with k >= 3 and Gallai on
     assert SearchProblem(1024, (None,)).k == 1
