@@ -1,7 +1,9 @@
 """Command line front end.  One table, COMMANDS, is the only source of what
 each subcommand parses and of what its -h/--help prints; every subcommand
 takes --json for machine-readable output.  GRC files are the only medium
-between commands.
+between commands.  A handler prints nothing: it returns its exit code, its
+JSON payload and its human line, and main prints one of the two, the
+payload under --json.
 
 Exit codes: 0 pass / witness / SAT-decoded, 1 fail / exhausted /
 UNSAT-claim / rainbow input, 2 usage or domain error, which includes
@@ -14,6 +16,7 @@ import atexit
 import gc
 import json
 import os
+import re
 import sys
 from types import SimpleNamespace
 
@@ -39,17 +42,27 @@ _R2_HELP = "two-color Ramsey number, fans only; must match R2_TABLE, else 2m+1 <
 _VALUE_DIGITS = 4300
 
 
+# the integers of the command line follow the rule of every input file:
+# ASCII -?[0-9]+, so '+3', ' 3', '1_0' and non-ASCII digits, which int()
+# would read, are usage errors
+_INTEGER = re.compile(r"-?[0-9]+").fullmatch
+
+
+def _integer(text: str) -> int:
+    if not _INTEGER(text):
+        raise ValueError(f"expected an integer, -?[0-9]+, got {text!r}")
+    return int(text)
+
+
 def _forbid_pair(text: str) -> tuple[int, str]:
     color, sep, pid = text.partition("=")
     if not sep or not pid:
         raise ValueError(f"expected <color>=<patternId>, got {text!r}")
-    try:
-        c = int(color)
-    except ValueError:
-        raise ValueError(f"color must be an integer, got {color!r}")
-    if c < 1:
+    if not _INTEGER(color):
+        raise ValueError(f"color must be an integer, -?[0-9]+, got {color!r}")
+    if int(color) < 1:
         raise ValueError("color must be >= 1")
-    return c, pid
+    return int(color), pid
 
 
 def _per_color_list(text: str) -> tuple[str | None, ...]:
@@ -61,37 +74,32 @@ def _per_color_list(text: str) -> tuple[str | None, ...]:
     return tuple(out)
 
 
-def _emit(args: SimpleNamespace, payload: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(human)
+def _write_out(args: SimpleNamespace, coloring) -> tuple[dict, str]:
+    """Write the coloring to --out, if given: the payload's out key and the
+    human line's tail that say so."""
+    if not args.out:
+        return {}, ""
+    _lib.write_grc(coloring, args.out)
+    return {"out": args.out}, f", written to {args.out}"
 
 
-def _write_if_requested(args: SimpleNamespace, coloring) -> None:
-    if getattr(args, "out", None):
-        _lib.write_grc(coloring, args.out)
-
-
-def _emit_built(args: SimpleNamespace, c) -> int:
-    _write_if_requested(args, c)
+def _built(args: SimpleNamespace, c):
+    _write_out(args, c)  # the build payloads name no file, as CI pins them
     used = [color for color in range(1, c.k + 1) if color in c.colors]
     payload = {"size": c.n, "colors_used": used, "certified": not args.no_certify}
-    _emit(args, payload, f"size {c.n}, colors used {used}, certified {payload['certified']}")
-    return 0
+    return 0, payload, f"size {c.n}, colors used {used}, certified {payload['certified']}"
 
 
-def _cmd_build(args: SimpleNamespace) -> int:
-    return _emit_built(
-        args, _lib.build_lower(args.target, args.k, r2=args.r2, certify=not args.no_certify)
-    )
+def _cmd_build(args: SimpleNamespace):
+    return _built(args, _lib.build_lower(args.target, args.k, r2=args.r2,
+                                         certify=not args.no_certify))
 
 
-def _cmd_build_mixed(args: SimpleNamespace) -> int:
-    return _emit_built(args, _lib.build_mixed(args.k, args.s, certify=not args.no_certify))
+def _cmd_build_mixed(args: SimpleNamespace):
+    return _built(args, _lib.build_mixed(args.k, args.s, certify=not args.no_certify))
 
 
-def _cmd_verify(args: SimpleNamespace) -> int:
+def _cmd_verify(args: SimpleNamespace):
     c = _lib.read_grc(args.file)
     per_color: dict[int, str] = {}
     if args.forbid_all is not None:
@@ -117,39 +125,28 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         },
     }
     if report.passed:
-        human = "pass"
-    else:
-        bits = []
-        if report.rainbow_witness:
-            bits.append(f"rainbow triangle {report.rainbow_witness}")
-        for e in report.mono_witnesses:
-            bits.append(f"color {e.color} copy on {e.map}")
-        human = "fail: " + "; ".join(bits)
-    _emit(args, payload, human)
-    return 0 if report.passed else 1
+        return 0, payload, "pass"
+    bits = [f"rainbow triangle {report.rainbow_witness}"] if report.rainbow_witness else []
+    bits += [f"color {e.color} copy on {e.map}" for e in report.mono_witnesses]
+    return 1, payload, "fail: " + "; ".join(bits)
 
 
-def _cmd_partition(args: SimpleNamespace) -> int:
+def _cmd_partition(args: SimpleNamespace):
     c = _lib.read_grc(args.file)
     try:
         gp = _lib.gallai_partition(c)
     except _lib.RainbowTriangleError as exc:
-        payload = {"rainbow_witness": list(exc.witness)}
-        _emit(args, payload, f"rainbow triangle {exc.witness}")
-        return 1
+        return 1, {"rainbow_witness": list(exc.witness)}, f"rainbow triangle {exc.witness}"
     payload = {
         "parts": [list(p) for p in gp.parts],
         "quotient_colors": list(gp.quotient.colors),
         "ell": gp.ell,
     }
-    human = f"ell {gp.ell}, parts " + " ".join(
-        "{" + ",".join(map(str, p)) + "}" for p in gp.parts
-    )
-    _emit(args, payload, human)
-    return 0
+    return 0, payload, f"ell {gp.ell}, parts " + " ".join(
+        "{" + ",".join(map(str, p)) + "}" for p in gp.parts)
 
 
-def _cmd_formula(args: SimpleNamespace) -> int:
+def _cmd_formula(args: SimpleNamespace):
     if args.r2 is not None and not args.conjecture:
         raise _lib.FormulaError("--r2 applies only with --conjecture")
     if args.s is not None and args.conjecture:
@@ -173,12 +170,11 @@ def _cmd_formula(args: SimpleNamespace) -> int:
         "branch": gv.case_tag,
         "lower_construction_size": gv.value - 1,
     }
-    _emit(args, payload,
-          f"{gv.value}  branch {gv.case_tag}  lower construction {gv.value - 1} vertices")
-    return 0
+    return 0, payload, (f"{gv.value}  branch {gv.case_tag}  "
+                        f"lower construction {gv.value - 1} vertices")
 
 
-def _cmd_search(args: SimpleNamespace) -> int:
+def _cmd_search(args: SimpleNamespace):
     problem = _lib.SearchProblem(args.n, args.per_color, require_gallai=args.gallai)
     outcome = _lib.exhaustive_check(problem, max_nodes=args.max_nodes)
     payload = {
@@ -186,20 +182,14 @@ def _cmd_search(args: SimpleNamespace) -> int:
         "nodes_explored": outcome.nodes_explored,
         "symmetry_reduced": outcome.symmetry_reduced,
     }
-    if outcome.kind == "witness":
-        payload["witness_colors"] = list(outcome.witness.colors)
-        if args.out:
-            _lib.write_grc(outcome.witness, args.out)
-            payload["out"] = args.out
-        _emit(args, payload,
-              f"witness after {outcome.nodes_explored} nodes"
-              + (f", written to {args.out}" if args.out else ""))
-        return 0
-    _emit(args, payload, f"exhausted after {outcome.nodes_explored} nodes, no coloring")
-    return 1
+    if outcome.kind != "witness":
+        return 1, payload, f"exhausted after {outcome.nodes_explored} nodes, no coloring"
+    out, tail = _write_out(args, outcome.witness)
+    payload.update(witness_colors=list(outcome.witness.colors), **out)
+    return 0, payload, f"witness after {outcome.nodes_explored} nodes{tail}"
 
 
-def _cmd_encode(args: SimpleNamespace) -> int:
+def _cmd_encode(args: SimpleNamespace):
     k = len(args.per_color)
     if args.k is not None and args.k != k:
         raise _lib.CnfError(f"--k {args.k} disagrees with --per-color arity {k}")
@@ -214,9 +204,7 @@ def _cmd_encode(args: SimpleNamespace) -> int:
         "clauses": doc.num_clauses,
         "out": args.out,
     }
-    _emit(args, payload,
-          f"{doc.num_vars} vars, {doc.num_clauses} clauses written to {args.out}")
-    return 0
+    return 0, payload, f"{doc.num_vars} vars, {doc.num_clauses} clauses written to {args.out}"
 
 
 def _read_ascii(path: str) -> str:
@@ -227,52 +215,38 @@ def _read_ascii(path: str) -> str:
         raise _lib.CnfError(f"{path}: non-ASCII byte at offset {exc.start}") from None
 
 
-def _cmd_decode(args: SimpleNamespace) -> int:
+def _cmd_decode(args: SimpleNamespace):
     doc = _lib.parse_dimacs(_read_ascii(args.cnf), args.n, args.k)
     model = _lib.parse_model(_read_ascii(args.model))
     if model is None:
-        _emit(args, {"kind": "unsat"}, "UNSAT claim, nothing to decode")
-        return 1
+        return 1, {"kind": "unsat"}, "UNSAT claim, nothing to decode"
     c = _lib.decode_assignment(doc, model)
     if not _lib.assignment_satisfies(doc, model):
         raise _lib.CnfError("model does not satisfy the formula it came with")
-    _write_if_requested(args, c)
-    payload = {"kind": "sat", "n": c.n, "k": c.k, "colors": list(c.colors)}
-    if args.out:
-        payload["out"] = args.out
-    _emit(args, payload,
-          "decoded satisfying coloring"
-          + (f", written to {args.out}" if args.out else ""))
-    return 0
+    out, tail = _write_out(args, c)
+    payload = {"kind": "sat", "n": c.n, "k": c.k, "colors": list(c.colors), **out}
+    return 0, payload, "decoded satisfying coloring" + tail
 
 
-def _cmd_catalog(args: SimpleNamespace) -> int:
-    rows = []
+def _cmd_catalog(args: SimpleNamespace):
+    rows, lines = [], []
     for cid, pattern in _lib.catalog():
-        rows.append({
-            "id": cid,
-            "vertices": pattern.m,
-            "edges": [list(e) for e in sorted(pattern.edges)],
-            "chromatic_number": _lib.chromatic_number(pattern),
-        })
-    if args.json:
-        print(json.dumps(rows))
-    else:
-        for row in rows:
-            edges = " ".join(f"{a}{b}" for a, b in row["edges"])
-            print(f"{row['id']}: {row['vertices']} vertices, "
-                  f"chi {row['chromatic_number']}, edges {edges}")
-    return 0
+        edges = [list(e) for e in sorted(pattern.edges)]
+        chi = _lib.chromatic_number(pattern)
+        rows.append({"id": cid, "vertices": pattern.m, "edges": edges, "chromatic_number": chi})
+        lines.append(f"{cid}: {pattern.m} vertices, chi {chi}, edges "
+                     + " ".join(f"{a}{b}" for a, b in edges))
+    return 0, rows, "\n".join(lines)
 
 
 # command: (help, handler, positionals as (name, help), options), and every
 # command also takes --json and -h/--help.  An option is (name, kind, need,
-# help): its kind is int, str, bool (a flag), a tuple of choices or a function
-# of the text that raises ValueError; its need is _REQUIRED, _REPEATED (the
-# values are appended to a list) or its default.
+# help): its kind is _integer, str, bool (a flag), a tuple of choices or a
+# function of the text that raises ValueError; its need is _REQUIRED,
+# _REPEATED (the values are appended to a list) or its default.
 _REQUIRED, _REPEATED = object(), object()
-_K = ("--k", int, _REQUIRED, "number of colors")
-_N = ("--n", int, _REQUIRED, "host vertices")
+_K = ("--k", _integer, _REQUIRED, "number of colors")
+_N = ("--n", _integer, _REQUIRED, "host vertices")
 _GALLAI = ("--gallai", bool, False, "also forbid rainbow triangles")
 _NO_CERTIFY = ("--no-certify", bool, False, "skip the avoidance re-check (sizes still validated)")
 _GRC_OUT = ("--out", str, None, "write the coloring to this GRC file")
@@ -284,9 +258,9 @@ _HELP = ("-h", "--help")
 COMMANDS = {
     "build": ("materialize a lower-bound coloring", _cmd_build, (), (
         ("--target", str, _REQUIRED, "pattern id, e.g. h10 or kipas(4)"), _K,
-        ("--r2", int, None, _R2_HELP), _GRC_OUT, _NO_CERTIFY)),
+        ("--r2", _integer, None, _R2_HELP), _GRC_OUT, _NO_CERTIFY)),
     "build-mixed": ("materialize a mixed-family lower-bound coloring", _cmd_build_mixed, (), (
-        _K, ("--s", int, _REQUIRED, "colors forbidding kipas(4); the rest forbid path(3)"),
+        _K, ("--s", _integer, _REQUIRED, "colors forbidding kipas(4); the rest forbid path(3)"),
         _GRC_OUT, _NO_CERTIFY)),
     "verify": ("check a GRC file against avoidance flags", _cmd_verify, _FILE, (
         _GALLAI, ("--forbid", _forbid_pair, _REPEATED,
@@ -295,15 +269,15 @@ COMMANDS = {
     "partition": ("compute a Gallai partition of a GRC file", _cmd_partition, _FILE, ()),
     "formula": ("evaluate a Gallai-Ramsey closed form", _cmd_formula, (), (
         ("--target", str, _REQUIRED, "pattern id"), _K,
-        ("--s", int, None, "mixed family: colors forbidding kipas(4) out of k"),
-        ("--r2", int, None, _R2_HELP + " (with --conjecture)"),
+        ("--s", _integer, None, "mixed family: colors forbidding kipas(4) out of k"),
+        ("--r2", _integer, None, _R2_HELP + " (with --conjecture)"),
         ("--conjecture", bool, False, "evaluate the general kipas conjecture, not a theorem"))),
     "search": ("backtracking search for an avoiding coloring", _cmd_search, (), (
         _N, _PER_COLOR, _GALLAI, ("--mode", ("first", "exhaust"), "first",
                                   "first or exhaust; ignored, both run the same search"),
-        ("--max-nodes", int, None, "abort after this many search nodes"), _GRC_OUT)),
+        ("--max-nodes", _integer, None, "abort after this many search nodes"), _GRC_OUT)),
     "encode": ("emit a DIMACS CNF for the same question", _cmd_encode, (), (
-        _N, ("--k", int, None, "number of colors (checked against --per-color)"),
+        _N, ("--k", _integer, None, "number of colors (checked against --per-color)"),
         _PER_COLOR, _GALLAI, ("--out", str, _REQUIRED, "DIMACS output file"))),
     "decode": ("turn a solver model back into a GRC file", _cmd_decode, (), (
         ("--cnf", str, _REQUIRED, "DIMACS file the solver ran on"),
@@ -330,8 +304,8 @@ def _option(token: str, names) -> str | None:
     return None if not found and (number or " " in token) else ""
 
 
-def _help(command: str | None) -> int:
-    """Print the help of a command, or of the program if command is None."""
+def _help(command: str | None):
+    """The help of a command, or of the program if command is None."""
     if command is None:
         usage, summary = "COMMAND", "Build, verify and search rainbow-triangle-free colorings."
         rows = [(name, spec[0]) for name, spec in COMMANDS.items()]
@@ -342,9 +316,8 @@ def _help(command: str | None) -> int:
                                  text + " (required)" * (need is _REQUIRED))
                                 for name, kind, need, text in (*options, _JSON))]
     rows.append((", ".join(_HELP), "show this help and exit"))
-    print("\n".join([f"usage: gallaikit {usage}", "", summary, ""]
-                    + [f"  {left:<22}  {text}" for left, text in rows]))
-    return 0
+    return 0, None, "\n".join([f"usage: gallaikit {usage}", "", summary, ""]
+                              + [f"  {left:<22}  {text}" for left, text in rows])
 
 
 def _parse(argv: list[str]):
@@ -397,7 +370,10 @@ def _parse(argv: list[str]):
 def main(argv=None) -> int:
     try:
         handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
-        return handler(args)
+        code, payload, human = handler(args)
+        # the one stdout write: help has no payload, and --json prints the payload
+        print(human if payload is None or not args.json else json.dumps(payload))
+        return code
     except Exception as exc:
         # a usage, file or library error is the input's fault; anything else is a bug
         if not (isinstance(exc, (UsageError, OSError))

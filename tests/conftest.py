@@ -12,7 +12,8 @@ from itertools import combinations, permutations
 
 from gallaikit.cli import (
     _R2_HELP, _cmd_build, _cmd_build_mixed, _cmd_catalog, _cmd_decode, _cmd_encode,
-    _cmd_formula, _cmd_partition, _cmd_search, _cmd_verify, _forbid_pair, _per_color_list,
+    _cmd_formula, _cmd_partition, _cmd_search, _cmd_verify, _forbid_pair, _integer,
+    _per_color_list,
 )
 from gallaikit.cnf import CnfDocument
 from gallaikit.coloring import EdgeColoring, edge_index, make_coloring
@@ -841,8 +842,9 @@ def plain_completion_tables(problem):
 
 
 def argparse_cli_parser() -> argparse.ArgumentParser:
-    """The CLI's former argparse parser, as it was: the oracle of the
-    option table gallaikit.cli.COMMANDS and the parser that reads it."""
+    """The CLI's former argparse parser, as it was but for its integer type,
+    the CLI's own _integer (ASCII -?[0-9]+, where it had int): the oracle of
+    the option table gallaikit.cli.COMMANDS and the parser that reads it."""
     parser = argparse.ArgumentParser(
         prog="gallaikit",
         description="Build, verify, and search rainbow-triangle-free edge colorings.",
@@ -851,8 +853,8 @@ def argparse_cli_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser("build", help="materialize a lower-bound coloring")
     p.add_argument("--target", required=True, help="pattern id, e.g. h10 or kipas(4)")
-    p.add_argument("--k", type=int, required=True, help="number of colors")
-    p.add_argument("--r2", type=int, help=_R2_HELP)
+    p.add_argument("--k", type=_integer, required=True, help="number of colors")
+    p.add_argument("--r2", type=_integer, help=_R2_HELP)
     p.add_argument("--out", help="write the coloring to this GRC file")
     p.add_argument("--no-certify", action="store_true",
                    help="skip the avoidance re-check (sizes still validated)")
@@ -860,8 +862,8 @@ def argparse_cli_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser("build-mixed",
                               help="materialize a mixed-family lower-bound coloring")
-    p.add_argument("--k", type=int, required=True, help="number of colors")
-    p.add_argument("--s", type=int, required=True,
+    p.add_argument("--k", type=_integer, required=True, help="number of colors")
+    p.add_argument("--s", type=_integer, required=True,
                    help="colors forbidding kipas(4); the rest forbid path(3)")
     p.add_argument("--out", help="write the coloring to this GRC file")
     p.add_argument("--no-certify", action="store_true",
@@ -882,28 +884,28 @@ def argparse_cli_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser("formula", help="evaluate a Gallai-Ramsey closed form")
     p.add_argument("--target", required=True, help="pattern id")
-    p.add_argument("--k", type=int, required=True, help="number of colors")
-    p.add_argument("--s", type=int,
+    p.add_argument("--k", type=_integer, required=True, help="number of colors")
+    p.add_argument("--s", type=_integer,
                    help="mixed family: colors forbidding kipas(4) out of k")
-    p.add_argument("--r2", type=int, help=_R2_HELP + " (with --conjecture)")
+    p.add_argument("--r2", type=_integer, help=_R2_HELP + " (with --conjecture)")
     p.add_argument("--conjecture", action="store_true",
                    help="evaluate the general kipas conjecture instead of a theorem")
     p.set_defaults(func=_cmd_formula)
 
     p = subparsers.add_parser("search", help="backtracking search for an avoiding coloring")
-    p.add_argument("--n", type=int, required=True, help="host vertices")
+    p.add_argument("--n", type=_integer, required=True, help="host vertices")
     p.add_argument("--per-color", type=_per_color_list, required=True, metavar="ID,ID,...",
                    help="pattern per color; 'none' or '-' leaves a color free")
     p.add_argument("--gallai", action="store_true", help="also forbid rainbow triangles")
     p.add_argument("--mode", choices=("first", "exhaust"), default="first",
                    help="ignored: both values run the same search; kept for existing scripts")
-    p.add_argument("--max-nodes", type=int, help="abort after this many search nodes")
+    p.add_argument("--max-nodes", type=_integer, help="abort after this many search nodes")
     p.add_argument("--out", help="write a found witness to this GRC file")
     p.set_defaults(func=_cmd_search)
 
     p = subparsers.add_parser("encode", help="emit a DIMACS CNF for the same question")
-    p.add_argument("--n", type=int, required=True, help="host vertices")
-    p.add_argument("--k", type=int, help="number of colors (checked against --per-color)")
+    p.add_argument("--n", type=_integer, required=True, help="host vertices")
+    p.add_argument("--k", type=_integer, help="number of colors (checked against --per-color)")
     p.add_argument("--per-color", type=_per_color_list, required=True, metavar="ID,ID,...",
                    help="pattern per color; 'none' or '-' leaves a color free")
     p.add_argument("--gallai", action="store_true", help="also forbid rainbow triangles")
@@ -913,8 +915,8 @@ def argparse_cli_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("decode", help="turn a solver model back into a GRC file")
     p.add_argument("--cnf", required=True, help="DIMACS file the solver ran on")
     p.add_argument("--model", required=True, help="solver output file")
-    p.add_argument("--n", type=int, required=True, help="host vertices")
-    p.add_argument("--k", type=int, required=True, help="number of colors")
+    p.add_argument("--n", type=_integer, required=True, help="host vertices")
+    p.add_argument("--k", type=_integer, required=True, help="number of colors")
     p.add_argument("--out", help="write the decoded coloring to this GRC file")
     p.set_defaults(func=_cmd_decode)
 

@@ -31,7 +31,7 @@ from gallaikit.decompose import RainbowTriangleError, gallai_partition
 from gallaikit.detect import AvoidanceSpec, are_isomorphic, find_mono_embedding, verify
 from gallaikit.formulas import (
     ANCHORS,
-    R2_TABLE,
+    THEOREMS,
     case3_recurrence_check,
     check_inequalities_star,
     check_inequalities_star2,
@@ -123,7 +123,7 @@ def test_criterion_4_construction_grid():
 
 def test_criterion_5_formula_regression():
     t0 = time.perf_counter()
-    for cid in R2_TABLE:
+    for cid in THEOREMS:
         assert gr_value(cid, 2).value == ramsey_two(cid), cid
     for m in (2, 3, 4):
         for k in range(1, 11):

@@ -1,4 +1,7 @@
+import contextlib
 import gc
+import hashlib
+import io
 import json
 import os
 import random
@@ -348,6 +351,34 @@ def test_negative_node_budget_is_usage_error(capsys):
     assert code == 2 and err == "error: node budget 0 exhausted\n"
 
 
+def test_integer_options_take_ascii_digits_only(capsys, tmp_path):
+    # int() reads each of these values; a command-line integer, like every
+    # number in an input file, is ASCII -?[0-9]+
+    cnf = tmp_path / "f.cnf"
+    for argv, name in (
+        (("search", "--n", "٣", "--per-color", "k3,k3"), "--n"),
+        (("search", "--n", "+3", "--per-color", "k3,k3"), "--n"),
+        (("search", "--n", " 3", "--per-color", "k3,k3"), "--n"),
+        (("search", "--n", "1_0", "--per-color", "k3,k3"), "--n"),
+        (("search", "--n", "5", "--per-color", "k3,k3", "--max-nodes", "1_000"), "--max-nodes"),
+        (("formula", "--target", "h10", "--k", "٣"), "--k"),
+        (("formula", "--target", "kipas(4)", "--k", "3", "--s", "+1"), "--s"),
+        (("build", "--target", "kipas(4)", "--k", "2", "--r2", "1_0"), "--r2"),
+        (("build-mixed", "--k", "3", "--s", "1 "), "--s"),
+        (("encode", "--n", "4", "--k", "２", "--per-color", "k3,k3", "--out", str(cnf)),
+         "--k"),
+        (("decode", "--cnf", "f.cnf", "--model", "m", "--n", "+4", "--k", "2"), "--n"),
+        (("verify", "c.grc", "--forbid", "١=h1"), "--forbid"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: argument {name}: ") and "-?[0-9]+" in err, argv
+    assert not cnf.exists()
+    # a negative value is an integer, which the library refuses itself
+    code, out, err = run(capsys, "search", "--n", "-1", "--per-color", "k3,k3")
+    assert (code, out, err) == (2, "", "error: need n >= 1, got -1\n")
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["build", "--target", "h10"]) == 2
 
@@ -430,6 +461,174 @@ def test_decode_non_ascii_model_is_domain_error(capsys, tmp_path):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# each subcommand on both its exit paths (pass and fail, witness and
+# exhausted, sat and unsat, a rainbow input), --out, help and a usage and a
+# domain error; each line runs as given and again with --json, in order, so
+# the files the early lines write are the inputs of the later ones
+PRINTED_LINES = [
+    "build --target h10 --k 3 --out h10.grc",
+    "build --target kipas(3) --k 3 --no-certify",
+    "build-mixed --k 4 --s 3 --out mixed.grc",
+    "verify h10.grc --gallai --forbid-all h10",
+    "verify h10.grc --forbid 1=path(3)",
+    "verify rainbow.grc --gallai",
+    "verify mixed.grc --gallai --forbid 1=kipas(4) --forbid 4=path(3)",
+    "partition h10.grc",
+    "partition rainbow.grc",
+    "formula --target h10 --k 3",
+    "formula --target kipas(4) --k 5 --s 5",
+    "formula --target kipas(6) --k 3 --r2 14 --conjecture",
+    "search --n 5 --per-color k3,k3 --out w.grc",
+    "search --n 4 --per-color path(3),kipas(4) --gallai",
+    "search --n 6 --per-color k3,k3 --mode exhaust",
+    "encode --n 4 --per-color path(3),kipas(4) --gallai --out f.cnf",
+    "decode --cnf f.cnf --model sat.model --n 4 --k 2 --out d.grc",
+    "decode --cnf f.cnf --model sat.model --n 4 --k 2",
+    "decode --cnf f.cnf --model unsat.model --n 4 --k 2",
+    "catalog",
+    "--help",
+    "search --help",
+    "search --n x --per-color k3,k3",
+    "formula --target h7 --k 3",
+]
+
+
+def printed_digests() -> tuple[dict[str, str], dict[str, str]]:
+    """Run PRINTED_LINES through main() in the current directory: the sha256
+    of each run's exit code and stdout, and of each file the runs wrote."""
+    inputs = {"rainbow.grc": "grc 1 3 3\n1 2\n3\n",
+              "sat.model": "SAT\n1 -2 -3 4 -5 6 -7 8 -9 10 11 -12 0\n",
+              "unsat.model": "s UNSATISFIABLE\n"}
+    for name, text in inputs.items():
+        Path(name).write_text(text, encoding="ascii")
+    printed = {}
+    for line in PRINTED_LINES:
+        for extra in ([], ["--json"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(shlex.split(line) + extra)
+            key = " ".join([line, *extra])
+            printed[key] = hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(Path().iterdir()) if path.name not in inputs}
+    return printed, written
+
+
+PRINTED = {
+    "build --target h10 --k 3 --out h10.grc":
+        "8f5104a508792aadea6348ede7043f2b3917ae206979f4d4d7b760c32859126d",
+    "build --target h10 --k 3 --out h10.grc --json":
+        "3755c605f893e064b751eb6ba102672947125968491b82d4ffd3a46e36f514a5",
+    "build --target kipas(3) --k 3 --no-certify":
+        "e08bdd9a1d2dde8a90061d8990fc3789ddb69dea67329a82d9722b2b7e5fbc74",
+    "build --target kipas(3) --k 3 --no-certify --json":
+        "ded210ba623f5a665f950fa0b7ca3734a9bb25849da1de5328aeb403ec46c567",
+    "build-mixed --k 4 --s 3 --out mixed.grc":
+        "10c5779d69ea0888b842de0fff08ce7af2973d8215d682f13fb07be8af945ddc",
+    "build-mixed --k 4 --s 3 --out mixed.grc --json":
+        "622fe1f13b67e58b66905c12705220b91e578d1fe1f4e0b5374a7e709f14aba6",
+    "verify h10.grc --gallai --forbid-all h10":
+        "8033b99268ff44addc9800db66eb0bb4edc1f6de335efbfa380b4bfddd3071f8",
+    "verify h10.grc --gallai --forbid-all h10 --json":
+        "34e01c9316e42a68baf06601ccac26704ac6113585e1b04ff5b4af9064dda1dc",
+    "verify h10.grc --forbid 1=path(3)":
+        "22b8fc53511dc43cc73f676dd147a06b38107d290fa8700ae99762892a3cd0b2",
+    "verify h10.grc --forbid 1=path(3) --json":
+        "aee9be309bb0bde1b5786d2b036e8f77e9535de0bbfa77d35729fc34856cbd0b",
+    "verify rainbow.grc --gallai":
+        "e1500f253398ba9c4000f161f16cd5efdbabba7d2e89bec03c2f1473ebc0b95a",
+    "verify rainbow.grc --gallai --json":
+        "25646b696e43760e3eb70b45ad67258b5ba845574c4aec24ea40dfd083bf2f38",
+    "verify mixed.grc --gallai --forbid 1=kipas(4) --forbid 4=path(3)":
+        "8033b99268ff44addc9800db66eb0bb4edc1f6de335efbfa380b4bfddd3071f8",
+    "verify mixed.grc --gallai --forbid 1=kipas(4) --forbid 4=path(3) --json":
+        "4c5f7da777442b0d7773c857d5c3056cfa14a0e1cf9ff7b21224fac83536b255",
+    "partition h10.grc":
+        "4a611d8c21c42afee9685341364dd404777bd552698301f52d81dd02e6fc9af5",
+    "partition h10.grc --json":
+        "44fb7bbb79c52802ea83981075cd1f33c99a981a9f6161fa84f7bf80345fd044",
+    "partition rainbow.grc":
+        "ec0a7d6c9b5c1d0750d2b7f18969b86f9799132a6a3ee45818e9901212752bd8",
+    "partition rainbow.grc --json":
+        "bbc276890f2a808d4ed33bbd5ba53c80364211e25235a8aee15a93fa22ce9b0a",
+    "formula --target h10 --k 3":
+        "d8c31d5470d1b604a32e644f9da0922999dc3854352834a82d50fa475fe8e7e8",
+    "formula --target h10 --k 3 --json":
+        "fb693ed714cb069440296440cd926cc65d0440bc410ba1bb2b28308e9ffbe16e",
+    "formula --target kipas(4) --k 5 --s 5":
+        "d842b566d7aed62a1690b368790ac685779e166bcbfd94536086b92d4e288f91",
+    "formula --target kipas(4) --k 5 --s 5 --json":
+        "5b9141979f7c399ce15d1e2b3229281d30fa71e90b51883eac30fc1185d01d7c",
+    "formula --target kipas(6) --k 3 --r2 14 --conjecture":
+        "851f13bb5ed4d8fc1651153f2b71cf624ee7b4a8513c8464a9846abe192745fc",
+    "formula --target kipas(6) --k 3 --r2 14 --conjecture --json":
+        "49e5703c8b7136897e50ffc4b44ccf49c67ef311c0642aecb1a40384a1048bcf",
+    "search --n 5 --per-color k3,k3 --out w.grc":
+        "8a90cfa28937791d25227057ccb8257876443635f52b68705b877d7e55488c28",
+    "search --n 5 --per-color k3,k3 --out w.grc --json":
+        "9cbd124ee24e0386dc8d2a5ec097064dcda80b69ea341b5dadd36ffb23cb0b5c",
+    "search --n 4 --per-color path(3),kipas(4) --gallai":
+        "2dce3312e074726d9955fde1bf4f19bd2711e4b114ef471b1697c619fb116f9b",
+    "search --n 4 --per-color path(3),kipas(4) --gallai --json":
+        "8fa412f7e760fa4af98acc24544cd92810f5bf9f9cb6eba1ace4782487813299",
+    "search --n 6 --per-color k3,k3 --mode exhaust":
+        "e8e327a892529af9cac333570f33d1e881be5378c379c8940c96fcfa2bf36eee",
+    "search --n 6 --per-color k3,k3 --mode exhaust --json":
+        "b2bcff240efdb28244e32ca4c14ff7610400dc3f5d3fccabdc7cf57965bcc472",
+    "encode --n 4 --per-color path(3),kipas(4) --gallai --out f.cnf":
+        "1613d7d3d83a16386789d9b9ec5aa41f7d19d009c563f24ca33e830c0196cb3d",
+    "encode --n 4 --per-color path(3),kipas(4) --gallai --out f.cnf --json":
+        "f24a5de4caa0ca3f7100ed910875f1abd34faa9076c04a564eca2dac4165005a",
+    "decode --cnf f.cnf --model sat.model --n 4 --k 2 --out d.grc":
+        "c69814605f6a18039dfb5dceddba5509e59c046f21304e2155c1186b4daedbf5",
+    "decode --cnf f.cnf --model sat.model --n 4 --k 2 --out d.grc --json":
+        "1e9614b403603fa2c59fac3f5e3fa043a435287b03e4fb629007d86089ff1ffe",
+    "decode --cnf f.cnf --model sat.model --n 4 --k 2":
+        "90ad7e871e0302254560c70c97ec5977edc3d3f3bc4b267d0f8b809fb576f81a",
+    "decode --cnf f.cnf --model sat.model --n 4 --k 2 --json":
+        "3805b4e5efc1aea96c312d40e1d866b17dda781e9758bdd340e2171e06582964",
+    "decode --cnf f.cnf --model unsat.model --n 4 --k 2":
+        "58c5e773d6eaf2745bc0c0b892a5c8d70bc84ed072f4c0fa2f11bfeb5ba04f45",
+    "decode --cnf f.cnf --model unsat.model --n 4 --k 2 --json":
+        "4793689166cb436b1ab98bf6c5d6dd09568c32c1256f10c3b488cd5e8b933be5",
+    "catalog":
+        "f773b1a94d21477e32cea3786c36f4155f4266adb749b65c6f41d3201aadf61f",
+    "catalog --json":
+        "58416f8c9ac7ea5e05c09d197c7cf38ad7cf508d9409310a24c8c3cfeeedf6eb",
+    "--help":
+        "117d33aba9df6b9b4f36bd5001fd81a9e177ed4419fde93cee4c6e206cf35ac4",
+    "--help --json":
+        "117d33aba9df6b9b4f36bd5001fd81a9e177ed4419fde93cee4c6e206cf35ac4",
+    "search --help":
+        "5f36bcbf8313f6f1bb99d0f677930f90a0dbc154384ba9da042f0dddd1d13145",
+    "search --help --json":
+        "5f36bcbf8313f6f1bb99d0f677930f90a0dbc154384ba9da042f0dddd1d13145",
+    "search --n x --per-color k3,k3":
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "search --n x --per-color k3,k3 --json":
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "formula --target h7 --k 3":
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    "formula --target h7 --k 3 --json":
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+}
+WRITTEN = {
+    "d.grc": "9a9a9f2fa80ea21042015be390e1e4c947f9f3b6223fbba0127e26c390461aee",
+    "f.cnf": "e5134a8e53afaabc43c16ad06560335ff2995ee7729e921ab34dd92cf18189ea",
+    "h10.grc": "28b74800876cb74eb8ab85185448c44f40cee1353586eabcc51828ab055ae733",
+    "mixed.grc": "6b48832e922ea7914a7ebdac31af9ce9b86aa2c4f179ad493217c9ee7b809e4e",
+    "w.grc": "272a2dd80e483f3633c5301eae86b2cd1b43e45c02b53334992048eb69cf8718",
+}
+
+
+def test_every_command_prints_the_pinned_bytes(tmp_path, monkeypatch):
+    # the one output step prints what each handler printed for itself before
+    monkeypatch.chdir(tmp_path)
+    printed, written = printed_digests()
+    assert printed == PRINTED
+    assert written == WRITTEN
 
 
 # what python -m gallaikit.cli runs, plus a list of sys.modules at exit

@@ -1,11 +1,11 @@
 """The CLI's option table against the argparse parser it replaced.
 
-conftest.argparse_cli_parser() is the former parser, unchanged.  On every
-line argparse accepts, the table's parser must give the same handler and
-the same value, of the same type, in every field; on every line argparse
-refuses, both must exit 2 and print nothing on stdout.  The corpus is each
-CLI line of the CI workflow and the README, the argv forms the benchmark's
-workloads run, and variants of them.
+conftest.argparse_cli_parser() is the former parser, with the CLI's integer
+type in place of int.  On every line argparse accepts, the table's parser
+must give the same handler and the same value, of the same type, in every
+field; on every line argparse refuses, both must exit 2 and print nothing
+on stdout.  The corpus is each CLI line of the CI workflow and the README,
+the argv forms the benchmark's workloads run, and variants of them.
 """
 
 import argparse
@@ -129,7 +129,7 @@ def variants(argv: list[str]) -> list[list[str]]:
         flat(parts[::-1]),
         flat([[prefix(u[0]), *u[1:]] if u[0] in actions else u for u in parts]),
         flat([earlier(u) for u in parts if u[0] in actions] + parts),
-        flat([[u[0], "-3"] if u[0] in actions and actions[u[0]].type is int else u
+        flat([[u[0], "-3"] if u[0] in actions and actions[u[0]].type is cli._integer else u
               for u in parts]),
     ]
 
@@ -214,6 +214,11 @@ MALFORMED = [
     (["search", "--n", "5", "--per-color", "k3,k3", "--out"], "--out"),
     (["search", "--n", "5", "--per-color", "k3,k3", "--gallai=yes"], "--gallai"),
     (["decode", "--cnf", "f.cnf", "--model", "m", "--n", "4", "--k", "-1.5"], "--k"),
+    # int() reads these; the integer type takes ASCII -?[0-9]+ only
+    (["search", "--n", "+3", "--per-color", "k3,k3"], "--n"),
+    (["search", "--n", "٣", "--per-color", "k3,k3"], "--n"),
+    (["search", "--n", "-٣", "--per-color", "k3,k3"], "--n"),
+    (["verify", "c.grc", "--forbid", "١=h1"], "--forbid"),
 ]
 
 

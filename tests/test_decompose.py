@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -133,6 +134,17 @@ def test_reduced_coloring_validates_parts():
         reduced_coloring(c, ((0, 1),))
     with pytest.raises(InvalidPartitionError):
         reduced_coloring(c, ((0, 0, 1), (2, 3)))
+    # parts are sorted by least member before they are checked
+    for parts, message in ((((0, 1), (), (2, 3)), "part 0 is empty"),
+                           (((0, 1), (2, 7)), "vertex 7 out of range in part 1"),
+                           (((0, -1), (1, 2, 3)), "vertex -1 out of range in part 0")):
+        with pytest.raises(InvalidPartitionError, match=re.escape(message)):
+            reduced_coloring(c, parts)
+    # a GallaiPartition's stored quotient is checked against the coloring
+    k2 = mono_complete(2, 1)
+    with pytest.raises(InvalidPartitionError,
+                       match="stored quotient does not match the coloring"):
+        reduced_coloring(join(k2, k2, 3), gallai_partition(join(k2, k2, 2)))
 
 
 def test_reduced_coloring_rejects_nonmono_pairs():

@@ -9,6 +9,7 @@ from gallaikit.formulas import (
     MAX_K,
     MIXED_R2_TABLE,
     R2_TABLE,
+    THEOREMS,
     MissingR2Error,
     RangeViolationError,
     UnsupportedTargetError,
@@ -79,7 +80,7 @@ def test_gr_at_one_color_is_the_pattern_order():
 
 
 def test_gr_at_two_colors_matches_the_table():
-    for cid in R2_TABLE:
+    for cid in THEOREMS:
         assert gr_value(cid, 2).value == ramsey_two(cid), cid
 
 
@@ -134,7 +135,7 @@ def test_gr_value_refuses_uncovered_targets(monkeypatch):
 
 
 def test_g_value_is_gr_minus_one():
-    for cid in R2_TABLE:
+    for cid in THEOREMS:
         for k in range(1, 9):
             assert g_value(cid, k) == gr_value(cid, k).value - 1, (cid, k)
 
