@@ -22,9 +22,10 @@ The text format ("grc") mirrors that layout.  Line 1 is the header
 emits exactly that shape.  parse accepts any run of whitespace between and
 around the tokens (spaces, tabs) and leading zeros, but checks every count
 against the header; rows in serialize's shape with one-digit colors skip the
-tokenizer and are read by slicing.  Every number in the text (n, k and each
-color) is a token of ASCII digits [0-9]+; a sign, an underscore or any other
-digit character is a GrcSyntaxError.
+tokenizer and are read by slicing, and a row that the slicing read refuses
+is read again by tokens, which name its fault.  Every number in the text (n,
+k and each color) is a token of ASCII digits [0-9]+; a sign, an underscore
+or any other digit character is a GrcSyntaxError.
 """
 
 from __future__ import annotations
@@ -272,7 +273,8 @@ def serialize(c: EdgeColoring) -> str:
     return "\n".join(lines) + "\n"
 
 
-_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+# bytes.translate table: ASCII digit -> its value, any other byte -> 0, which no palette holds
+_DIGIT_VALUES = bytes(b - 48 if 48 <= b <= 57 else 0 for b in range(256))
 
 
 def _decimal(token: str) -> bool:
@@ -294,11 +296,12 @@ def _reject_row(toks: list[str], k: int, i: int) -> NoReturn:
 def parse(text: str) -> EdgeColoring:
     """Inverse of serialize; raises on any structural inconsistency.
 
-    A row exactly as serialize writes it for k <= 9 (cnt single ASCII
-    digits joined by single spaces) is read in bulk: its even positions are
-    the digits, and str.translate turns them into bytes.  Any other row
-    (runs of spaces, tabs, leading zeros, two-digit colors, a bad token) is
-    split into tokens, which are counted, joined and checked as one ASCII
+    A row in serialize's shape for k <= 9 (cnt ASCII characters joined by
+    single spaces) is read in bulk: one bytes.translate turns its even
+    positions into colors, any non-digit into 0.  A row out of that shape,
+    or one whose bulk read holds a byte outside the palette (runs of spaces,
+    tabs, leading zeros, two-digit colors, a bad token), is read again
+    token by token: the tokens are counted, joined and checked as one ASCII
     digit string, then translated when each is one digit or converted by
     int() token by token.  Both give the same colors, and a row that fails
     a check is reported by the tokens: the first bad token in reading order
@@ -331,12 +334,12 @@ def parse(text: str) -> EdgeColoring:
     for i, row in enumerate(rows):
         cnt = n - 1 - i
         digits = row[::2]
-        if len(row) == 2 * cnt - 1 and row[1::2] == " " * (cnt - 1) and _decimal(digits):
-            vals = digits.encode("ascii").translate(_DIGIT_VALUES)
-        else:
+        bulk = len(row) == 2 * cnt - 1 and row[1::2] == " " * (cnt - 1) and digits.isascii()
+        vals = digits.encode("ascii").translate(_DIGIT_VALUES) if bulk else None
+        if vals is None or vals.translate(None, palette):
             vals = _tokenized_row(row, cnt, k, i)
-        if vals.translate(None, palette):
-            _reject_row(row.split(), k, i)
+            if vals.translate(None, palette):
+                _reject_row(row.split(), k, i)
         chunks.append(vals)
     return EdgeColoring(n, k, b"".join(chunks))
 

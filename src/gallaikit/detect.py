@@ -6,11 +6,10 @@ pattern.  Both run over the per-color neighbor bitmasks of
 decompose.color_neighbor_masks (plain Python ints), so they stay fast on the
 couple-hundred-vertex colorings the builders emit.  Witnesses are
 deterministic: the rainbow witness is the lexicographically first triple,
-and the embedding search places the pattern's vertices in a fixed order and
-tries host vertices in ascending order.  That one DFS, _embed_search,
-answers three questions: is there a copy of a pattern in a color class, are
-two patterns isomorphic, and which order a fan is placed in (hub then rim:
-its first copy of kipas(m); any other pattern goes by descending degree).
+and the embedding search places the pattern's vertices by descending degree,
+ties by label, and tries host vertices in ascending order.  That one DFS,
+_embed_search, answers two questions: is there a copy of a pattern in a
+color class, and are two patterns isomorphic.
 
 The embedding search runs on a twin-class kernel of the color class.  False
 twins (vertices with the same open neighborhood in that color) are
@@ -33,8 +32,7 @@ from typing import Mapping, Optional, Sequence
 from ._record import Record
 from .coloring import ColorRangeError, EdgeColoring, edge_index
 from .decompose import color_neighbor_masks, find_rainbow_triangle
-from .patterns import (ISO_CAP, Pattern, TooLargeError, canonical_id, independence_number,
-                       kipas_edges, resolve)
+from .patterns import ISO_CAP, Pattern, TooLargeError, canonical_id, independence_number, resolve
 
 
 class Embedding(Record):
@@ -98,33 +96,16 @@ def are_isomorphic(p: Pattern, q: Pattern) -> bool:
     return _embed_search(q.m, p, q.bitmasks())[0] is not None
 
 
-def _embedding_order(p: Pattern) -> list[int]:
-    """Hub then rim for a fan, otherwise descending degree.
-
-    With m + 1 vertices and 2m - 1 edges, p is a fan iff it holds a copy of
-    kipas(m); the first one tries hubs ascending and starts the rim, a path,
-    at its lower end.
-    """
-    m = p.m - 1
-    if m >= 2 and len(p.edges) == 2 * m - 1:
-        fan = Pattern(p.m, frozenset(kipas_edges(m)), f"kipas({m})")
-        image, _ = _embed_search(p.m, fan, p.bitmasks(), range(p.m))
-        if image is not None:
-            return list(image)
-    deg = [len(a) for a in p.adjacency()]
-    return sorted(range(p.m), key=lambda v: (-deg[v], v))
-
-
 def _embed_search(
-    n: int, p: Pattern, nbr_color: Sequence[int], order: Optional[Sequence[int]] = None
+    n: int, p: Pattern, nbr_color: Sequence[int]
 ) -> tuple[Optional[tuple[int, ...]], int]:
     """DFS for an injective edge-preserving map into one color class, placing
-    p's vertices in the given order (by default _embedding_order(p))."""
+    p's vertices by descending degree, ties by label (a named fan: the hub,
+    the inner rim along its path, then the rim's two ends)."""
     if p.m > n:
         return None, 0
-    if order is None:
-        order = _embedding_order(p)
     adj = p.adjacency()
+    order = sorted(range(p.m), key=lambda v: (-len(adj[v]), v))
     pos_of = {v: t for t, v in enumerate(order)}
     prior = [
         [pos_of[u] for u in adj[v] if pos_of[u] < t] for t, v in enumerate(order)

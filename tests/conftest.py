@@ -74,13 +74,11 @@ def naive_mono(c: EdgeColoring, pattern, color: int) -> bool:
 def plain_embed(c: EdgeColoring, pattern, color: int) -> tuple[int, ...] | None:
     """The embedding DFS without the twin-class kernel: every host vertex.
 
-    Same pattern vertex order as the library (imported, since the witness
-    depends on it) and the same ascending host order, but it searches all
-    of V and builds its masks with its own loop, so the library's kernel
-    must reproduce its first witness exactly.
+    Same pattern vertex order as the library (descending degree, ties by
+    label, since the witness depends on it) and the same ascending host
+    order, but it searches all of V and builds its masks with its own loop,
+    so the library's kernel must reproduce its first witness exactly.
     """
-    from gallaikit.detect import _embedding_order
-
     n, m = c.n, pattern.m
     if m > n:
         return None
@@ -90,8 +88,8 @@ def plain_embed(c: EdgeColoring, pattern, color: int) -> tuple[int, ...] | None:
             if c.color(u, v) == color:
                 nbr[u] |= 1 << v
                 nbr[v] |= 1 << u
-    order = _embedding_order(pattern)
     adj = pattern.adjacency()
+    order = sorted(range(m), key=lambda v: (-len(adj[v]), v))
     pos_of = {v: t for t, v in enumerate(order)}
     prior = [[pos_of[u] for u in adj[v] if pos_of[u] < t] for t, v in enumerate(order)]
     host = [0] * m

@@ -363,6 +363,39 @@ def test_bad_token_in_a_canonical_row_is_reported_as_by_the_tokenizer(token, at)
         assert str(fast.value) == f"color {int(token)} outside 1..10 in row 0"
 
 
+def _outcome(text: str):
+    try:
+        return parse(text)
+    except Exception as exc:  # the type and message are the outcome
+        return type(exc), str(exc)
+
+
+def test_bulk_row_read_matches_the_tokenizer_on_mutated_text():
+    # every body space doubled, no row of two or more colors is in serialize's
+    # shape, so the tokenizer reads them all: same coloring, or same error
+    rng = random.Random(37)
+    alphabet = "0123456789" + " \t\r\x0b" + "x+_١"
+    refused = 0
+    for _ in range(4000):
+        n, k = rng.randint(1, 9), rng.randint(1, 12)
+        text = list(serialize(random_coloring(rng, n, k)))
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(text) + 1)
+            kind = rng.randrange(3)
+            if kind == 0:
+                text.insert(at, rng.choice(alphabet))
+            elif at < len(text):
+                if kind == 1:
+                    text[at] = rng.choice(alphabet)
+                else:
+                    del text[at]
+        head, _, body = "".join(text).partition("\n")
+        bulk = _outcome(f"{head}\n{body}")
+        assert bulk == _outcome(f"{head}\n{body.replace(' ', '  ')}"), "".join(text)
+        refused += isinstance(bulk, tuple)
+    assert refused >= 2000, refused
+
+
 def test_first_bad_token_of_a_canonical_row_is_the_one_reported():
     with pytest.raises(GrcSyntaxError, match="'x' in row 0"):
         parse("grc 1 4 10\n1 x 0\n1 1\n1\n")

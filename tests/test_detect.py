@@ -37,7 +37,6 @@ from gallaikit.decompose import (
 from gallaikit.detect import (
     AvoidanceSpec,
     Embedding,
-    _embedding_order,
     are_isomorphic,
     find_mono_embedding,
     verify,
@@ -600,24 +599,13 @@ def _copy_engine_corpus(rng: random.Random) -> list:
 
 
 def test_copy_engine_matches_the_former_searches():
-    # _embedding_order and are_isomorphic run on the embedding DFS; the
-    # structural fan walk and the backtracking isomorphism test they replace
-    # must give the same order and the same verdict
+    # are_isomorphic runs on the embedding DFS; the backtracking isomorphism
+    # test it replaces must give the same verdict
     rng = random.Random(29)
     corpus = _copy_engine_corpus(rng)
-    fans = 0
-    for p in corpus:
-        want = plain_fan_order(p)
-        fans += want is not None
-        if want is None:
-            deg = [len(a) for a in p.adjacency()]
-            want = sorted(range(p.m), key=lambda v: (-deg[v], v))
-        assert _embedding_order(p) == want, p
-    assert fans >= 4 * 15 + 100
     h12 = resolve("h12")
     for _ in range(50):
         q = _relabeled(rng, h12)
-        assert _embedding_order(q) == plain_fan_order(q)
         assert are_isomorphic(q, resolve("kipas(4)")) and are_isomorphic(resolve("kipas(4)"), q)
     small = [p for p in corpus if p.m <= ISO_CAP]
     pairs = [(p, _relabeled(rng, p)) for p in small[:600]]

@@ -44,7 +44,7 @@ def test_two_color_table_is_closed_world():
     with pytest.raises(UnsupportedTargetError):
         ramsey_two("h7")
     with pytest.raises(UnsupportedTargetError):
-        ramsey_two("kipas(5)")
+        ramsey_two("kipas(7)")
 
 
 def test_ramsey_two_checks_a_supplied_r2():
@@ -54,11 +54,11 @@ def test_ramsey_two_checks_a_supplied_r2():
     with pytest.raises(RangeViolationError, match="fan"):
         ramsey_two("h10", 7)
     # unlisted fan: 2m+1 .. 2(m^2-m+1), with no pattern size cap
-    assert ramsey_two("kipas(5)", 11) == 11 and ramsey_two("kipas(5)", 42) == 42
+    assert ramsey_two("kipas(7)", 15) == 15 and ramsey_two("kipas(7)", 86) == 86
     assert ramsey_two("kipas(20)", 50) == 50
-    for bad in (10, 43):
-        with pytest.raises(RangeViolationError, match="11 <= r2 <= 42"):
-            ramsey_two("kipas(5)", bad)
+    for bad in (14, 87):
+        with pytest.raises(RangeViolationError, match="15 <= r2 <= 86"):
+            ramsey_two("kipas(7)", bad)
     # the stored fans sit inside the same bounds
     for m in (2, 3, 4):
         assert 2 * m + 1 <= ramsey_two(f"kipas({m})") <= 2 * (m * m - m + 1)
@@ -143,7 +143,7 @@ def test_g_value_is_gr_minus_one():
 def test_g_value_with_user_supplied_r2():
     # join branch activates when doubling beats the five-part route
     assert g_value("kipas(6)", 3, r2=18) == max(2 * 17, 30)
-    assert g_value("kipas(6)", 4, r2=13) == 13 + 3 * (25 - 5) - 1
+    assert g_value("kipas(6)", 4, r2=15) == 15 + 3 * (25 - 5) - 1
     with pytest.raises(MissingR2Error):
         g_value("kipas(6)", 3)
 
