@@ -18,17 +18,18 @@ No int form of a clause is built.  Writing a document prepends the header
 to that text, and the satisfaction test reads its lines.
 
 Each literal of a document is checked once against 1..num_vars in either
-sign.  The constructor takes clause_text as a str only and checks it in one
-pass over its lines, which checks each distinct token once; the two
-producers check while they write, and build through
-_document, which skips the constructor's scan: encode_cnf takes every
-literal from per-color tables keyed by edge index, so an image edge outside
-0..E-1 fails its lookup, and parse_dimacs makes that one pass over the
-lines after the problem line, or reads loose text token by token.
+sign, by the constructor or by encode_cnf as it writes it.  The constructor
+takes clause_text as a str only: text in that form is kept after one pass
+over its lines, which checks each distinct token once, and a clause section
+in any other layout is read by tokens and stored in that form.  parse_dimacs
+hands it the text after the problem line, so both read clauses alike.
+encode_cnf takes every literal from tables keyed by edge index, so an image
+edge outside 0..E-1 fails its lookup, and skips the scan through _document.
 
 DIMACS and model files are read by whitespace-separated tokens, and a
 token must be an ASCII integer, -?[0-9]+, so '+1' or '1_0', which int()
-would read, fail closed.  Comment lines are skipped in both files.
+would read, fail closed.  Comment lines are skipped in both files.  A 0
+that ends no literal is an empty clause, refused wherever it stands.
 """
 
 from __future__ import annotations
@@ -84,25 +85,10 @@ def _canonical(lines: list[str], num_vars: int) -> bool:
     return all(_is_literal(tok, num_vars) for tok in tokens)
 
 
-def _fault(lines: list[str], num_vars: int) -> str:
-    """What is wrong with the first line that _canonical refuses."""
-    for line in lines:
-        *toks, end = line.split(" ")
-        if end == "0" and toks in ([], [""]):
-            return "empty clause"
-        if end != "0":
-            return f"clause line {line!r} does not end in ' 0'"
-        for tok in toks:
-            if not _is_literal(tok, num_vars):
-                if _CANONICAL(tok):
-                    return f"literal {tok[:24]} out of range"
-                return f"bad literal {tok[:24]!r}"
-    return "clause text must end with a newline"
-
-
 class CnfDocument(Record):
     """A CNF over the variables of K_n in k colors, held as its DIMACS
-    clause lines: clause_text must be a str, and any other type is refused."""
+    clause lines: clause_text must be a str, and any other type is refused;
+    a clause section in any other layout is stored as those lines."""
 
     n: int
     k: int
@@ -116,7 +102,9 @@ class CnfDocument(Record):
             raise CnfError(f"clause_text must be a str, got {type(self.clause_text).__name__}")
         lines = self.clause_text.split("\n")
         if lines.pop() or not _canonical(lines, self.num_vars):
-            raise CnfError(_fault(lines, self.num_vars))
+            lines = _tokenized_clauses(self.clause_text.splitlines(), self.num_vars)
+            lines.append("")
+            object.__setattr__(self, "clause_text", "\n".join(lines))
 
     @property
     def num_clauses(self) -> int:
@@ -226,7 +214,8 @@ def assignment_satisfies(doc: CnfDocument, assignment: Iterable[int]) -> bool:
 def _tokenized_clauses(lines: list[str], num_vars: int) -> list[str]:
     """Clause lines as clause_text holds them, from DIMACS lines read by
     tokens: blank and comment lines are skipped, a 0 ends a clause wherever
-    it stands, leading zeros go, and a last clause may lack its 0."""
+    it stands, leading zeros go, and a last clause may lack its 0.  A 0 that
+    ends no literal is an empty clause, which no assignment satisfies."""
     out: list[str] = []
     pending: list[str] = []
     for raw in lines:
@@ -236,14 +225,16 @@ def _tokenized_clauses(lines: list[str], num_vars: int) -> list[str]:
         if line.startswith("p"):
             raise CnfError(f"bad or repeated problem line {line!r}")
         for tok in line.split():
-            lit = _integer(tok, "DIMACS integer")
+            lit = _integer(tok, "literal")
             if abs(lit) > num_vars:
-                raise CnfError(f"literal {lit} out of range")
+                raise CnfError(f"literal {tok[:24]} out of range")
             if lit:
                 pending.append(str(lit))
             elif pending:
                 out.append(" ".join(pending) + " 0")
                 pending = []
+            else:
+                raise CnfError("empty clause")
     if pending:
         out.append(" ".join(pending) + " 0")
     return out
@@ -253,32 +244,28 @@ def parse_dimacs(text: str, n: int, k: int) -> CnfDocument:
     """The document of DIMACS text, for K_n with k colors.
 
     Blank lines and comments (lines starting with c) may precede the
-    problem line.  When every line after it is one clause as clause_text
-    holds it, as in what to_dimacs writes, one pass checks the tokens and
-    the lines are kept; otherwise they are read by tokens and rewritten."""
-    lines = text.splitlines()
-    for at, raw in enumerate(lines):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if not line.startswith("p"):
-            raise CnfError("clause before the problem line")
-        fields = line.split()
-        if len(fields) != 4 or fields[1] != "cnf":
-            raise CnfError(f"bad or repeated problem line {line!r}")
-        break
-    else:
-        raise CnfError("missing problem line")
-    num_vars, declared = (_integer(tok, "problem line number") for tok in fields[2:])
-    if num_vars != edge_count(n) * k:
-        raise CnfError("num_vars must be edge_count * k")
-    del lines[:at + 1]
-    if not _canonical(lines, num_vars):
-        lines = _tokenized_clauses(lines, num_vars)
-    if declared != len(lines):
-        raise CnfError(f"problem line declares {declared} clauses, found {len(lines)}")
-    lines.append("")
-    return _document(n, k, num_vars, "\n".join(lines))
+    problem line.  The text after it is the clause section: the CnfDocument
+    constructor reads it, and the problem line must count its clauses."""
+    at = 0
+    while at < len(text):
+        # a piece ends at a \n, which ends a line in text.splitlines() too
+        for raw in text[at:text.find("\n", at) + 1 or len(text)].splitlines(keepends=True):
+            at += len(raw)
+            line = raw.strip()
+            if not line or line.startswith("c"):
+                continue
+            if not line.startswith("p"):
+                raise CnfError("clause before the problem line")
+            fields = line.split()
+            if len(fields) != 4 or fields[1] != "cnf":
+                raise CnfError(f"bad or repeated problem line {line!r}")
+            num_vars, declared = (_integer(tok, "problem line number") for tok in fields[2:])
+            doc = CnfDocument(n, k, num_vars, text[at:])
+            if declared != doc.num_clauses:
+                raise CnfError(f"problem line declares {declared} clauses, "
+                               f"found {doc.num_clauses}")
+            return doc
+    raise CnfError("missing problem line")
 
 
 def parse_model(text: str) -> Optional[set[int]]:

@@ -195,7 +195,7 @@ def chromatic_number(p: Pattern) -> int:
                 assign[v] = 0
         return False
 
-    for limit in range(2, p.m + 1):
+    for limit in range(2, p.m):  # m colors always suffice
         if colorable(limit, 0, 0):
             return limit
     return p.m

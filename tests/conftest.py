@@ -291,8 +291,9 @@ def plain_parse_dimacs(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
     The library's former parser, kept as the oracle of cnf.parse_dimacs on
     input whose tokens are all ASCII integers: comment and blank lines are
-    skipped, a 0 ends a clause wherever it stands, and a last clause may lack
-    its 0.  It raises ValueError where the library raises CnfError.
+    skipped, a 0 ends a clause wherever it stands, a 0 that ends no literal
+    is an empty clause and refused, and a last clause may lack its 0.  It
+    raises ValueError where the library raises CnfError.
     """
     header = None
     clauses = []
@@ -311,9 +312,10 @@ def plain_parse_dimacs(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
             raise ValueError("clause before the problem line")
         for lit in map(int, line.split()):
             if lit == 0:
-                if pending:
-                    clauses.append(tuple(pending))
-                    pending = []
+                if not pending:
+                    raise ValueError("empty clause")
+                clauses.append(tuple(pending))
+                pending = []
             else:
                 pending.append(lit)
     if pending:

@@ -415,6 +415,38 @@ def test_decode_non_integer_dimacs_is_domain_error(capsys, tmp_path):
         assert code == want, (text, err)
 
 
+def test_decode_refuses_an_empty_clause(capsys, tmp_path):
+    # a 0 line added to an encoding is an empty clause, so the formula is
+    # UNSAT whether or not the problem line counts it: exit 2, nothing printed
+    cnf, model = tmp_path / "f.cnf", tmp_path / "model.out"
+    assert main(["encode", "--n", "3", "--per-color", "none,none", "--out", str(cnf)]) == 0
+    capsys.readouterr()
+    encoded = cnf.read_text(encoding="ascii")
+    assert "\np cnf 6 6\n" in encoded
+    model.write_text("v 1 -2 3 -4 5 -6 0\n", encoding="ascii")
+    argv = ("decode", "--cnf", str(cnf), "--model", str(model), "--n", "3", "--k", "2")
+    assert run(capsys, *argv)[0] == 0  # the model satisfies the encoding itself
+    for text in (encoded + "0\n", encoded.replace("p cnf 6 6", "p cnf 6 7") + "0\n"):
+        cnf.write_text(text, encoding="ascii")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "empty clause" in err, text
+
+
+def test_decode_refuses_a_model_the_formula_rejects(capsys, tmp_path):
+    # every edge of K_9 in color 1: each edge has exactly one color, so the
+    # model decodes, but a color-1 kipas(4) image is complete and its clause fails
+    cnf, model, grc = tmp_path / "f.cnf", tmp_path / "model.out", tmp_path / "d.grc"
+    assert main(["encode", "--n", "9", "--per-color", "kipas(4),kipas(4)",
+                 "--out", str(cnf)]) == 0
+    capsys.readouterr()
+    model.write_text("v " + " ".join(f"{2 * e + 1} {-2 * e - 2}" for e in range(36)) + " 0\n",
+                     encoding="ascii")
+    code, out, err = run(capsys, "decode", "--cnf", str(cnf), "--model", str(model),
+                         "--n", "9", "--k", "2", "--out", str(grc))
+    assert (code, out) == (2, "") and "does not satisfy the formula it came with" in err
+    assert not grc.exists()
+
+
 def test_non_ascii_grc_is_domain_error(capsys, tmp_path):
     path = tmp_path / "c.grc"
     path.write_bytes("grc 1 3 2\n1 2\n1 \u00e9\n".encode("utf-8"))

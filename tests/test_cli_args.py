@@ -28,8 +28,9 @@ WORKFLOW = [
     'search --n 9 --per-color "kipas(4),kipas(4)" --out w.grc',
     "decode --cnf ramsey_kipas4_n9_sat.cnf --model w.model --n 9 --k 2 --out back.grc",
     "decode --cnf bad.cnf --model bad.model --n 3 --k 1",
+    "decode --cnf empty.cnf --model bad.model --n 3 --k 1",
     'build --target "kipas(6)" --k 2 --r2 13',
-    'build --target "kipas(5)" --k 2 --r2 11 --json',
+    'build --target "kipas(5)" --k 2 --r2 12 --json',
     f'formula --target "kipas({NINES})" --k 3',
     f'search --n 3 --per-color "kipas({NINES}),none"',
     "formula --target h1 --k 100000",

@@ -238,17 +238,39 @@ def test_document_validation():
     # clause text is checked by the same rule: canonical lines over -6..6
     assert (CnfDocument(3, 2, 6, "1 -6 0\n-2 0\n")
             == CnfDocument(3, 2, 6, clause_text_of([(1, -6), (-2,)])))
+    # any other layout is read by tokens and builds the canonical document
+    canonical = CnfDocument(3, 2, 6, "1 2 0\n")
+    for text in ("01 2 0\n", "1  2 0\n", "1\t2 0\n", "1 2 0\r\n", "1 2\n", "1 2 0"):
+        assert CnfDocument(3, 2, 6, text) == canonical, text
     for text, message in (("1 0\n7 0\n", "literal 7 out of range"),
                           ("-7 0\n", "literal -7 out of range"),
-                          ("1 0 0\n", "literal 0 out of range"),
+                          ("1 0 0\n", "empty clause"), ("1 -0 0\n", "empty clause"),
                           ("0\n", "empty clause"), (" 0\n", "empty clause"),
-                          ("1 -0 0\n", "bad literal '-0'"), ("01 0\n", "bad literal '01'"),
-                          ("+1 0\n", "bad literal '\\+1'"), ("1  2 0\n", "bad literal ''"),
-                          ("1\t2 0\n", "bad literal"), ("1 2 0\r\n", "does not end in"),
-                          ("1 2\n", "does not end in"), ("1 2 0", "must end with a newline"),
-                          ("1" * 5000 + " 0\n", "literal 1{24} out of range")):
+                          ("+1 0\n", "bad literal '\\+1'"),
+                          ("1" * 5000 + " 0\n", "bad literal '1{24}'"),
+                          ("9" * 4000 + " 0\n", "^literal 9{24} out of range$")):
         with pytest.raises(CnfError, match=message):
             CnfDocument(3, 2, 6, text)
+
+
+def test_an_empty_clause_is_refused_wherever_it_stands():
+    # a 0 that ends no literal is a clause no assignment satisfies: the
+    # constructor and parse_dimacs refuse it whether or not the problem
+    # line counts it
+    for section in ("0\n", " 0\n", "1 2 3 0 0\n", "1 -0 0\n"):
+        with pytest.raises(CnfError, match="empty clause"):
+            CnfDocument(3, 1, 3, section)
+        for declared in (1, 2):
+            with pytest.raises(CnfError, match="empty clause"):
+                parse_dimacs(f"p cnf 3 {declared}\n{section}", 3, 1)
+    with pytest.raises(ValueError, match="empty clause"):
+        plain_parse_dimacs("p cnf 3 2\n1 2 3 0 0\n")
+
+
+def test_parse_dimacs_needs_a_problem_line():
+    for text in ("", "\n", "c only\nc comments\n", "c one comment", "c x\r\n\r\nc y\r\n"):
+        with pytest.raises(CnfError, match="^missing problem line$"):
+            parse_dimacs(text, 3, 1)
 
 
 def test_constructor_takes_text_only():

@@ -82,11 +82,12 @@ def test_extremal_search_fallback_unavailable_scope():
 
 
 def test_extremal_search_fallback_finds_a_certified_witness():
-    # kipas(5) has no seed, so R2 = 11 sends it to the first-witness search
-    c = extremal_two_coloring("kipas(5)", r2=11)
-    assert (c.n, c.k) == (10, 2)
+    # kipas(5) has no seed, so R2 = 12, the value exhaustion gives, sends
+    # it to the first-witness search
+    c = extremal_two_coloring("kipas(5)", r2=12)
+    assert (c.n, c.k) == (11, 2)
     assert verify(c, AvoidanceSpec.forbid_all("kipas(5)", 2)).passed
-    assert build_lower("kipas(5)", 2, r2=11) == c
+    assert build_lower("kipas(5)", 2, r2=12) == c
 
 
 def test_joined_seeds_match_their_definitions():
